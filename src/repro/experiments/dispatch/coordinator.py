@@ -262,14 +262,21 @@ class Coordinator:
                 daemon=True,
             )
             with self._lock:
+                if self._stop:
+                    # The batch ended while this agent connected.
+                    connection.close()
+                    return
+                # Started before it is published: _shutdown joins only
+                # the handlers it finds, and joining an unstarted
+                # thread raises.
+                handler.start()
                 self._connections.append(connection)
                 self._handlers.append(handler)
-            handler.start()
 
     def _shutdown(self) -> None:
         """End the batch: tell every worker goodbye and drop the conns."""
-        self._stop = True
         with self._lock:
+            self._stop = True
             connections = list(self._connections)
             handlers = list(self._handlers)
         for connection in connections:

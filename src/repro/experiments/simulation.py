@@ -262,10 +262,12 @@ class Simulation:
 
         Reports the requested mode, the effective mode (fast-forward
         falls back to reference event-stepping for ineligible
-        configurations), the native fast-client count, and the counted
-        fallback reasons. Kept out of the digested metrics registry so
-        checkpoint digests and ``repro report --compare`` stay
-        mode-agnostic; the provenance manifest records it instead.
+        configurations), the native fast-client count (for the trace
+        source: its session slots, since its ``total_clients`` is only
+        nominal), and the counted fallback reasons. Kept out of the
+        digested metrics registry so checkpoint digests and ``repro
+        report --compare`` stay mode-agnostic; the provenance manifest
+        records it instead.
         """
         info = {
             "engine_mode": self.engine_mode,
@@ -275,10 +277,13 @@ class Simulation:
         }
         if isinstance(self.env, FastForwardEnvironment):
             info["fallbacks"] = dict(self.env.fallback_reasons)
-            if self.population.engine == "fluid":
-                info["fast_clients"] = self.population.total_clients
-            else:
+            population = self.population
+            if population.engine != "fluid":
                 info["effective_mode"] = "event"
+            elif isinstance(population, TraceDrivenPopulation):
+                info["fast_clients"] = population.shard_stats()["session_slots"]
+            else:
+                info["fast_clients"] = population.total_clients
         return info
 
     @property

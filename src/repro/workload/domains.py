@@ -397,7 +397,8 @@ class LazyZipfDomainSet(LazyDomainSet):
 
         Memory is ``K / block`` doubles instead of a ``K``-list; each
         sample costs one bisect plus at most ``block`` share
-        evaluations.
+        evaluations, computed inline with :meth:`share`'s expression
+        (the walk's indices are in range by construction).
         """
         blocks = self._block_cumulative
         if not blocks:
@@ -412,8 +413,10 @@ class LazyZipfDomainSet(LazyDomainSet):
         j = b * block
         running = blocks[b - 1] if b else 0.0
         last = self._count - 1
+        exponent = self.exponent
+        total = self._total
         while j < last:
-            running += self.share(j)
+            running += (1.0 / ((j + 1) ** exponent)) / total
             if u < running:
                 return j
             j += 1

@@ -21,6 +21,14 @@ provides that source:
     arrivals a run replays. Each session resolves once (a fresh client
     identity), issues its geometric page bursts separated by think
     times, and releases its slot.
+:class:`TraceSessionWake`
+    The one heap-entry class of the source: a pooled session's page
+    cycle, or (negative slot ``-1 - shard_id``) one shard's arrival
+    process. In event mode each wake re-arms a callback; under a
+    fast-forward environment the class registers as the fluid task and
+    :meth:`TraceSessionWake.drain` steps arrivals and sessions natively,
+    bit-identical to the event engine (same eids, same draws, same
+    float operations).
 
 Selected with ``SimulationConfig.workload_source = "trace"`` / CLI
 ``--workload-source trace``; the schedule shape comes from the
@@ -28,8 +36,10 @@ Selected with ``SimulationConfig.workload_source = "trace"`` / CLI
 ``trace_period`` / ``trace_path`` fields. The source is deterministic
 for a given seed (all draws come from the named ``workload.*`` streams)
 but makes no bit-parity claim against the synthetic populations — it
-models a different system. Under a fast-forward environment it counts a
-``trace-workload`` fallback and event-steps.
+models a different system. Under a fast-forward environment it takes
+the fluid lane unless :func:`~repro.workload.fluid.fluid_fallback_reasons`
+names a reason (geography, dynamic domains, a non-standard session
+model); those reasons are counted and the source event-steps.
 """
 
 from __future__ import annotations
@@ -38,17 +48,19 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from heapq import heappush
+from heapq import heappop, heappush, heapreplace
+from math import ceil as _ceil, log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FastForwardEnvironment
+from ..sim.fastforward import FastForwardEnvironment, FluidTask
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
+from .fluid import fluid_fallback_reasons
 from .sessions import SessionModel
 
 __all__ = ["ArrivalSchedule", "TraceDrivenPopulation", "TraceSessionWake"]
@@ -249,15 +261,18 @@ class ArrivalSchedule:
         )
 
 
-class TraceSessionWake(Event):
-    """A recyclable heap entry driving one active session's page cycle.
+class TraceSessionWake(FluidTask, Event):
+    """A recyclable heap entry: one session's page cycle or one arrival shard.
 
-    Like :class:`~repro.workload.shards.ShardClientWake` but pooled:
-    when its session ends, the wake (and its slot in the population's
-    flat arrays) returns to the free pool for the next arrival. A
-    recycled wake never has a pending heap entry — a session's last
-    page burst does not schedule one — so reuse can never alias two
-    live entries.
+    Like :class:`~repro.workload.shards.ShardClientWake` — an
+    :class:`~repro.sim.events.Event` for the reference engine and a
+    :class:`~repro.sim.fastforward.FluidTask` for the fast-forward lane —
+    but pooled: when its session ends, the wake (and its slot in the
+    population's flat arrays) returns to the free pool for the next
+    arrival. A recycled wake never has a pending heap entry — a
+    session's last page burst does not schedule one — so reuse can never
+    alias two live entries. A negative :attr:`slot` ``-1 - shard_id``
+    marks the permanent wake of one arrival shard.
     """
 
     __slots__ = ("population", "slot")
@@ -272,13 +287,218 @@ class TraceSessionWake(Event):
         self._ok = True
         self._processed = False
 
+    @classmethod
+    def drain(cls, env, queue, target: float, budget: int = -1) -> None:
+        """Dispatch consecutive trace wakes natively (fluid lane).
+
+        Mirrors the event-mode handlers draw for draw: an arrival wake
+        is :meth:`TraceDrivenPopulation._on_arrival` (with
+        ``_start_session`` and the first ``_run_page`` inlined), a
+        session wake is ``_run_page``. The hits/think/pages draws are
+        inlined as in :meth:`ShardClientWake.drain
+        <repro.workload.shards.ShardClientWake.drain>`; ``WebServer.offer``
+        is called, not inlined. A new session's first think wake takes
+        its eid before the arrival's next wake, as in the event handler.
+        Only populations with no fallback reasons register this class,
+        so geography and dynamic domains have no branch here.
+        """
+        replace = heapreplace
+        ceil = _ceil
+        log = _log
+        # Population-shared state is hoisted on the first wake; counters
+        # accumulate in locals and flush on exit (see FluidClient.drain
+        # for the quiescence argument).
+        population = None
+        pages_acc = hits_acc = sessions_acc = routed_acc = 0
+        try:
+            while queue:
+                item = queue[0]
+                now = item[0]
+                if now > target:
+                    return
+                task = item[2]
+                if type(task) is not cls:
+                    return
+                p = task.population
+                if p is not population:
+                    if population is not None:  # pragma: no cover
+                        population.total_pages += pages_acc
+                        population.total_hits += hits_acc
+                        population.total_sessions += sessions_acc
+                        population.dns_routed_hits += routed_acc
+                        population.total_arrivals = arrivals
+                        population.active_sessions = active
+                        population.peak_active_sessions = peak_active
+                        pages_acc = hits_acc = sessions_acc = routed_acc = 0
+                    population = p
+                    arrivals = p.total_arrivals
+                    active = p.active_sessions
+                    peak_active = p.peak_active_sessions
+                    chain = p.resolution_chain
+                    resolve = chain.resolve
+                    servers = p.cluster.servers
+                    tracer = p.tracer
+                    tracing = tracer.enabled
+                    trace_record = tracer.record
+                    sample_domain = p.domains.sample_domain
+                    rate_at = p.schedule.rate_at
+                    peak = p._peak_rate
+                    arrival_lambd = p._arrival_lambd
+                    arrival_random = p._arrival_rng.random
+                    model = p.session_model
+                    # Exponential.sampler binds expovariate with
+                    # lambd = 1.0 / mean; same division, float-identical.
+                    think_random = p._think_rng.random
+                    think_lambd = 1.0 / model.think_time.mean
+                    hits_dist = model.hits_per_page
+                    hits_getrandbits = p._hits_rng.getrandbits
+                    hits_low = hits_dist.low
+                    hits_width = hits_dist.high - hits_dist.low + 1
+                    hits_bits = hits_width.bit_length()
+                    pages_dist = model.pages_per_session
+                    pages_random = p._pages_rng.random
+                    pages_degenerate = pages_dist._p >= 1.0
+                    pages_log_q = (
+                        0.0 if pages_degenerate else log(1.0 - pages_dist._p)
+                    )
+                    claim_slot = p._claim_slot
+                    wakes = p._wakes
+                    free = p._free
+                    remaining_arr = p._remaining
+                    server_arr = p._server
+                    resolved_arr = p._resolved
+                    domain_arr = p._domain
+                    started = p._shard_started
+                    shard_arrivals = p._shard_arrivals
+                slot = task.slot
+                if slot >= 0:
+                    # A mid-session page burst (_run_page).
+                    arrival = None
+                    remaining = remaining_arr[slot]
+                    server_id = server_arr[slot]
+                    resolved_by_dns = resolved_arr[slot]
+                    domain_id = domain_arr[slot]
+                else:
+                    # An arrival wake (_on_arrival): thin the candidate,
+                    # then maybe start a session (_start_session).
+                    arrival = task
+                    shard_id = -1 - slot
+                    if not started[shard_id]:
+                        started[shard_id] = 1
+                        accepted = False
+                    else:
+                        accepted = arrival_random() * peak <= rate_at(now)
+                    if accepted:
+                        shard_arrivals[shard_id] += 1
+                        session_id = arrivals
+                        arrivals += 1
+                        domain_id = sample_domain(arrival_random())
+                        before = chain.authoritative_answers
+                        record = resolve(domain_id, now, session_id)
+                        resolved_by_dns = chain.authoritative_answers > before
+                        server_id = record.server_id
+                        if pages_degenerate:
+                            remaining = 1
+                        else:
+                            u = pages_random()
+                            while u <= 0.0:  # pragma: no cover - random() in [0, 1)
+                                u = pages_random()
+                            remaining = ceil(log(u) / pages_log_q)
+                            if remaining < 1:
+                                remaining = 1
+                        sessions_acc += 1
+                        if tracing:
+                            trace_record(
+                                now,
+                                "session",
+                                {
+                                    "client": session_id,
+                                    "domain": domain_id,
+                                    "server": server_id,
+                                    "pages": remaining,
+                                    "dns": resolved_by_dns,
+                                },
+                            )
+                        slot = claim_slot()
+                        task = wakes[slot]
+                        domain_arr[slot] = domain_id
+                        server_arr[slot] = server_id
+                        resolved_arr[slot] = 1 if resolved_by_dns else 0
+                        active += 1
+                        if active > peak_active:
+                            peak_active = active
+                if slot >= 0:
+                    # One page burst. Hits: randint(low, high) with the
+                    # rejection loop of Random._randbelow_with_getrandbits,
+                    # consumption-exact.
+                    r = hits_getrandbits(hits_bits)
+                    while r >= hits_width:
+                        r = hits_getrandbits(hits_bits)
+                    hits = hits_low + r
+                    servers[server_id].offer(now, hits, domain_id)
+                    pages_acc += 1
+                    hits_acc += hits
+                    if resolved_by_dns:
+                        routed_acc += hits
+                    remaining -= 1
+                    remaining_arr[slot] = remaining
+                    if remaining > 0:
+                        # Think-sleep: expovariate(lambd) inlined.
+                        delay = -log(1.0 - think_random()) / think_lambd
+                        if not 0.0 <= delay < _INFINITY:
+                            raise SimulationError(
+                                f"timeout delay must be finite and >= 0, "
+                                f"got {delay!r}"
+                            )
+                        env._eid = eid = env._eid + 1
+                        entry = (now + delay, _NORMAL_KEY | eid, task)
+                        if arrival is None:
+                            replace(queue, entry)
+                        else:
+                            # The arrival entry stays on top: this one is
+                            # no earlier and carries a larger eid.
+                            heappush(queue, entry)
+                    else:
+                        # Session over: release the slot.
+                        active -= 1
+                        free.append(slot)
+                        if arrival is None:
+                            heappop(queue)
+                if arrival is not None:
+                    # The shard's next candidate: expovariate inlined.
+                    delay = -log(1.0 - arrival_random()) / arrival_lambd
+                    if not 0.0 <= delay < _INFINITY:
+                        raise SimulationError(
+                            f"timeout delay must be finite and >= 0, "
+                            f"got {delay!r}"
+                        )
+                    env._eid = eid = env._eid + 1
+                    replace(queue, (now + delay, _NORMAL_KEY | eid, arrival))
+                budget -= 1
+                if budget == 0:
+                    return
+        finally:
+            if population is not None:
+                population.total_pages += pages_acc
+                population.total_hits += hits_acc
+                population.total_sessions += sessions_acc
+                population.dns_routed_hits += routed_acc
+                population.total_arrivals = arrivals
+                population.active_sessions = active
+                population.peak_active_sessions = peak_active
+
+    def __repr__(self) -> str:
+        return f"<TraceSessionWake slot={self.slot}>"
+
 
 class TraceDrivenPopulation:
     """Open, schedule-driven session workload (see module docstring).
 
     Drop-in attribute surface for the simulation wiring
     (``dns_control_fraction``, totals, ``network_rtt_stats``,
-    ``snapshot_state``); ``engine`` is always ``"event"``.
+    ``snapshot_state``); ``engine`` is ``"fluid"`` when the population
+    registered :class:`TraceSessionWake` as a fast-forward task, else
+    ``"event"``.
 
     Parameters largely mirror
     :class:`~repro.workload.clients.ClientPopulation`; the additions:
@@ -311,6 +531,8 @@ class TraceDrivenPopulation:
         "_pages_rng",
         "_hits_rng",
         "_arrival_rng",
+        "_peak_rate",
+        "_arrival_lambd",
         "_think_sample",
         "_pages_sample",
         "_hits_sample",
@@ -322,6 +544,7 @@ class TraceDrivenPopulation:
         "active_sessions",
         "peak_active_sessions",
         "shard_count",
+        "_shard_started",
         "_shard_arrivals",
         "_remaining",
         "_server",
@@ -331,6 +554,7 @@ class TraceDrivenPopulation:
         "_wakes",
         "_free",
         "_cb",
+        "_arrival_cb",
         "processes",
         "engine",
     )
@@ -403,6 +627,11 @@ class TraceDrivenPopulation:
                 f"shard_count must be >= 1, got {shard_count!r}"
             )
         self.shard_count = shard_count
+        # The thinning majorant and each shard's candidate rate.
+        self._peak_rate = schedule.peak_rate
+        self._arrival_lambd = self._peak_rate / shard_count
+        #: 1 once a shard's first wake (the process-start mirror) ran.
+        self._shard_started = bytearray(shard_count)
         self._shard_arrivals = array("q", bytes(8 * shard_count))
         # Flat slot-pool session state; grows to the high-water mark of
         # concurrent sessions and is recycled thereafter.
@@ -414,9 +643,16 @@ class TraceDrivenPopulation:
         self._wakes: List[TraceSessionWake] = []
         self._free: List[int] = []
         self._cb = [self._on_wake]
+        self._arrival_cb = [self._on_arrival]
         self.engine = "event"
         if isinstance(env, FastForwardEnvironment):
-            env.count_fallback("trace-workload")
+            reasons = fluid_fallback_reasons(self)
+            if reasons:
+                for reason in reasons:
+                    env.count_fallback(reason)
+            else:
+                self.engine = "fluid"
+                env.register_task_class(TraceSessionWake)
         if metrics is not None:
             metrics.register("workload.sessions", lambda: self.total_sessions)
             metrics.register("workload.pages", lambda: self.total_pages)
@@ -434,10 +670,17 @@ class TraceDrivenPopulation:
             metrics.register(
                 "workload.session_slots", lambda: len(self._wakes)
             )
-        self.processes = [
-            env.process(self._shard_driver(shard_id))
-            for shard_id in range(shard_count)
-        ]
+        # One permanent wake per arrival shard. Its urgent entry at the
+        # current time takes the eid a process start would take.
+        processes = []
+        for shard_id in range(shard_count):
+            wake = TraceSessionWake(env, self, -1 - shard_id)
+            if self.engine == "event":
+                wake._callbacks = self._arrival_cb
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (env._now + 0.0, eid, wake))
+            processes.append(wake)
+        self.processes = processes
 
     @property
     def dns_control_fraction(self) -> float:
@@ -446,7 +689,7 @@ class TraceDrivenPopulation:
 
     # -- arrivals ----------------------------------------------------------
 
-    def _shard_driver(self, shard_id: int):
+    def _on_arrival(self, wake: TraceSessionWake) -> None:
         """One shard's thinned Poisson arrival process (Lewis–Shedler).
 
         Candidate arrivals come from a homogeneous Poisson process at
@@ -454,24 +697,26 @@ class TraceDrivenPopulation:
         accepted with probability ``rate_at(t) / peak_rate``. The
         superposition of the shards is exactly a nonhomogeneous Poisson
         process with intensity ``rate_at`` — independent of the shard
-        count.
+        count. A shard's first wake only draws its first candidate gap.
         """
         env = self.env
-        timeout = env.timeout
+        now = env._now
+        shard_id = -1 - wake.slot
         rng = self._arrival_rng
-        expovariate = rng.expovariate
-        random = rng.random
-        schedule = self.schedule
-        rate_at = schedule.rate_at
-        peak = schedule.peak_rate
-        lam = peak / self.shard_count
-        shard_arrivals = self._shard_arrivals
-        while True:
-            yield timeout(expovariate(lam))
-            now = env.now
-            if random() * peak <= rate_at(now):
-                shard_arrivals[shard_id] += 1
-                self._start_session(now)
+        if not self._shard_started[shard_id]:
+            self._shard_started[shard_id] = 1
+        elif rng.random() * self._peak_rate <= self.schedule.rate_at(now):
+            self._shard_arrivals[shard_id] += 1
+            self._start_session(now)
+        delay = rng.expovariate(self._arrival_lambd)
+        if not 0.0 <= delay < _INFINITY:
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0, got {delay!r}"
+            )
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (now + delay, _NORMAL_KEY | eid, wake))
+        wake._callbacks = self._arrival_cb
+        wake._processed = False
 
     def _claim_slot(self) -> int:
         """A free session slot, growing the pool at the high-water mark."""

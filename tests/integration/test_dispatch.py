@@ -137,8 +137,11 @@ class TestRemoteParity:
                     f"{cell}/{name} differs between backends"
                 )
 
-    def test_stats_and_dispatch_info_describe_the_batch(self):
+    def test_stats_and_dispatch_info_describe_the_batch(
+        self, leases_after_join
+    ):
         configs = _grid_configs()[:4]
+        leases_after_join(2)
         results, executor, agents = _run_remote(configs, workers=2)
         stats = executor.last_stats
         assert stats is not None
@@ -161,8 +164,9 @@ class TestRemoteParity:
 
 
 class TestWorkerCrash:
-    def test_killed_worker_loses_no_cells(self, tmp_path):
+    def test_killed_worker_loses_no_cells(self, tmp_path, leases_after_join):
         configs = _grid_configs()
+        leases_after_join(2)
         crash_dir = tmp_path / "crash"
         clean_dir = tmp_path / "clean"
 

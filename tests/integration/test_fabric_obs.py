@@ -170,8 +170,11 @@ class TestSpanReconciliation:
         assert "per-worker lanes:" in text
         assert "DRR2-TTL/S_K" in text
 
-    def test_killed_worker_run_reconciles_with_re_leases(self, tmp_path):
+    def test_killed_worker_run_reconciles_with_re_leases(
+        self, tmp_path, leases_after_join
+    ):
         configs = _grid_configs()
+        leases_after_join(2)
         results, executor, agents, span_paths, crash_dir = _run_observed(
             configs, tmp_path, crash_first=True, lease_timeout=3.0
         )

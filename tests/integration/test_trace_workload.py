@@ -86,14 +86,51 @@ class TestDeterminism:
         b = run_simulation(trace_config(seed=4))
         assert a.total_hits != b.total_hits
 
-    def test_fastforward_falls_back_and_matches_event(self):
-        """Trace workloads have no fluid drain: fast-forward must count
-        the fallback and still reproduce the event trajectory."""
+    def test_fastforward_takes_the_fluid_lane_and_matches_event(self):
+        """Trace workloads drain natively under fast-forward, with no
+        fallback, and still reproduce the event trajectory."""
         config = trace_config(duration=300.0)
         event = run_simulation(config, engine_mode="event")
         sim = Simulation(config, engine_mode="fastforward")
         fastforward = sim.run()
-        assert sim.engine_info["fallbacks"].get("trace-workload") == 1
+        info = sim.engine_info
+        assert info["fallbacks"] == {}
+        assert info["effective_mode"] == "fastforward"
+        assert event.total_hits == fastforward.total_hits
+        assert event.metrics == fastforward.metrics
+
+    def test_fast_clients_counts_session_slots(self):
+        """``fast_clients`` is the trace lane's session-slot count, not
+        the nominal ``total_clients`` the rate was derived from."""
+        config = trace_config(duration=300.0, trace_rate=2.0)
+        sim = Simulation(config, engine_mode="fastforward")
+        sim.run()
+        slots = sim.population.shard_stats()["session_slots"]
+        assert slots > 0
+        assert slots != config.total_clients
+        assert sim.engine_info["fast_clients"] == slots
+        event = Simulation(config, engine_mode="event")
+        event.run()
+        assert event.engine_info["fast_clients"] == 0
+
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            (dict(geography="random"), "geography"),
+            (dict(hot_rotation_interval=60.0), "dynamic-domains"),
+        ],
+    )
+    def test_ineligible_configs_fall_back_and_match_event(
+        self, overrides, reason
+    ):
+        config = trace_config(duration=300.0, **overrides)
+        event = run_simulation(config, engine_mode="event")
+        sim = Simulation(config, engine_mode="fastforward")
+        fastforward = sim.run()
+        info = sim.engine_info
+        assert info["fallbacks"] == {reason: 1}
+        assert info["effective_mode"] == "event"
+        assert info["fast_clients"] == 0
         assert event.total_hits == fastforward.total_hits
         assert event.metrics == fastforward.metrics
 

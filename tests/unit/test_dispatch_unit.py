@@ -9,14 +9,18 @@ timing dependence (every clock is passed in explicitly).
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.dispatch import (
+    Coordinator,
     LeaseTable,
     LocalBackend,
     RemoteBackend,
+    bind_listener,
     format_address,
     parse_address,
     recv_message,
@@ -330,3 +334,68 @@ class TestPacedCells:
     def test_negative_pace_rejected(self):
         with pytest.raises(ConfigurationError):
             RemoteBackend(("127.0.0.1", 0), pace=-0.1)
+
+
+class TestCoordinatorShutdown:
+    """An agent connecting while a batch ends must not break the shutdown."""
+
+    def test_agent_connecting_as_the_batch_ends(self, monkeypatch):
+        listener = bind_listener(("127.0.0.1", 0))
+        coordinator = Coordinator([{}], listener=listener)
+        starting = threading.Event()
+        real_start = threading.Thread.start
+
+        def slow_start(thread):
+            # Hold the accept loop between creating a connection handler
+            # and starting it, where the batch's end can overtake it.
+            if thread.name == "dispatch-worker-conn":
+                starting.set()
+                time.sleep(0.2)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", slow_start)
+        accept = threading.Thread(target=coordinator._accept_loop, daemon=True)
+        accept.start()
+        agent = socket.create_connection(coordinator.address)
+        try:
+            assert starting.wait(5.0)
+            # Joins every published handler; none may be unstarted.
+            coordinator._shutdown()
+            accept.join(5.0)
+            assert not accept.is_alive()
+            assert len(coordinator._handlers) == 1
+            assert coordinator._handlers[0].ident is not None
+        finally:
+            agent.close()
+            listener.close()
+        # The handler was waiting for the agent's hello; it ends with
+        # the agent's connection.
+        coordinator._handlers[0].join(5.0)
+        assert not coordinator._handlers[0].is_alive()
+
+    def test_connection_accepted_after_stop_is_closed(self):
+        listener = bind_listener(("127.0.0.1", 0))
+        coordinator = Coordinator([{}], listener=listener)
+        agent = socket.create_connection(listener.getsockname()[:2])
+
+        class EndBatchOnAccept:
+            """The listener, with the batch ending as accept returns."""
+
+            def settimeout(self, seconds):
+                listener.settimeout(seconds)
+
+            def accept(self):
+                pair = listener.accept()
+                coordinator._shutdown()
+                return pair
+
+        coordinator.listener = EndBatchOnAccept()
+        try:
+            coordinator._accept_loop()
+            assert coordinator._handlers == []
+            assert coordinator._connections == []
+            agent.settimeout(5.0)
+            assert agent.recv(1) == b""
+        finally:
+            agent.close()
+            listener.close()
