@@ -1,25 +1,21 @@
 """DNS infrastructure substrate.
 
 Models the name-resolution path of the paper's system: an authoritative
-DNS (scheduler + TTL policy), per-domain local name servers with TTL
-caches and optional non-cooperative minimum-TTL behaviour, and the
-resolution chain tying them together.
+DNS (scheduler + TTL policy) and the resolution chain of per-domain local
+name servers, whose TTL caches and optional non-cooperative minimum-TTL
+behaviour decide which requests the DNS ever sees.
 """
 
 from .authoritative import AuthoritativeDns, DnsStats
-from .cache import CacheStats, TtlCache
-from .nameserver import DEFAULT_NS_TTL, SITE_KEY, LocalNameServer
 from .records import AddressRecord
-from .resolver import ResolutionChain
+from .resolver import DEFAULT_NS_TTL, SITE_KEY, NameServerView, ResolutionChain
 
 __all__ = [
     "AddressRecord",
     "AuthoritativeDns",
-    "CacheStats",
     "DEFAULT_NS_TTL",
     "DnsStats",
-    "LocalNameServer",
+    "NameServerView",
     "ResolutionChain",
     "SITE_KEY",
-    "TtlCache",
 ]

@@ -36,6 +36,7 @@ class DnsStats:
     ttl: RunningStats = field(default_factory=RunningStats)
 
     def record(self, domain_id: int, server_id: int, ttl: float) -> None:
+        """Count one resolution of ``domain_id`` to ``server_id`` for ``ttl``."""
         self.resolutions += 1
         self.per_domain[domain_id] = self.per_domain.get(domain_id, 0) + 1
         self.per_server[server_id] = self.per_server.get(server_id, 0) + 1

@@ -19,7 +19,7 @@ class AddressRecord:
         Time-to-live in seconds granted by the DNS scheduler. This is the
         *recommended* TTL; a non-cooperative name server may substitute
         its own value when caching (see
-        :class:`~repro.dns.nameserver.LocalNameServer`).
+        :class:`~repro.dns.resolver.ResolutionChain`).
     issued_at:
         Simulation time at which the mapping was issued.
     """

@@ -431,9 +431,7 @@ class Simulation:
             alarm_signals=(
                 self.alarm_protocol.alarm_signals if self.alarm_protocol else 0
             ),
-            ns_ttl_overrides=sum(
-                self.resolution_chain.ttl_override_counts().values()
-            ),
+            ns_ttl_overrides=self.resolution_chain.ttl_overrides,
             mean_page_response_time=mean_response,
             max_page_response_time=max_response,
             mean_network_rtt=(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.estimator import OracleEstimator
 from repro.core.state import SchedulerState
+from repro.dns.records import AddressRecord
 from repro.sim.engine import Environment
 from repro.sim.rng import RandomStreams
 from repro.web.cluster import ServerCluster
@@ -43,3 +44,21 @@ def make_state(
 def state():
     """Default scheduler state: het 20%, 20 Zipf domains."""
     return make_state()
+
+
+class StubDns:
+    """Authoritative-DNS stand-in for a ``ResolutionChain``.
+
+    Answers every resolution with ``server_id`` and ``ttl`` and records
+    each call as ``(domain_id, now)`` in :attr:`calls`. ``ttl`` may be
+    changed between resolutions.
+    """
+
+    def __init__(self, server_id: int = 0, ttl: float = 240.0):
+        self.server_id = server_id
+        self.ttl = ttl
+        self.calls = []
+
+    def resolve(self, domain_id: int, now: float) -> AddressRecord:
+        self.calls.append((domain_id, now))
+        return AddressRecord(server_id=self.server_id, ttl=self.ttl, issued_at=now)

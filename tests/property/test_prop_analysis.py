@@ -13,8 +13,9 @@ from repro.analysis.fairness import (
 )
 from repro.analysis.timeseries import sparkline
 from repro.analysis.warmup import mser_cutoff
-from repro.dns.nameserver import LocalNameServer
-from repro.dns.records import AddressRecord
+from repro.dns.resolver import ResolutionChain
+
+from ..conftest import StubDns
 
 utilization_vectors = st.lists(
     st.floats(min_value=0.0, max_value=1.5, allow_nan=False),
@@ -88,23 +89,17 @@ class TestNameserverClampProperties:
     @given(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
            st.floats(min_value=0.0, max_value=500.0, allow_nan=False))
     def test_effective_ttl_at_least_threshold(self, recommended, threshold):
-        ns = LocalNameServer(
-            0,
-            lambda d, now: AddressRecord(0, recommended, now),
-            min_accepted_ttl=threshold,
+        chain = ResolutionChain(
+            StubDns(ttl=recommended), 1, min_accepted_ttl=threshold
         )
-        assert ns.effective_ttl(recommended) >= min(threshold, recommended)
+        assert chain.effective_ttl(recommended) >= min(threshold, recommended)
 
     @given(st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
            st.lists(st.floats(min_value=0.0, max_value=1000.0,
                               allow_nan=False), min_size=2, max_size=20))
     def test_clamp_is_monotone(self, threshold, ttls):
         """A larger recommended TTL never caches for less time."""
-        ns = LocalNameServer(
-            0,
-            lambda d, now: AddressRecord(0, 1.0, now),
-            min_accepted_ttl=threshold,
-        )
+        chain = ResolutionChain(StubDns(ttl=1.0), 1, min_accepted_ttl=threshold)
         ordered = sorted(ttls)
-        effective = [ns.effective_ttl(ttl) for ttl in ordered]
+        effective = [chain.effective_ttl(ttl) for ttl in ordered]
         assert all(a <= b + 1e-12 for a, b in zip(effective, effective[1:]))

@@ -1,179 +1,235 @@
-"""Unit tests for repro.dns.cache."""
+"""Unit tests for the name-server TTL cache of repro.dns.resolver.
+
+Each local name server of a :class:`ResolutionChain` caches the site
+name; these tests drive that cache through ``chain.resolve`` with a stub
+authoritative DNS and read it through :class:`NameServerView`.
+"""
 
 import math
 
 import pytest
 
-from repro.dns.cache import TtlCache
+from repro.dns.resolver import ResolutionChain
 from repro.errors import ConfigurationError
+
+from ..conftest import StubDns
+
+
+def make_chain(ttl=10.0, domain_count=4, **kwargs):
+    dns = StubDns(ttl=ttl)
+    return ResolutionChain(dns, domain_count, **kwargs), dns
+
+
+def served_from_cache(chain, domain_id, now, client_id=0):
+    """Resolve once; whether the name server's cache answered."""
+    before = chain.cache_answers
+    chain.resolve(domain_id, now, client_id)
+    return chain.cache_answers > before
+
+
+def live_domains(chain, now=None):
+    return {ns.domain_id for ns in chain.nameservers if ns.cached(now) is not None}
+
+
+def physical_entries(ns):
+    return ns.snapshot_state()["cache"]["entries"]
 
 
 class TestTtlCache:
     def test_miss_on_empty(self):
-        cache = TtlCache()
-        assert cache.get("www", 0.0) is None
-        assert cache.stats.misses == 1
+        chain, _ = make_chain()
+        ns = chain.nameserver_for(0)
+        assert ns.cached(0.0) is None
+        assert not served_from_cache(chain, 0, 0.0)
+        assert ns.misses == 1
 
     def test_hit_within_ttl(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert cache.get("www", 9.999) == "value"
-        assert cache.stats.hits == 1
+        chain, dns = make_chain(ttl=10.0)
+        dns.server_id = 5
+        chain.resolve(0, 0.0)
+        assert chain.resolve(0, 9.999).server_id == 5
+        assert chain.nameserver_for(0).hits == 1
 
     def test_expiry_at_ttl_boundary(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert cache.get("www", 10.0) is None
-        assert cache.stats.expirations == 1
+        chain, _ = make_chain(ttl=10.0)
+        chain.resolve(0, 0.0)
+        assert not served_from_cache(chain, 0, 10.0)
+        assert chain.nameserver_for(0).expirations == 1
 
     def test_expired_entry_is_removed(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        cache.get("www", 20.0)
-        assert "www" not in cache
-        assert len(cache) == 0
+        chain, dns = make_chain(ttl=10.0)
+        chain.resolve(0, 0.0)
+        ns = chain.nameserver_for(0)
+        # Expired but not yet removed: removal is lazy.
+        assert ns.cached(20.0) is None
+        assert len(physical_entries(ns)) == 1
+        assert ns.expirations == 0
+        dns.ttl = math.inf  # the refetch cannot be cached
+        with pytest.raises(ConfigurationError):
+            chain.resolve(0, 20.0)
+        assert ns.expirations == 1
+        assert physical_entries(ns) == []
+        assert live_domains(chain) == set()
 
     def test_negative_ttl_rejected(self):
-        cache = TtlCache()
+        chain, dns = make_chain(ttl=-1.0)
         with pytest.raises(ConfigurationError):
-            cache.put("www", "value", ttl=-1.0, now=0.0)
+            chain.resolve(0, 0.0)
+        assert chain.nameserver_for(0).insertions == 0
+        # A negative recommendation would be cached for the NS minimum.
+        assert chain.effective_ttl(-1.0) == 0.0
 
     def test_zero_ttl_entry_is_immediately_stale(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=0.0, now=5.0)
-        assert cache.get("www", 5.0) is None
+        chain, _ = make_chain(ttl=0.0)
+        chain.resolve(0, 5.0)
+        assert not served_from_cache(chain, 0, 5.0)
+        assert chain.authoritative_answers == 2
 
     def test_overwrite_refreshes_expiry(self):
-        cache = TtlCache()
-        cache.put("www", "old", ttl=10.0, now=0.0)
-        cache.put("www", "new", ttl=10.0, now=8.0)
-        assert cache.get("www", 15.0) == "new"
-
-    def test_invalidate(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert cache.invalidate("www") is True
-        assert cache.invalidate("www") is False
-        assert cache.get("www", 1.0) is None
+        chain, dns = make_chain(ttl=10.0)
+        dns.server_id = 1
+        chain.resolve(0, 0.0)
+        dns.server_id = 2
+        assert chain.resolve(0, 10.0).server_id == 2
+        assert chain.resolve(0, 15.0).server_id == 2
+        assert chain.nameserver_for(0).expires_at() == 20.0
 
     def test_expires_at(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=2.0)
-        assert cache.expires_at("www") == 12.0
-        assert cache.expires_at("missing") is None
-
-    def test_purge_expired(self):
-        cache = TtlCache()
-        cache.put("a", 1, ttl=5.0, now=0.0)
-        cache.put("b", 2, ttl=50.0, now=0.0)
-        removed = cache.purge_expired(10.0)
-        assert removed == 1
-        assert "a" not in cache
-        assert "b" in cache
+        chain, _ = make_chain(ttl=10.0)
+        chain.resolve(0, 2.0)
+        assert chain.nameserver_for(0).expires_at() == 12.0
+        assert chain.nameserver_for(1).expires_at() is None
 
     def test_hit_ratio(self):
-        cache = TtlCache()
-        assert cache.stats.hit_ratio == 0.0
-        cache.put("www", "v", ttl=100.0, now=0.0)
-        cache.get("www", 1.0)
-        cache.get("nope", 1.0)
-        assert cache.stats.hit_ratio == 0.5
-        assert cache.stats.lookups == 2
+        chain, _ = make_chain(ttl=100.0)
+        ns = chain.nameserver_for(0)
+        assert ns.hits == ns.misses == 0
+        chain.resolve(0, 0.0)
+        chain.resolve(0, 1.0)
+        assert ns.hits / (ns.hits + ns.misses) == 0.5
+        assert chain.dns_control_fraction == 0.5
 
     def test_multiple_keys_independent(self):
-        cache = TtlCache()
-        cache.put("a", 1, ttl=5.0, now=0.0)
-        cache.put("b", 2, ttl=15.0, now=0.0)
-        assert cache.get("a", 10.0) is None
-        assert cache.get("b", 10.0) == 2
+        chain, dns = make_chain()
+        dns.ttl, dns.server_id = 5.0, 1
+        chain.resolve(0, 0.0)
+        dns.ttl, dns.server_id = 15.0, 2
+        chain.resolve(1, 0.0)
+        assert not served_from_cache(chain, 0, 10.0)
+        assert chain.resolve(1, 10.0).server_id == 2
+        assert chain.nameserver_for(1).hits == 1
 
 
 class TestExpiryAwareViews:
-    """Regression: ``in``/``len`` used to count expired entries as present,
-    disagreeing with ``get`` until something happened to remove them."""
+    """Regression: the views must agree with what a resolution would see,
+    whether or not the expired record has been removed yet."""
 
     def test_contains_is_expiry_aware(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert "www" in cache
-        assert cache.contains("www", now=20.0) is False
-        # The explicit probe advanced the internal clock, so the
-        # zero-argument views agree without any removal having happened.
-        assert "www" not in cache
-        assert len(cache) == 0
+        chain, dns = make_chain(ttl=10.0)
+        chain.resolve(0, 0.0)
+        ns = chain.nameserver_for(0)
+        assert ns.cached() is not None
+        assert ns.cached(20.0) is None
+        assert ns.expires_at(20.0) is None
+        # A zero-TTL refetch is stale at the NS clock, so the zero-argument
+        # views report it absent although it is still physically cached.
+        dns.ttl = 0.0
+        chain.resolve(0, 20.0)
+        assert ns.clock == 20.0
+        assert len(physical_entries(ns)) == 1
+        assert ns.cached() is None
+        assert live_domains(chain) == set()
 
     def test_len_counts_only_live_entries(self):
-        cache = TtlCache()
-        cache.put("a", 1, ttl=5.0, now=0.0)
-        cache.put("b", 2, ttl=50.0, now=0.0)
-        assert len(cache) == 2
-        assert cache.live_count(10.0) == 1
-        assert len(cache) == 1  # clock advanced to 10.0 by the probe
-        assert "a" not in cache
-        assert "b" in cache
+        chain, dns = make_chain()
+        dns.ttl = 5.0
+        chain.resolve(0, 0.0)
+        dns.ttl = 50.0
+        chain.resolve(1, 0.0)
+        assert live_domains(chain) == {0, 1}
+        assert live_domains(chain, 10.0) == {1}
+        assert chain.nameserver_for(0).cached(10.0) is None
+        assert chain.nameserver_for(1).cached(10.0) is not None
 
     def test_views_agree_with_get_without_mutating_stats(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert cache.contains("www", now=15.0) is False
-        assert cache.stats.lookups == 0
-        assert cache.stats.expirations == 0
-        # get() is the one that physically removes and counts it.
-        assert cache.get("www", 15.0) is None
-        assert cache.stats.expirations == 1
+        chain, _ = make_chain(ttl=10.0)
+        chain.resolve(0, 0.0)
+        ns = chain.nameserver_for(0)
+        assert ns.cached(15.0) is None
+        assert ns.hits + ns.misses == 1
+        assert ns.expirations == 0
+        # The resolution is the one that physically removes and counts it.
+        assert not served_from_cache(chain, 0, 15.0)
+        assert ns.expirations == 1
 
     def test_clock_never_goes_backwards(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
-        assert cache.contains("www", now=20.0) is False
-        # An older ``now`` does not resurrect the entry for the views.
-        assert cache.clock == 20.0
-        cache.get("other", 5.0)
-        assert cache.clock == 20.0
-        assert "www" not in cache
+        chain, dns = make_chain(ttl=10.0)
+        chain.resolve(0, 0.0)
+        dns.ttl = 0.0
+        chain.resolve(0, 20.0)
+        ns = chain.nameserver_for(0)
+        assert ns.clock == 20.0
+        # An older ``now`` is served by its own time but does not move the
+        # clock back, so it does not resurrect the record for the views.
+        assert served_from_cache(chain, 0, 5.0)
+        assert ns.clock == 20.0
+        assert ns.cached() is None
 
 
 class TestNonFiniteRejection:
-    """Regression: ``ttl < 0`` is False for NaN, so a NaN TTL produced an
-    entry whose expiry no comparison could ever trigger."""
+    """Regression: ``ttl < 0`` is False for NaN, so a NaN TTL could produce
+    an entry whose expiry no comparison could ever trigger."""
 
     @pytest.mark.parametrize("ttl", [math.nan, math.inf, -math.inf])
     def test_non_finite_ttl_rejected(self, ttl):
-        cache = TtlCache()
-        with pytest.raises(ConfigurationError):
-            cache.put("www", "value", ttl=ttl, now=0.0)
-        assert len(cache) == 0
-        assert cache.stats.insertions == 0
+        chain, _ = make_chain(ttl=ttl)
+        ns = chain.nameserver_for(0)
+        if math.isnan(ttl):
+            # NaN fails ``>= min_accepted_ttl`` and is overridden.
+            assert chain.resolve(0, 0.0).ttl == 0.0
+            assert ns.overridden_ttls == 1
+        else:
+            with pytest.raises(ConfigurationError):
+                chain.resolve(0, 0.0)
+            assert ns.insertions == 0
+        assert all(math.isfinite(entry[2]) for entry in physical_entries(ns))
+        assert live_domains(chain, 0.0) == set()
 
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
     def test_non_finite_now_rejected(self, now):
-        cache = TtlCache()
+        chain, _ = make_chain(ttl=10.0)
         with pytest.raises(ConfigurationError):
-            cache.put("www", "value", ttl=10.0, now=now)
+            chain.resolve(1, now)
+        chain.resolve(0, 0.0)
+        ns = chain.nameserver_for(0)
         with pytest.raises(ConfigurationError):
-            cache.get("www", now)
+            chain.resolve(0, now)
         with pytest.raises(ConfigurationError):
-            cache.purge_expired(now)
+            ns.cached(now)
         with pytest.raises(ConfigurationError):
-            cache.contains("www", now)
+            ns.expires_at(now)
+        assert ns.hits + ns.misses == 1
+        assert ns.clock == 0.0
+        assert chain.nameserver_for(1).misses == 0
 
 
 class TestExpiresAt:
-    """Regression: ``expires_at`` returned stale timestamps for entries
-    that ``get`` would already report as absent."""
+    """Regression: an expiry time was reported for records that a
+    resolution would already treat as absent."""
 
     def test_expired_entry_has_no_expiry_time(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=2.0)
-        assert cache.expires_at("www") == 12.0
-        assert cache.expires_at("www", now=12.0) is None
-        assert cache.expires_at("www") is None  # clock advanced
+        chain, dns = make_chain(ttl=10.0)
+        chain.resolve(0, 2.0)
+        ns = chain.nameserver_for(0)
+        assert ns.expires_at() == 12.0
+        assert ns.expires_at(12.0) is None
+        dns.ttl = 0.0
+        chain.resolve(0, 12.0)
+        assert ns.expires_at() is None  # clock advanced
 
     def test_agrees_with_get(self):
-        cache = TtlCache()
-        cache.put("www", "value", ttl=10.0, now=0.0)
         for now in (0.0, 5.0, 9.999, 10.0, 50.0):
-            fresh = TtlCache()
-            fresh.put("www", "value", ttl=10.0, now=0.0)
-            has_expiry = fresh.expires_at("www", now=now) is not None
-            assert has_expiry == (fresh.get("www", now) is not None)
+            fresh, _ = make_chain(ttl=10.0)
+            fresh.resolve(0, 0.0)
+            has_expiry = fresh.nameserver_for(0).expires_at(now) is not None
+            assert has_expiry == served_from_cache(fresh, 0, now)
