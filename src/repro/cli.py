@@ -859,13 +859,13 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             path = save_json(result, args.save)
             print(f"[result saved to {path}]")
             if traced:
-                from .obs import write_manifest, write_trace_jsonl
+                from .obs import record_to_dict, write_jsonl, write_manifest
 
                 base = (
                     path.with_suffix("") if path.suffix == ".json" else path
                 )
-                trace_path = write_trace_jsonl(
-                    result.trace, pathlib.Path(f"{base}.trace.jsonl")
+                trace_path = write_jsonl(
+                    f"{base}.trace.jsonl", map(record_to_dict, result.trace)
                 )
                 manifest_path = write_manifest(
                     config,
@@ -920,10 +920,10 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         return 0
 
     if args.command == "trace":
-        from .obs import category_counts, read_trace_jsonl
+        from .obs import category_counts, read_jsonl, record_from_dict
 
         if args.inspect:
-            records = read_trace_jsonl(args.inspect)
+            records, _ = read_jsonl(args.inspect, record_from_dict)
             print(render_trace_counts(category_counts(records), len(records)))
             return 0
         if not args.policy:

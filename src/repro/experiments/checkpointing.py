@@ -42,7 +42,8 @@ from ..sim.checkpoint import (
     state_digest,
     write_checkpoint,
 )
-from ..obs.export import read_trace_jsonl
+from ..obs.export import record_from_dict
+from ..obs.jsonl import read_jsonl
 from .config import SimulationConfig
 from .metrics import SimulationResult
 from .persistence import (
@@ -360,7 +361,7 @@ def run_checkpointed_cell(task: CellTask) -> SimulationResult:
         if config.trace:
             trace_path = cell_dir / f"{DEFAULT_STEM}.trace.jsonl"
             if trace_path.exists():
-                result.trace = read_trace_jsonl(trace_path)
+                result.trace, _ = read_jsonl(trace_path, record_from_dict)
         return result
     checkpoint = latest_checkpoint(cell_dir)
     if checkpoint is not None:

@@ -20,7 +20,8 @@ import pathlib
 from typing import Any, Dict, Optional, Union
 
 from ..errors import ConfigurationError
-from ..obs.export import write_metrics_prom, write_trace_jsonl
+from ..obs.export import record_to_dict, write_metrics_prom
+from ..obs.jsonl import read_json_object, write_jsonl
 from ..obs.provenance import write_manifest
 from .config import SimulationConfig
 from .figures import FigureResult, Series
@@ -209,8 +210,8 @@ def save_run_artifacts(
             dispatch=dispatch,
         )
     if result.trace is not None:
-        paths["trace"] = write_trace_jsonl(
-            result.trace, directory / f"{stem}.trace.jsonl"
+        paths["trace"] = write_jsonl(
+            directory / f"{stem}.trace.jsonl", map(record_to_dict, result.trace)
         )
     if result.metrics:
         paths["prom"] = write_metrics_prom(
@@ -221,7 +222,7 @@ def save_run_artifacts(
 
 def load_json(path: PathLike):
     """Load whatever :func:`save_json` wrote at ``path``."""
-    data = json.loads(pathlib.Path(path).read_text())
+    data = read_json_object(path)
     kind = data.get("kind")
     if kind == "simulation_result":
         return result_from_dict(data)

@@ -1,16 +1,20 @@
 """Unified observability layer: metrics, trace export, provenance, telemetry.
 
-Seven cooperating pieces sit on top of the
+Eight cooperating pieces sit on top of the
 :mod:`repro.sim.tracing` tracer skeleton:
 
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, time-weighted histograms and bounded :class:`TimeSeries` that
   every simulation subsystem registers into (pull-based, so the hot
   path pays nothing);
-* :mod:`repro.obs.export` — JSONL serialization of trace records (with
-  a salvage mode for truncated files), the per-category count
-  fingerprint of a traced run, and Prometheus text exposition of
-  metrics snapshots;
+* :mod:`repro.obs.jsonl` — the one JSONL codec: a whole-file writer,
+  a live flushed-per-line writer, and one reader that decodes each line
+  on its own and either raises on the first damaged line or skips and
+  counts every one (traces, progress and span logs, crash rings and
+  arrival-rate replay files all go through it);
+* :mod:`repro.obs.export` — the JSONL object of a trace record, the
+  per-category count fingerprint of a traced run, and Prometheus text
+  exposition of metrics snapshots;
 * :mod:`repro.obs.provenance` — per-run manifests (config, seed,
   package version, git state, environment fingerprint) written next to
   experiment outputs;
@@ -32,18 +36,21 @@ schemas, the live-telemetry workflow and the measured overhead numbers.
 
 from .export import (
     PromExposition,
-    TraceDamage,
     category_counts,
     metrics_to_prom_text,
     parse_prom_text,
-    read_trace_jsonl,
     record_from_dict,
     record_to_dict,
-    salvage_trace_jsonl,
     write_metrics_prom,
-    write_trace_jsonl,
 )
 from .http import ObservabilityServer, scrape_endpoint
+from .jsonl import (
+    JsonlDamage,
+    JsonlWriter,
+    read_json_object,
+    read_jsonl,
+    write_jsonl,
+)
 from .metrics import (
     TIMESERIES_BUDGET,
     UTILIZATION_BINS,
@@ -58,13 +65,10 @@ from .progress import (
     ROSTER,
     STARTED,
     JsonlProgressSink,
-    NullProgressSink,
     ProgressEvent,
     ProgressSink,
     TeeProgressSink,
     TerminalProgressRenderer,
-    read_progress_jsonl,
-    salvage_progress_jsonl,
 )
 from .provenance import (
     MANIFEST_KIND,
@@ -90,9 +94,7 @@ from .spans import (
     SpanRecorder,
     crash_file_name,
     load_span_logs,
-    read_span_jsonl,
     render_fabric_timeline,
-    salvage_span_jsonl,
 )
 
 __all__ = [
@@ -101,12 +103,13 @@ __all__ = [
     "FINISHED",
     "FabricTimeline",
     "Gauge",
+    "JsonlDamage",
     "JsonlProgressSink",
+    "JsonlWriter",
     "MANIFEST_KIND",
     "MANIFEST_VERSION",
     "MetricDelta",
     "MetricsRegistry",
-    "NullProgressSink",
     "ObservabilityServer",
     "ProgressEvent",
     "ProgressSink",
@@ -122,7 +125,6 @@ __all__ = [
     "TerminalProgressRenderer",
     "TimeSeries",
     "TimeWeightedHistogram",
-    "TraceDamage",
     "UTILIZATION_BINS",
     "build_manifest",
     "category_counts",
@@ -134,19 +136,15 @@ __all__ = [
     "load_span_logs",
     "metrics_to_prom_text",
     "parse_prom_text",
+    "read_json_object",
+    "read_jsonl",
     "read_manifest",
-    "read_progress_jsonl",
-    "read_span_jsonl",
-    "read_trace_jsonl",
     "record_from_dict",
     "record_to_dict",
     "render_fabric_timeline",
     "render_report",
-    "salvage_progress_jsonl",
-    "salvage_span_jsonl",
-    "salvage_trace_jsonl",
     "scrape_endpoint",
-    "write_metrics_prom",
-    "write_trace_jsonl",
+    "write_jsonl",
     "write_manifest",
+    "write_metrics_prom",
 ]

@@ -1,48 +1,27 @@
-"""JSONL export of trace records.
+"""Trace records as JSONL objects, and the Prometheus text exposition.
 
-One JSON object per line, schema::
+A trace file holds one JSON object per line, schema::
 
     {"time": <float>, "category": <str>, "payload": <JSON value or null>}
 
-JSONL is the interchange format of the observability layer: it streams,
-it diffs, it greps, and every analysis stack ingests it. Export is
-loss-free for JSON-representable payloads (the instrumentation in this
-package only emits dicts of numbers, strings and booleans); tuples come
-back as lists, which is the standard JSON round-trip caveat.
+:func:`record_to_dict` / :func:`record_from_dict` are the trace format;
+:mod:`repro.obs.jsonl` writes and reads the file. Export is loss-free
+for JSON-representable payloads (the instrumentation in this package
+only emits dicts of numbers, strings and booleans); tuples come back as
+lists, which is the standard JSON round-trip caveat.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim.tracing import TraceRecord
 
 PathLike = Union[str, pathlib.Path]
-
-
-@dataclass(frozen=True)
-class TraceDamage:
-    """Where and why a trace file stopped being readable.
-
-    ``byte_offset`` is the offset of the first damaged line's start —
-    the point up to which the file is intact (e.g. to truncate a
-    crashed run's trace back to a fully valid JSONL file).
-    """
-
-    line_number: int
-    byte_offset: int
-    reason: str
-
-    def __str__(self) -> str:
-        return (
-            f"line {self.line_number} (byte offset {self.byte_offset}): "
-            f"{self.reason}"
-        )
 
 
 def record_to_dict(record: TraceRecord) -> Dict[str, object]:
@@ -62,79 +41,8 @@ def record_from_dict(data: Dict[str, object]) -> TraceRecord:
             category=str(data["category"]),
             payload=data.get("payload"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed trace record {data!r}") from exc
-
-
-def write_trace_jsonl(
-    records: Iterable[TraceRecord], path: PathLike
-) -> pathlib.Path:
-    """Write ``records`` to ``path`` as JSONL; returns the path."""
-    path = pathlib.Path(path)
-    with path.open("w", encoding="utf-8") as stream:
-        for record in records:
-            stream.write(
-                json.dumps(record_to_dict(record), sort_keys=True) + "\n"
-            )
-    return path
-
-
-def read_trace_jsonl(
-    path: PathLike, *, strict: bool = True
-) -> List[TraceRecord]:
-    """Load every trace record written by :func:`write_trace_jsonl`.
-
-    ``strict=True`` (the default) raises
-    :class:`~repro.errors.ConfigurationError` on the first malformed
-    line. ``strict=False`` is the salvage mode for the trace of a
-    crashed or killed run — whose final line is typically truncated
-    mid-record — returning every complete record and silently dropping
-    the damage; use :func:`salvage_trace_jsonl` when the damage location
-    matters.
-    """
-    records, _ = salvage_trace_jsonl(path, strict=strict)
-    return records
-
-
-def salvage_trace_jsonl(
-    path: PathLike, *, strict: bool = False
-) -> Tuple[List[TraceRecord], Optional[TraceDamage]]:
-    """Read a trace file, reporting where (if anywhere) it is damaged.
-
-    Returns ``(records, damage)``: all records up to the first
-    unreadable line, and a :class:`TraceDamage` naming that line and its
-    byte offset (``None`` for a fully intact file). With ``strict=True``
-    the damage is raised as :class:`~repro.errors.ConfigurationError`
-    instead (matching :func:`read_trace_jsonl`'s default behaviour).
-    """
-    records: List[TraceRecord] = []
-    byte_offset = 0
-    with pathlib.Path(path).open("r", encoding="utf-8", newline="") as stream:
-        for line_number, raw_line in enumerate(stream, start=1):
-            line = raw_line.strip()
-            if not line:
-                byte_offset += len(raw_line.encode("utf-8"))
-                continue
-            try:
-                data = json.loads(line)
-                record = record_from_dict(data)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ConfigurationError(
-                        f"{path}:{line_number}: not valid JSON"
-                    ) from exc
-                return records, TraceDamage(
-                    line_number, byte_offset, "not valid JSON"
-                )
-            except ConfigurationError as exc:
-                if strict:
-                    raise
-                return records, TraceDamage(
-                    line_number, byte_offset, str(exc)
-                )
-            records.append(record)
-            byte_offset += len(raw_line.encode("utf-8"))
-    return records, None
 
 
 def _prom_name(name: str, prefix: str) -> str:

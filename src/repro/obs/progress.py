@@ -29,12 +29,13 @@ per-batch state.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import sys
 import time
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import IO, List, Optional, Sequence, Union
+
+from .jsonl import JsonlWriter
 
 PathLike = Union[str, pathlib.Path]
 
@@ -96,10 +97,6 @@ class ProgressSink:
         """Release resources; no further batches will be reported."""
 
 
-#: Back-compat alias: a sink that ignores everything.
-NullProgressSink = ProgressSink
-
-
 class TeeProgressSink(ProgressSink):
     """Forward every callback to each of several sinks, in order."""
 
@@ -138,29 +135,24 @@ class JsonlProgressSink(ProgressSink):
     The stream is flushed after every record so the log can be tailed
     while the batch runs and survives a killed process up to the last
     completed heartbeat. Several batches simply append several
-    ``begin``..``end`` sections.
+    ``begin``..``end`` sections. Read a log back with
+    :func:`repro.obs.jsonl.read_jsonl` (``strict=False`` for a log that
+    is still being written or whose writer was killed).
     """
 
     def __init__(self, path: PathLike):
         self.path = pathlib.Path(path)
-        self._stream: Optional[IO[str]] = None
-
-    def _write(self, record: dict) -> None:
-        if self._stream is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream = self.path.open("w", encoding="utf-8")
-        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
-        self._stream.flush()
+        self._log = JsonlWriter(self.path, append=False)
 
     def begin(self, total: int, workers: int) -> None:
-        self._write(
+        self._log.write(
             {"event": "begin", "total": total, "workers": workers,
              "t": time.time()}
         )
 
     def emit(self, event: ProgressEvent) -> None:
         if event.kind == ROSTER:
-            self._write({
+            self._log.write({
                 "event": ROSTER,
                 "workers": event.workers,
                 "t": event.timestamp or time.time(),
@@ -175,7 +167,7 @@ class JsonlProgressSink(ProgressSink):
         }
         if event.elapsed is not None:
             record["elapsed"] = event.elapsed
-        self._write(record)
+        self._log.write(record)
 
     def finish(self, stats=None) -> None:
         record = {"event": "end", "t": time.time()}
@@ -184,12 +176,10 @@ class JsonlProgressSink(ProgressSink):
             record["wall_time"] = stats.wall_time
         else:
             record["error"] = True
-        self._write(record)
+        self._log.write(record)
 
     def close(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
+        self._log.close()
 
 
 class TerminalProgressRenderer(ProgressSink):
@@ -296,51 +286,3 @@ class TerminalProgressRenderer(ProgressSink):
         self._width = len(line)
         self.stream.write("\r" + line + " " * pad)
         self.stream.flush()
-
-
-def read_progress_jsonl(path: PathLike, *, strict: bool = True) -> List[dict]:
-    """Load every record of a :class:`JsonlProgressSink` log.
-
-    ``strict=False`` tolerates torn lines (see
-    :func:`salvage_progress_jsonl`) instead of raising on them.
-    """
-    if not strict:
-        return salvage_progress_jsonl(path)[0]
-    records = []
-    with pathlib.Path(path).open("r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def salvage_progress_jsonl(path: PathLike) -> Tuple[List[dict], int]:
-    """Load a heartbeat log, skipping torn lines; returns ``(records, skipped)``.
-
-    A progress log is written live — by a process that may be killed
-    mid-write, or tailed while a writer still holds a partial line — so
-    a trailing (or even interior) torn fragment is normal operation, not
-    corruption. Every line that parses as a JSON object is kept in file
-    order; everything else is counted, not raised. Monitoring that
-    drains heartbeats across dispatch workers must use this (or
-    ``read_progress_jsonl(..., strict=False)``) so one torn write cannot
-    take down the observer.
-    """
-    records: List[dict] = []
-    skipped = 0
-    with pathlib.Path(path).open("r", encoding="utf-8", errors="replace") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                skipped += 1
-    return records, skipped

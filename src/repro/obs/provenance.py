@@ -25,6 +25,7 @@ import time
 from typing import Any, Dict, Optional, Union
 
 from ..errors import ConfigurationError
+from .jsonl import read_json_object
 
 PathLike = Union[str, pathlib.Path]
 
@@ -146,7 +147,7 @@ def write_manifest(
 
 def read_manifest(path: PathLike) -> Dict[str, Any]:
     """Load and sanity-check a manifest written by :func:`write_manifest`."""
-    data = json.loads(pathlib.Path(path).read_text())
+    data = read_json_object(path)
     if data.get("kind") != MANIFEST_KIND:
         raise ConfigurationError(
             f"not a run manifest: kind={data.get('kind')!r}"

@@ -24,14 +24,14 @@ layer) happen lazily so ``repro.obs`` stays import-light.
 from __future__ import annotations
 
 import html as _html
-import json
 import math
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from .export import TraceDamage, salvage_trace_jsonl
+from .export import category_counts, record_from_dict
+from .jsonl import JsonlDamage, read_json_object, read_jsonl
 from .provenance import read_manifest
 
 PathLike = Union[str, pathlib.Path]
@@ -53,8 +53,8 @@ class RunBundle:
     #: Per-category record counts of the trace sidecar (``None`` when
     #: the bundle was saved without a trace).
     trace_counts: Optional[Dict[str, int]] = None
-    #: Where the trace file stopped being readable, if it did.
-    trace_damage: Optional[TraceDamage] = None
+    #: The first unreadable line of the trace file, if there is one.
+    trace_damage: Optional[JsonlDamage] = None
 
     @property
     def label(self) -> str:
@@ -115,7 +115,7 @@ def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
     result_path = directory / f"{stem}.json"
     if not result_path.exists():
         raise ConfigurationError(f"no result file {result_path}")
-    result = json.loads(result_path.read_text())
+    result = read_json_object(result_path)
     if result.get("kind") != "simulation_result":
         raise ConfigurationError(
             f"{result_path} is not a serialized simulation result"
@@ -126,12 +126,11 @@ def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
         bundle.manifest = read_manifest(manifest_path)
     trace_path = directory / f"{stem}.trace.jsonl"
     if trace_path.exists():
-        records, damage = salvage_trace_jsonl(trace_path)
-        counts: Dict[str, int] = {}
-        for record in records:
-            counts[record.category] = counts.get(record.category, 0) + 1
-        bundle.trace_counts = dict(sorted(counts.items()))
-        bundle.trace_damage = damage
+        records, damage = read_jsonl(
+            trace_path, record_from_dict, strict=False
+        )
+        bundle.trace_counts = category_counts(records)
+        bundle.trace_damage = damage[0] if damage else None
     return bundle
 
 

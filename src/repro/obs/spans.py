@@ -33,13 +33,12 @@ Three deliberate design points:
   everything to the coordinator first.
 
 Like progress logs, span logs are written live by killable processes:
-always read them with :func:`salvage_span_jsonl` (torn lines are
-normal operation, not corruption).
+always read them with :func:`load_span_logs`, which skips and counts
+torn lines (they are normal operation, not corruption).
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import re
 import threading
@@ -47,7 +46,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    IO,
     Any,
     Dict,
     Iterable,
@@ -59,6 +57,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
+from .jsonl import JsonlWriter, read_jsonl, write_jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -150,7 +149,7 @@ def span_from_dict(data: Dict[str, Any]) -> SpanEvent:
             worker=data.get("worker"),
             extra=extra,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed span record {data!r}") from exc
 
 
@@ -192,7 +191,9 @@ class SpanRecorder:
         self.ring: Optional[deque] = (
             deque(maxlen=ring_size) if ring_size > 0 else None
         )
-        self._stream: Optional[IO[str]] = None
+        self._log = (
+            JsonlWriter(self.path, append=True) if path is not None else None
+        )
         self._lock = threading.Lock()
 
     @property
@@ -225,14 +226,8 @@ class SpanRecorder:
         with self._lock:
             if self.ring is not None:
                 self.ring.append(event)
-            if self.path is not None:
-                if self._stream is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._stream = self.path.open("a", encoding="utf-8")
-                self._stream.write(
-                    json.dumps(span_to_dict(event), sort_keys=True) + "\n"
-                )
-                self._stream.flush()
+            if self._log is not None:
+                self._log.write(span_to_dict(event))
         return event
 
     def flush_ring(self, path: PathLike) -> Optional[pathlib.Path]:
@@ -248,21 +243,13 @@ class SpanRecorder:
             if self.ring is None or not self.ring:
                 return None
             events = list(self.ring)
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as stream:
-            for event in events:
-                stream.write(
-                    json.dumps(span_to_dict(event), sort_keys=True) + "\n"
-                )
-        return path
+        return write_jsonl(path, map(span_to_dict, events))
 
     def close(self) -> None:
         """Close the JSONL stream (the ring stays readable)."""
         with self._lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
+            if self._log is not None:
+                self._log.close()
 
     def __repr__(self) -> str:
         ring = len(self.ring) if self.ring is not None else 0
@@ -285,71 +272,13 @@ def crash_file_name(worker_id: str) -> str:
 # -- reading span logs back ---------------------------------------------------
 
 
-def salvage_span_jsonl(path: PathLike) -> Tuple[List[SpanEvent], int]:
-    """Load a span log, skipping torn lines; returns ``(events, skipped)``.
-
-    Span logs are written live by processes that may be killed
-    mid-write (that is the whole point of the crash ring), so torn
-    trailing — or interior, when a log was concatenated from several
-    partial captures — lines are normal. Every line that parses as a
-    well-formed span record is kept in file order; everything else is
-    counted, never raised.
-    """
-    events: List[SpanEvent] = []
-    skipped = 0
-    with pathlib.Path(path).open(
-        "r", encoding="utf-8", errors="replace"
-    ) as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(data, dict):
-                skipped += 1
-                continue
-            try:
-                events.append(span_from_dict(data))
-            except ConfigurationError:
-                skipped += 1
-    return events, skipped
-
-
-def read_span_jsonl(path: PathLike, *, strict: bool = True) -> List[SpanEvent]:
-    """Load every span event; ``strict=False`` delegates to salvage.
-
-    ``strict=True`` raises :class:`~repro.errors.ConfigurationError` on
-    the first malformed line (use for logs you wrote atomically
-    yourself; anything captured from a live or killed process should be
-    read with ``strict=False``).
-    """
-    if not strict:
-        return salvage_span_jsonl(path)[0]
-    events: List[SpanEvent] = []
-    with pathlib.Path(path).open("r", encoding="utf-8") as stream:
-        for line_number, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{line_number}: not valid JSON"
-                ) from exc
-            events.append(span_from_dict(data))
-    return events
-
-
 def load_span_logs(paths: Iterable[PathLike]) -> Tuple[List[SpanEvent], int]:
     """Salvage-read and concatenate several span logs.
 
-    The natural input of the reconstructor: the coordinator's log plus
-    any worker logs and ``crash-*.jsonl`` ring flushes that survived.
+    Returns ``(events, skipped)``: every well-formed span event, in file
+    order, and the number of damaged lines skipped. The natural input
+    of the reconstructor: the coordinator's log plus any worker logs
+    and ``crash-*.jsonl`` ring flushes that survived.
     Event order across files does not matter — the reconstructor keys
     everything by ``(run, cell, attempt)`` and compares monotonic
     stamps per source only.
@@ -357,9 +286,9 @@ def load_span_logs(paths: Iterable[PathLike]) -> Tuple[List[SpanEvent], int]:
     events: List[SpanEvent] = []
     skipped = 0
     for path in paths:
-        part, torn = salvage_span_jsonl(path)
+        part, damage = read_jsonl(path, span_from_dict, strict=False)
         events.extend(part)
-        skipped += torn
+        skipped += len(damage)
     return events, skipped
 
 

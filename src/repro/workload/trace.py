@@ -44,7 +44,6 @@ model); those reasons are counted and the source event-steps.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from bisect import bisect_right
@@ -53,6 +52,7 @@ from math import ceil as _ceil, log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
+from ..obs.jsonl import read_jsonl
 from ..sim.events import Event, _NORMAL_KEY
 from ..sim.fastforward import FastForwardEnvironment, FluidTask
 from ..sim.rng import RandomStreams
@@ -70,6 +70,16 @@ _INFINITY = float("inf")
 #: Default piecewise sampling resolution of the analytic profiles.
 RAMP_SEGMENTS = 32
 DIURNAL_SEGMENTS = 48
+
+
+def _rate_point(data: dict) -> Tuple[float, float]:
+    """One ``{"t": ..., "rate": ...}`` replay line as a breakpoint."""
+    try:
+        return float(data["t"]), float(data["rate"])
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
+        raise ConfigurationError(
+            f"bad trace line {data!r} ({error})"
+        ) from error
 
 
 class ArrivalSchedule:
@@ -224,25 +234,14 @@ class ArrivalSchedule:
         """Replay a rate trace from a JSONL file.
 
         One object per line: ``{"t": <seconds>, "rate": <sessions/s>}``,
-        times strictly increasing from 0. Blank lines are skipped.
+        times strictly increasing from 0. Blank lines are skipped; any
+        other unreadable line raises
+        :class:`~repro.errors.ConfigurationError` naming its line.
         """
-        points: List[Tuple[float, float]] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    points.append((float(obj["t"]), float(obj["rate"])))
-                except (ValueError, KeyError, TypeError) as error:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: bad trace line {line!r} ({error})"
-                    ) from error
+        points, _ = read_jsonl(path, _rate_point)
         if not points:
             raise ConfigurationError(f"{path}: empty arrival trace")
-        schedule = cls(points, profile="replay")
-        return schedule
+        return cls(points, profile="replay")
 
     def describe(self) -> dict:
         """Schedule summary for provenance manifests."""

@@ -35,12 +35,13 @@ from repro.experiments.executor import ParallelExecutor
 from repro.experiments.persistence import result_to_dict
 from repro.obs.export import parse_prom_text
 from repro.obs.http import PROM_CONTENT_TYPE
+from repro.obs.jsonl import read_jsonl
 from repro.obs.spans import (
     FabricTimeline,
     crash_file_name,
     load_span_logs,
     render_fabric_timeline,
-    salvage_span_jsonl,
+    span_from_dict,
 )
 
 
@@ -202,7 +203,7 @@ class TestSpanReconciliation:
         # Crash forensics: the dying worker flushed its ring.
         crash_file = crash_dir / crash_file_name("w0")
         assert crash_file.exists(), sorted(crash_dir.iterdir())
-        crash_events, _ = salvage_span_jsonl(crash_file)
+        crash_events, _ = read_jsonl(crash_file, span_from_dict, strict=False)
         assert crash_events, "empty crash ring flush"
         assert crash_events[-1].kind == "crash"
         assert crash_events[-1].extra.get("reason") == "crash-after"
@@ -211,7 +212,11 @@ class TestSpanReconciliation:
 
 
 class TestScrapeableEndpoints:
-    def test_coordinator_metrics_and_health_mid_run(self, tmp_path):
+    def test_coordinator_metrics_and_health_mid_run(
+        self, tmp_path, leases_after_join
+    ):
+        # workers_seen == 2 below needs both agents to join first.
+        leases_after_join(2)
         configs = _grid_configs()[:3]
         scrapes = []
 

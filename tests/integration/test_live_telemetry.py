@@ -24,7 +24,7 @@ from repro.experiments.grid import run_grid
 from repro.obs import (
     JsonlProgressSink,
     TimeSeries,
-    read_progress_jsonl,
+    read_jsonl,
 )
 
 QUICK = SimulationConfig(policy="RR", duration=300.0, seed=17, total_clients=80)
@@ -76,7 +76,7 @@ class TestDeterminismParity:
             executor=ParallelExecutor(workers=4, progress=sink),
         )
         sink.close()
-        records = read_progress_jsonl(log)
+        records, _ = read_jsonl(log)
         assert records[0]["event"] == "begin"
         assert records[0]["total"] == 8
         assert records[-1]["event"] == "end"
@@ -209,7 +209,7 @@ class TestProgressCli:
         observed = capsys.readouterr().out
         # The pivot table is identical; only the timing block differs.
         assert observed.startswith(silent_table.split("\n\n")[0])
-        records = read_progress_jsonl(log)
+        records, _ = read_jsonl(log)
         assert [r["event"] for r in records][0] == "begin"
         assert sum(r["event"] == "finished" for r in records) == 4
 

@@ -21,7 +21,7 @@ from repro.experiments.persistence import (
     save_run_artifacts,
 )
 from repro.experiments.simulation import run_simulation
-from repro.obs import category_counts, read_manifest, read_trace_jsonl
+from repro.obs import category_counts, read_jsonl, read_manifest, record_from_dict
 from repro.sim.tracing import TRACE_CATEGORIES, NullTracer
 
 #: A scenario hot enough to trip alarms (so *every* category fires).
@@ -190,7 +190,7 @@ class TestArtifactBundle:
         assert restored.summary() == alarming_result.summary()
         assert restored.metrics == alarming_result.metrics
 
-        records = read_trace_jsonl(paths["trace"])
+        records, _ = read_jsonl(paths["trace"], record_from_dict)
         assert category_counts(records) == (
             alarming_result.trace_category_counts()
         )

@@ -169,9 +169,9 @@ class TestExtendedCommands:
         assert out_path.exists()
         assert (tmp_path / "r.trace.jsonl").exists()
         assert (tmp_path / "r.manifest.json").exists()
-        from repro.obs import read_manifest, read_trace_jsonl
+        from repro.obs import read_jsonl, read_manifest, record_from_dict
 
-        assert read_trace_jsonl(tmp_path / "r.trace.jsonl")
+        assert read_jsonl(tmp_path / "r.trace.jsonl", record_from_dict)[0]
         assert read_manifest(tmp_path / "r.manifest.json")["policy"] == "RR"
 
     def test_trace_command_writes_bundle(self, capsys, tmp_path):

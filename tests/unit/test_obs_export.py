@@ -15,14 +15,13 @@ from repro.obs import (
     environment_fingerprint,
     metrics_to_prom_text,
     parse_prom_text,
+    read_jsonl,
     read_manifest,
-    read_trace_jsonl,
     record_from_dict,
     record_to_dict,
-    salvage_trace_jsonl,
+    write_jsonl,
     write_manifest,
     write_metrics_prom,
-    write_trace_jsonl,
 )
 from repro.sim.tracing import TraceRecord
 
@@ -33,17 +32,25 @@ RECORDS = [
 ]
 
 
+def _write_trace(path):
+    return write_jsonl(path, map(record_to_dict, RECORDS))
+
+
+def _read_trace(path, strict=True):
+    return read_jsonl(path, record_from_dict, strict=strict)
+
+
 class TestJsonlRoundTrip:
     def test_record_dict_round_trip(self):
         for record in RECORDS:
             assert record_from_dict(record_to_dict(record)) == record
 
     def test_file_round_trip(self, tmp_path):
-        path = write_trace_jsonl(RECORDS, tmp_path / "t.jsonl")
-        assert read_trace_jsonl(path) == RECORDS
+        path = _write_trace(tmp_path / "t.jsonl")
+        assert _read_trace(path) == (RECORDS, [])
 
     def test_one_json_object_per_line(self, tmp_path):
-        path = write_trace_jsonl(RECORDS, tmp_path / "t.jsonl")
+        path = _write_trace(tmp_path / "t.jsonl")
         lines = path.read_text().splitlines()
         assert len(lines) == len(RECORDS)
         for line in lines:
@@ -54,7 +61,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"time": 1.0, "category": "dns"}\nnot json\n')
         with pytest.raises(ConfigurationError, match="bad.jsonl:2"):
-            read_trace_jsonl(path)
+            _read_trace(path)
 
     def test_malformed_record_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -67,7 +74,7 @@ class TestJsonlRoundTrip:
 class TestSalvage:
     def _truncated_trace(self, tmp_path):
         """A trace whose final record was cut mid-JSON (crashed run)."""
-        path = write_trace_jsonl(RECORDS, tmp_path / "t.jsonl")
+        path = _write_trace(tmp_path / "t.jsonl")
         text = path.read_text()
         lines = text.splitlines(keepends=True)
         intact = "".join(lines[:-1])
@@ -76,24 +83,24 @@ class TestSalvage:
 
     def test_non_strict_returns_complete_records(self, tmp_path):
         path, _ = self._truncated_trace(tmp_path)
-        records = read_trace_jsonl(path, strict=False)
+        records, _ = _read_trace(path, strict=False)
         assert records == RECORDS[:-1]
 
     def test_strict_default_still_raises(self, tmp_path):
         path, _ = self._truncated_trace(tmp_path)
         with pytest.raises(ConfigurationError, match="t.jsonl:3"):
-            read_trace_jsonl(path)
+            _read_trace(path)
 
     def test_damage_reports_byte_offset_of_first_bad_line(self, tmp_path):
         path, intact = self._truncated_trace(tmp_path)
-        records, damage = salvage_trace_jsonl(path)
+        records, damage = _read_trace(path, strict=False)
         assert records == RECORDS[:-1]
-        assert damage is not None
-        assert damage.line_number == 3
+        assert len(damage) == 1
+        assert damage[0].line_number == 3
         # The offset is where the intact prefix ends — truncating the
         # file there yields a fully valid JSONL file again.
-        assert damage.byte_offset == len(intact.encode("utf-8"))
-        assert "line 3" in str(damage)
+        assert damage[0].byte_offset == len(intact.encode("utf-8"))
+        assert "line 3" in str(damage[0])
 
     def test_malformed_record_damage(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -101,15 +108,28 @@ class TestSalvage:
             '{"time": 1.0, "category": "dns", "payload": null}\n'
             '{"category": "dns"}\n'
         )
-        records, damage = salvage_trace_jsonl(path)
+        records, damage = _read_trace(path, strict=False)
         assert len(records) == 1
-        assert damage.line_number == 2
+        assert [d.line_number for d in damage] == [2]
 
     def test_intact_file_has_no_damage(self, tmp_path):
-        path = write_trace_jsonl(RECORDS, tmp_path / "t.jsonl")
-        records, damage = salvage_trace_jsonl(path)
+        path = _write_trace(tmp_path / "t.jsonl")
+        records, damage = _read_trace(path, strict=False)
         assert records == RECORDS
-        assert damage is None
+        assert damage == []
+
+    def test_damaged_middle_line_keeps_the_records_after_it(self, tmp_path):
+        # Salvage skips a damaged line wherever it is; the first damage
+        # still names the point up to which the file is intact.
+        lines = _write_trace(tmp_path / "t.jsonl").read_bytes().splitlines(True)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(lines[0] + b'{"time": \xff\n' + b"".join(lines[1:]))
+        records, damage = _read_trace(path, strict=False)
+        assert records == RECORDS
+        assert [(d.line_number, d.byte_offset) for d in damage] == [
+            (2, len(lines[0]))
+        ]
+        assert damage[0].reason == "not valid UTF-8"
 
 
 class TestPromExport:

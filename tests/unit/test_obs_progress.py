@@ -15,7 +15,7 @@ from repro.obs import (
     ProgressSink,
     TeeProgressSink,
     TerminalProgressRenderer,
-    read_progress_jsonl,
+    read_jsonl,
 )
 
 
@@ -122,7 +122,7 @@ class TestJsonlProgressSink:
         executor = ParallelExecutor(workers=1, progress=sink)
         executor.map(_double, [1, 2], labels=["x", "y"])
         sink.close()
-        records = read_progress_jsonl(path)
+        records, _ = read_jsonl(path)
         assert [r["event"] for r in records] == [
             "begin", "started", "finished", "started", "finished", "end",
         ]
@@ -141,7 +141,7 @@ class TestJsonlProgressSink:
         sink.begin(1, 1)
         sink.finish(None)
         sink.close()
-        records = read_progress_jsonl(path)
+        records, _ = read_jsonl(path)
         assert records[-1]["event"] == "end"
         assert records[-1]["error"] is True
 
@@ -163,7 +163,7 @@ class TestJsonlProgressSink:
         sink.emit(ProgressEvent(ROSTER, -1, workers=2, timestamp=12.5))
         sink.emit(ProgressEvent(ROSTER, -1, workers=1, timestamp=13.0))
         sink.close()
-        records = read_progress_jsonl(path)
+        records, _ = read_jsonl(path)
         rosters = [r for r in records if r["event"] == "roster"]
         assert [r["workers"] for r in rosters] == [2, 1]
         assert all("t" in r for r in rosters)
@@ -278,32 +278,26 @@ class TestSalvageProgressJsonl:
         return path
 
     def test_clean_log_salvages_everything(self, tmp_path):
-        from repro.obs import salvage_progress_jsonl
-
         path = self._write(
             tmp_path,
             '{"kind": "started", "cell": 0}\n'
             '{"kind": "finished", "cell": 0, "elapsed": 0.5}\n',
         )
-        records, skipped = salvage_progress_jsonl(path)
+        records, damage = read_jsonl(path, strict=False)
         assert [r["kind"] for r in records] == ["started", "finished"]
-        assert skipped == 0
+        assert len(damage) == 0
 
     def test_torn_trailing_line_skipped_and_counted(self, tmp_path):
-        from repro.obs import salvage_progress_jsonl
-
         path = self._write(
             tmp_path,
             '{"kind": "started", "cell": 0}\n'
             '{"kind": "finis',  # writer killed mid-line
         )
-        records, skipped = salvage_progress_jsonl(path)
+        records, damage = read_jsonl(path, strict=False)
         assert [r["cell"] for r in records] == [0]
-        assert skipped == 1
+        assert len(damage) == 1
 
     def test_interior_garbage_does_not_break_later_records(self, tmp_path):
-        from repro.obs import salvage_progress_jsonl
-
         path = self._write(
             tmp_path,
             '{"kind": "started", "cell": 0}\n'
@@ -311,28 +305,26 @@ class TestSalvageProgressJsonl:
             "[1, 2, 3]\n"  # valid JSON but not a record object
             '{"kind": "finished", "cell": 0}\n',
         )
-        records, skipped = salvage_progress_jsonl(path)
+        records, damage = read_jsonl(path, strict=False)
         assert [r["kind"] for r in records] == ["started", "finished"]
-        assert skipped == 2
+        assert len(damage) == 2
 
     def test_strict_read_still_raises(self, tmp_path):
         path = self._write(tmp_path, '{"kind": "started"\n')
-        with pytest.raises(ValueError):
-            read_progress_jsonl(path)
+        with pytest.raises(ConfigurationError, match="progress.jsonl:1"):
+            read_jsonl(path)
 
     def test_non_strict_read_delegates_to_salvage(self, tmp_path):
         path = self._write(
             tmp_path, '{"kind": "started", "cell": 4}\n{"torn'
         )
-        records = read_progress_jsonl(path, strict=False)
+        records, _ = read_jsonl(path, strict=False)
         assert [r["cell"] for r in records] == [4]
 
     def test_multiple_interleaved_tears_and_truncated_final(self, tmp_path):
         # A log stitched together from several partial captures of a
         # killed worker: tears appear *between* good records repeatedly,
         # and the final record is cut mid-write.
-        from repro.obs import salvage_progress_jsonl
-
         good = [
             '{"event": "begin", "total": 3, "workers": 0}',
             '{"event": "roster", "workers": 2, "t": 1.0}',
@@ -353,8 +345,8 @@ class TestSalvageProgressJsonl:
         path = self._write(
             tmp_path, "\n".join(lines) + "\n" + truncated_final
         )
-        records, skipped = salvage_progress_jsonl(path)
+        records, damage = read_jsonl(path, strict=False)
         assert [r["event"] for r in records] == [
             "begin", "roster", "started", "finished", "started",
         ]
-        assert skipped == 3  # two interior tears + the truncated final
+        assert len(damage) == 3  # two interior tears + the truncated final

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import spans
+from repro.obs.jsonl import read_jsonl
 from repro.obs.spans import (
     AttemptRecord,
     FabricTimeline,
@@ -13,9 +14,7 @@ from repro.obs.spans import (
     SpanRecorder,
     crash_file_name,
     load_span_logs,
-    read_span_jsonl,
     render_fabric_timeline,
-    salvage_span_jsonl,
     span_from_dict,
     span_to_dict,
 )
@@ -60,7 +59,7 @@ class TestSpanRecorder:
         recorder.emit(spans.SUBMIT, run="r1", cell=0, label="RR")
         recorder.emit(spans.LEASE, run="r1", cell=0, attempt=0, worker="w1")
         # Flushed without close(): the log is tail-able while live.
-        events = read_span_jsonl(path)
+        events, _ = read_jsonl(path, span_from_dict)
         assert [e.kind for e in events] == [spans.SUBMIT, spans.LEASE]
         assert events[0].extra == {"label": "RR"}
         assert events[0].source == "coordinator"
@@ -81,7 +80,7 @@ class TestSpanRecorder:
             recorder.emit(spans.EXECUTE, cell=cell)
         out = tmp_path / "crash.jsonl"
         assert recorder.flush_ring(out) == out
-        cells = [e.cell for e in read_span_jsonl(out)]
+        cells = [e.cell for e in read_jsonl(out, span_from_dict)[0]]
         assert cells == [7, 8, 9]
 
     def test_flush_ring_is_repeatable(self, tmp_path):
@@ -128,23 +127,23 @@ class TestSalvage:
             [good, good[: len(good) // 2], '"just a string"', good2,
              '{"kind": "lease"}'],
         )
-        events, skipped = salvage_span_jsonl(path)
+        events, damage = read_jsonl(path, span_from_dict, strict=False)
         assert [e.kind for e in events] == [spans.SUBMIT, spans.LEASE]
-        assert skipped == 3
+        assert len(damage) == 3
 
     def test_truncated_final_record(self, tmp_path):
         good = json.dumps(span_to_dict(_event(spans.SUBMIT, cell=1)))
         path = tmp_path / "spans.jsonl"
         path.write_text(good + "\n" + good[:-7])  # kill mid-write
-        events, skipped = salvage_span_jsonl(path)
-        assert len(events) == 1 and skipped == 1
+        events, damage = read_jsonl(path, span_from_dict, strict=False)
+        assert len(events) == 1 and len(damage) == 1
 
     def test_strict_read_raises_where_salvage_skips(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ConfigurationError):
-            read_span_jsonl(path)
-        assert read_span_jsonl(path, strict=False) == []
+            read_jsonl(path, span_from_dict)
+        assert read_jsonl(path, span_from_dict, strict=False)[0] == []
 
     def test_load_span_logs_merges_files_and_counts_tears(self, tmp_path):
         a = tmp_path / "a.jsonl"
