@@ -49,8 +49,9 @@ Subcommands
 ``worker``
     ``repro worker serve --connect HOST:PORT`` turns this process into
     a dispatch worker agent: it pulls simulation cells leased by a
-    coordinator running with ``--backend remote`` and streams progress
-    back. Start any number of them, on any mix of hosts.
+    coordinator running with ``--backend remote`` and streams
+    heartbeats and results back. Start any number of them, on any mix
+    of hosts.
 
 Multi-cell commands (``compare``, ``sweep``, ``grid``, ``figure``)
 accept ``--workers N`` to fan their independent simulations out over N
@@ -76,7 +77,8 @@ configurations fall back to reference event-stepping automatically
 
 Every simulating command also accepts ``--progress`` (a live terminal
 progress line: completed/total cells, throughput, ETA, busy workers)
-and ``--progress-log PATH`` (a machine-readable JSONL heartbeat log);
+and ``--progress-log PATH`` (the batch's span events as JSONL, which
+``repro fabric timeline`` reconstructs and reconciles);
 both observe the run without perturbing it — results are identical
 with or without them. See ``docs/OBSERVABILITY.md``.
 
@@ -220,8 +222,9 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--progress-log", metavar="PATH", default=None,
-        help="append per-cell started/finished heartbeats to PATH as "
-        "JSONL (tail-able while the batch runs)",
+        help="write the batch's cell-lifecycle span events to PATH as "
+        "JSONL (tail-able while the batch runs; 'repro fabric "
+        "timeline' reads it)",
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
@@ -662,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline_parser.add_argument(
         "span_logs", nargs="+", metavar="SPANS.jsonl",
         help="span log files to merge (coordinator and/or workers; "
-        "crash-*.jsonl ring flushes work too)",
+        "crash-*.jsonl ring flushes and --progress-log files work "
+        "too)",
     )
     timeline_parser.add_argument(
         "--run", default=None, metavar="ID",

@@ -9,7 +9,7 @@ A *backend* decides where a batch of simulation cells physically runs:
 * :class:`RemoteBackend` — a coordinator that owns a listening TCP
   socket, leases cells to however many ``repro worker serve`` agents
   connect (see :mod:`~repro.experiments.dispatch.coordinator`), streams
-  their progress heartbeats into the executor's
+  its cell-lifecycle span events into the executor's
   :class:`~repro.obs.progress.ProgressSink`, and reassembles results in
   submission order.
 
@@ -25,9 +25,7 @@ coordinated batches back-to-back, with workers reconnecting in between.
 
 from __future__ import annotations
 
-import queue
 import socket
-import threading
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,7 +34,7 @@ from ...obs.spans import SpanRecorder
 from ..config import SimulationConfig
 from ..metrics import SimulationResult
 from ..persistence import config_to_dict
-from .coordinator import Coordinator, DispatchOutcome, bind_listener
+from .coordinator import COORDINATOR, Coordinator, DispatchOutcome, bind_listener
 from .protocol import format_address, parse_address
 
 #: Backend names accepted by the executor and the CLI.
@@ -140,7 +138,7 @@ class RemoteBackend(Backend):
         self.span_log = span_log
         self.metrics_port = metrics_port
         self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(span_log, source="coordinator")
+            SpanRecorder(span_log, source=COORDINATOR)
             if span_log is not None
             else None
         )
@@ -283,55 +281,30 @@ class RemoteBackend(Backend):
     # -- execution -----------------------------------------------------------
 
     def run_simulations(self, executor, configs, labels):
-        from ..executor import ExecutionStats, _drain_queue
+        from ..executor import ExecutionStats
 
         self.bind()
-        specs = self._cell_specs(executor, configs)
-        sink = executor.progress
-        events: Optional[queue.Queue] = None
-        drainer: Optional[threading.Thread] = None
-        if sink is not None:
-            # Worker count is unknown until workers connect; 0 means
-            # "determined by the roster" to begin() consumers.
-            sink.begin(len(specs), 0)
-            events = queue.Queue()
-            drainer = threading.Thread(
-                target=_drain_queue, args=(events, sink), daemon=True
-            )
-            drainer.start()
         run_id = uuid.uuid4().hex[:12]
         self.last_run_id = run_id
         coordinator = Coordinator(
-            specs,
+            self._cell_specs(executor, configs),
             labels,
             listener=self._listener,
             lease_timeout=self.lease_timeout,
-            events=events,
+            sink=executor.progress,
             timeout=self.timeout,
             spans=self.spans,
             run_id=run_id,
         )
         self._coordinator = coordinator
         self._batches += 1
-        try:
-            outcome = coordinator.run()
-        except BaseException:
-            if sink is not None:
-                events.put(None)
-                drainer.join()
-                sink.finish(None)
-            raise
+        outcome = coordinator.run()
         self.last_outcome = outcome
-        stats = ExecutionStats.from_completions(
+        executor.last_stats = ExecutionStats.from_completions(
             workers=max(1, len(outcome.roster)),
             wall_time=outcome.wall_time,
             completions=outcome.completions,
         )
-        executor.last_stats = stats
-        if sink is not None:
-            events.put(None)
-            drainer.join()
-            sink.finish(stats)
         return outcome.results
 
     def _cell_specs(

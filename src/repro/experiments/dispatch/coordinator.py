@@ -12,10 +12,14 @@ Threading model, mirroring the process-pool executor's:
 * handler threads speak the :mod:`~repro.experiments.dispatch.protocol`
   message loop, mutating the shared :class:`~.leases.LeaseTable` only
   under the coordinator lock;
-* progress heartbeats are *forwarded* onto a queue the backend drains
-  from a single thread, so — exactly as with the local backend — a
-  :class:`~repro.obs.progress.ProgressSink` never sees concurrent
-  ``emit`` calls;
+* every span event is built once, by :meth:`Coordinator._span`, and
+  goes to the span recorder and — with a
+  :class:`~repro.obs.progress.ProgressSink` attached — onto a queue one
+  drain thread forwards to the sink, so, exactly as with the local
+  backend, the sink never sees concurrent ``emit`` calls;
+* each connection reads with a timeout of the lease timeout, so a peer
+  that stalls mid-frame is dropped (and its leases re-pooled) instead of
+  pinning a handler thread past the end of the batch;
 * the caller's thread sits in :meth:`run`, sweeping expired leases every
   quarter second until every cell has a result.
 
@@ -26,7 +30,7 @@ bit-identical to ``workers=1`` no matter how many workers served it, in
 which order leases returned, or which workers died along the way.
 Duplicate completions (a stalled worker finishing a cell that was
 re-leased and already completed elsewhere) are dropped: the first
-completion wins, in results, progress events and timing alike.
+completion wins, in results, winning span events and timing alike.
 """
 
 from __future__ import annotations
@@ -40,15 +44,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...errors import DispatchError
 from ...obs import spans as span_kinds
-from ...obs.progress import FINISHED, ROSTER, STARTED, ProgressEvent
-from ...obs.spans import SpanRecorder
+from ...obs.progress import ProgressSink, drained
+from ...obs.spans import SpanRecorder, span_now
 from .leases import LeaseTable
 from .protocol import (
     ERROR,
     HEARTBEAT,
     HELLO,
     LEASE,
-    PROGRESS,
     PROTOCOL_VERSION,
     REQUEST,
     RESULT,
@@ -65,6 +68,9 @@ WAIT_DELAY = 0.2
 
 #: Cadence of the coordinator's lease-expiry sweep (wall seconds).
 SWEEP_INTERVAL = 0.25
+
+#: ``source`` of the coordinator's span events.
+COORDINATOR = "coordinator"
 
 
 @dataclass
@@ -97,15 +103,15 @@ class Coordinator:
     tasks:
         JSON-safe cell task payloads, one per cell, in submission order.
     labels:
-        Optional per-cell labels for progress heartbeats.
+        Optional per-cell labels, carried on span events.
     listener:
         A bound, listening TCP socket (ownership stays with the caller).
     lease_timeout:
         Seconds a lease may go without a heartbeat before the cell is
         returned to the pool.
-    events:
-        Optional :class:`queue.Queue` receiving
-        :class:`~repro.obs.progress.ProgressEvent` forwards.
+    sink:
+        Optional :class:`~repro.obs.progress.ProgressSink` receiving
+        every span event of the batch live, from one drain thread.
     timeout:
         Optional overall wall-clock deadline for the batch; expiry
         raises :class:`~repro.errors.DispatchError` naming the missing
@@ -114,8 +120,7 @@ class Coordinator:
         Optional :class:`~repro.obs.spans.SpanRecorder` receiving
         cell-lifecycle span events (submit, lease, heartbeat, complete,
         expire, release, worker join/leave). ``None`` (the default)
-        emits nothing and costs nothing — every emission site is
-        guarded.
+        with no ``sink`` either builds no event at all.
     run_id:
         Correlation id stamped on span events and leases of this batch
         (observability only; never touches results).
@@ -128,7 +133,7 @@ class Coordinator:
         *,
         listener: socket.socket,
         lease_timeout: float = 30.0,
-        events: Optional["queue.Queue"] = None,
+        sink: Optional[ProgressSink] = None,
         timeout: Optional[float] = None,
         spans: Optional[SpanRecorder] = None,
         run_id: Optional[str] = None,
@@ -137,15 +142,15 @@ class Coordinator:
         self.labels = list(labels) if labels is not None else None
         self.listener = listener
         self.lease_timeout = float(lease_timeout)
-        self.events = events
+        self.sink = sink
         self.timeout = timeout
         self.spans = spans
         self.run_id = run_id
         self.table = LeaseTable(len(self.tasks), self.lease_timeout)
         self.roster: Dict[str, Dict[str, Any]] = {}
         #: Worker ids with a live connection right now (id -> count of
-        #: open connections, normally 1) — the live roster the ROSTER
-        #: progress events and the coordinator metrics report.
+        #: open connections, normally 1) — the live roster the worker
+        #: join/leave span events and the coordinator metrics report.
         self.connected: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._done = threading.Event()
@@ -153,6 +158,7 @@ class Coordinator:
         self._failure: Optional[DispatchError] = None
         self._connections: List[socket.socket] = []
         self._handlers: List[threading.Thread] = []
+        self._sink_queue: Optional["queue.Queue"] = None
 
     # -- public API ----------------------------------------------------------
 
@@ -161,26 +167,54 @@ class Coordinator:
         """The listener's bound ``(host, port)``."""
         return self.listener.getsockname()[:2]
 
+    def _label(self, index: int) -> Optional[str]:
+        return self.labels[index] if self.labels is not None else None
+
     def _span(self, kind: str, **fields: Any) -> None:
-        """Emit one coordinator span event (no-op without a recorder)."""
+        """Build one span event; hand it to the recorder and the sink.
+
+        Without either, no event is built at all.
+        """
+        if self.spans is None and self._sink_queue is None:
+            return
+        event = span_now(kind, COORDINATOR, run=self.run_id, **fields)
         if self.spans is not None:
-            self.spans.emit(kind, run=self.run_id, **fields)
+            self.spans.record(event)
+        if self._sink_queue is not None:
+            self._sink_queue.put(event)
 
     def run(self) -> DispatchOutcome:
         """Block until every cell completed; return the batch outcome."""
+        if self.sink is None:
+            return self._run()
+        with drained(queue.Queue(), self.sink.emit) as self._sink_queue:
+            return self._run()
+
+    def _run(self) -> DispatchOutcome:
         start = time.perf_counter()
-        deadline = None if self.timeout is None else start + self.timeout
-        if not self.tasks:
-            return DispatchOutcome(
-                results=[], completions=[], wall_time=0.0
+        cells = len(self.tasks)
+        self._span(span_kinds.BATCH_BEGIN, cells=cells)
+        for index in range(cells):
+            self._span(span_kinds.SUBMIT, cell=index, label=self._label(index))
+        try:
+            outcome = (
+                self._serve(start) if self.tasks
+                else DispatchOutcome(results=[], completions=[], wall_time=0.0)
             )
-        self._span(span_kinds.BATCH_BEGIN, cells=len(self.tasks))
-        if self.spans is not None:
-            for index in range(len(self.tasks)):
-                label = (
-                    self.labels[index] if self.labels is not None else None
-                )
-                self._span(span_kinds.SUBMIT, cell=index, label=label)
+        except BaseException:
+            self._span(span_kinds.BATCH_END, cells=cells, error=True)
+            raise
+        self._span(
+            span_kinds.BATCH_END,
+            cells=cells,
+            wall_time=outcome.wall_time,
+            retries=sum(self.table.retried.values()),
+        )
+        return outcome
+
+    def _serve(self, start: float) -> DispatchOutcome:
+        """Lease cells until all completed, the batch failed or timed out."""
+        deadline = None if self.timeout is None else start + self.timeout
         accept_thread = threading.Thread(
             target=self._accept_loop, name="dispatch-accept", daemon=True
         )
@@ -221,12 +255,6 @@ class Coordinator:
                 str(index): count
                 for index, count in sorted(self.table.retried.items())
             }
-        self._span(
-            span_kinds.BATCH_END,
-            cells=len(self.tasks),
-            wall_time=time.perf_counter() - start,
-            retries=sum(self.table.retried.values()),
-        )
         return DispatchOutcome(
             results=results,
             completions=completions,
@@ -246,7 +274,10 @@ class Coordinator:
                 continue
             except OSError:
                 return  # listener closed under us
-            connection.settimeout(None)
+            # A live worker speaks at least every WAIT_DELAY (idle) or
+            # lease_timeout/3 (heartbeats); a peer silent for longer
+            # has stalled, and its reads must not block forever.
+            connection.settimeout(max(self.lease_timeout, 2 * WAIT_DELAY))
             try:
                 # Leases and results are small framed messages; never let
                 # Nagle hold one back waiting for a delayed ACK.
@@ -282,6 +313,11 @@ class Coordinator:
         for connection in connections:
             try:
                 send_message(connection, {"type": SHUTDOWN})
+            except OSError:
+                pass
+            try:
+                # Wakes a handler blocked in recv on this connection.
+                connection.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             try:
@@ -327,9 +363,6 @@ class Coordinator:
                 pid=hello.get("pid"),
                 connected=live,
             )
-            self._emit(ProgressEvent(
-                kind=ROSTER, index=-1, workers=live, timestamp=time.time(),
-            ))
             while not self._stop:
                 message = recv_message(connection)
                 if message is None:
@@ -338,19 +371,16 @@ class Coordinator:
                 if kind == REQUEST:
                     if not self._answer_request(connection, worker_id):
                         return
-                elif kind == PROGRESS:
-                    self._handle_progress(message, worker_id)
                 elif kind == HEARTBEAT:
                     cell = int(message["cell"])
                     with self._lock:
                         self.table.heartbeat(cell, worker_id)
-                    if self.spans is not None:
-                        self._span(
-                            span_kinds.HEARTBEAT,
-                            cell=cell,
-                            attempt=message.get("attempt"),
-                            worker=worker_id,
-                        )
+                    self._span(
+                        span_kinds.HEARTBEAT,
+                        cell=cell,
+                        attempt=message.get("attempt"),
+                        worker=worker_id,
+                    )
                 elif kind == RESULT:
                     self._handle_result(message, worker_id)
                 elif kind == ERROR:
@@ -388,10 +418,6 @@ class Coordinator:
                     span_kinds.WORKER_LEAVE,
                     worker=worker_id, connected=live,
                 )
-                self._emit(ProgressEvent(
-                    kind=ROSTER, index=-1, workers=live,
-                    timestamp=time.time(),
-                ))
             try:
                 connection.close()
             except OSError:
@@ -411,9 +437,7 @@ class Coordinator:
                     connection, {"type": WAIT, "delay": WAIT_DELAY}
                 )
                 return True
-            label = (
-                self.labels[index] if self.labels is not None else None
-            )
+            label = self._label(index)
             attempt = self.table.attempt(index)
             send_message(
                 connection,
@@ -434,31 +458,6 @@ class Coordinator:
         return True
 
     # -- worker message handling ---------------------------------------------
-
-    def _emit(self, event: ProgressEvent) -> None:
-        if self.events is not None:
-            self.events.put(event)
-
-    def _handle_progress(
-        self, message: Dict[str, Any], worker_id: str
-    ) -> None:
-        index = int(message["cell"])
-        with self._lock:
-            # Any sign of life on a lease extends its deadline.
-            self.table.heartbeat(index, worker_id)
-            already_done = self.table.completed(index)
-        if message.get("kind") == STARTED and not already_done:
-            self._emit(ProgressEvent(
-                kind=STARTED,
-                index=index,
-                label=message.get("label"),
-                worker=message.get("worker"),
-                timestamp=message.get("timestamp") or time.time(),
-            ))
-        # ``finished`` progress is not forwarded: the coordinator
-        # synthesizes exactly one finished event per cell from the
-        # winning result message, so a re-leased cell that two workers
-        # both finish can never double-count in any sink.
 
     def _handle_result(
         self, message: Dict[str, Any], worker_id: str
@@ -481,15 +480,6 @@ class Coordinator:
             elapsed=elapsed,
             label=message.get("label"),
         )
-        if first:
-            self._emit(ProgressEvent(
-                kind=FINISHED,
-                index=index,
-                label=message.get("label"),
-                worker=message.get("worker"),
-                elapsed=elapsed,
-                timestamp=message.get("timestamp") or time.time(),
-            ))
         if done:
             self._done.set()
 

@@ -6,7 +6,7 @@ unit tests pin; the coordinator serializes access with a lock):
 
 * every un-run cell is *pending*; a worker's request moves one cell to
   *leased* with a monotonic-clock deadline;
-* a heartbeat (or any progress) from the lease holder extends the
+* a heartbeat from the lease holder extends the
   deadline — a worker busy on a long cell keeps its lease alive;
 * :meth:`expire` returns every overdue lease to the pending pool, and
   :meth:`release_worker` does the same immediately for a worker whose

@@ -18,14 +18,18 @@ worker sends one ``hello`` and then loops::
            |  {"type": "shutdown"}                # batch is over
 
     # while executing a lease, inline on the same connection:
-    worker -> {"type": "progress", "kind": "started", "cell": 3, ...}
     worker -> {"type": "heartbeat", "cell": 3, "attempt": 0,
                "mono": ...}                       # keepalive during the cell
-    worker -> {"type": "progress", "kind": "finished", "cell": 3, ...}
     worker -> {"type": "result", "cell": 3, "elapsed": 1.2,
                "result": {...}, "trace": [...] | null}
            |  {"type": "error", "cell": 3, "error": "...",
                "kind": "SimulationError", "traceback": "..."}
+
+The lease is a cell's "started" signal and ``result`` its "finished"
+one; the coordinator records both as span events. Version 1 also had
+the worker send a ``progress`` message on each; version 2 dropped it,
+and a coordinator refuses a ``hello`` of any other version with
+``shutdown``.
 
 Clock discipline: worker messages carry **two** stamps — ``timestamp``
 (wall-clock ``time.time()``, for humans and cross-host correlation) and
@@ -36,8 +40,7 @@ source process, so an NTP step mid-run cannot corrupt durations.
 ``attempt`` numbers a specific lease of a cell (0 on first lease,
 incremented per re-lease) and ``run`` identifies the coordinated batch;
 workers echo both back so coordinator- and worker-side span events
-correlate. All three fields are additions a version-1 peer without
-spans simply ignores.
+correlate.
 
 Cell tasks and results travel as the JSON-safe dicts of
 :mod:`repro.experiments.persistence` — the same serialization the
@@ -65,8 +68,8 @@ HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 #: Protocol revision; ``hello`` carries it so a coordinator can refuse
-#: a worker speaking a different framing.
-PROTOCOL_VERSION = 1
+#: a worker speaking a different message set.
+PROTOCOL_VERSION = 2
 
 # Message type tags.
 HELLO = "hello"
@@ -74,7 +77,6 @@ REQUEST = "request"
 LEASE = "lease"
 WAIT = "wait"
 SHUTDOWN = "shutdown"
-PROGRESS = "progress"
 HEARTBEAT = "heartbeat"
 RESULT = "result"
 ERROR = "error"

@@ -5,9 +5,10 @@ executes each through the same code path the local backend uses —
 :func:`~repro.experiments.simulation.run_simulation` for plain cells,
 the idempotent
 :func:`~repro.experiments.checkpointing.run_checkpointed_cell` for
-checkpointed ones — and streams progress heartbeats back inline on the
-same connection, so the coordinator's ``--progress`` view is one live
-picture across every host.
+checkpointed ones — and sends heartbeats and the result back inline on
+the same connection; the coordinator turns the lease and the result into
+the span events its ``--progress`` view shows, one live picture across
+every host.
 
 Liveness: while a cell runs, a keepalive thread sends ``heartbeat``
 messages at a third of the lease timeout, so a *busy* worker never loses
@@ -26,8 +27,8 @@ at all.
 
 ``crash_after`` is the chaos hook the crash-tolerance tests and the CI
 ``dispatch-smoke`` job use: after completing N cells the worker takes
-one more lease, reports it started, and dies via ``os._exit`` — a real
-kill, mid-lease, with no goodbye on the wire.
+one more lease and dies via ``os._exit`` — a real kill, mid-lease, with
+no goodbye on the wire.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Any, Dict, Optional, Tuple
 from ...errors import ReproError
 from ...obs import spans as span_kinds
 from ...obs.metrics import MetricsRegistry
-from ...obs.progress import FINISHED, STARTED
 from ...obs.spans import DEFAULT_RING_SIZE, SpanRecorder, crash_file_name
 from ..persistence import config_from_dict
 from ..simulation import run_simulation
@@ -55,7 +55,6 @@ from .protocol import (
     HEARTBEAT,
     HELLO,
     LEASE,
-    PROGRESS,
     PROTOCOL_VERSION,
     REQUEST,
     RESULT,
@@ -504,17 +503,6 @@ def _execute_lease(
     label = lease.get("label")
     attempt = int(lease.get("attempt") or 0)
     run = lease.get("run")
-    with send_lock:
-        send_message(sock, {
-            "type": PROGRESS,
-            "kind": STARTED,
-            "cell": index,
-            "attempt": attempt,
-            "label": label,
-            "worker": pid,
-            "timestamp": time.time(),
-            "mono": time.monotonic(),
-        })
     if telemetry is not None:
         telemetry.leases_held = 1
         telemetry.current_cell = index
@@ -581,17 +569,6 @@ def _execute_lease(
             elapsed=elapsed,
         )
     with send_lock:
-        send_message(sock, {
-            "type": PROGRESS,
-            "kind": FINISHED,
-            "cell": index,
-            "attempt": attempt,
-            "label": label,
-            "worker": pid,
-            "elapsed": elapsed,
-            "timestamp": time.time(),
-            "mono": time.monotonic(),
-        })
         send_message(sock, {
             "type": RESULT,
             "cell": index,

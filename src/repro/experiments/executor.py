@@ -30,18 +30,20 @@ The price of ``workers>1`` is process startup plus pickling each
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
 import pathlib
-import threading
 import time
+import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..errors import ConfigurationError
-from ..obs.progress import FINISHED, STARTED, ProgressEvent, ProgressSink
+from ..obs import spans
+from ..obs.progress import ProgressSink, drained
 from .config import SimulationConfig
 from .metrics import SimulationResult
 from .simulation import ENGINE_MODES, run_simulation
@@ -164,51 +166,63 @@ def _timed_call(fn: Callable[[T], R], item: T) -> Tuple[R, float]:
 def _run_chunk(
     fn: Callable[[T], R],
     chunk: Sequence[T],
-    queue=None,
+    notices=None,
     base_index: int = 0,
-    labels: Optional[Sequence[Optional[str]]] = None,
 ) -> List[Tuple[R, float]]:
     """Worker entry point: run one chunk of cells, timing each.
 
-    With a ``queue`` (a picklable ``multiprocessing.Manager`` queue),
-    one ``started`` and one ``finished`` :class:`ProgressEvent` per cell
-    are put on it, carrying the cell's submission-order index
-    (``base_index`` + position), its label and this worker's pid. The
-    heartbeats are pure observation — they never touch the cell's
-    work — so results are bit-identical with or without a queue.
+    With ``notices`` (a :class:`_BatchEvents`, or a picklable
+    ``multiprocessing.Manager`` queue drained into one), a
+    ``(kind, cell, worker, elapsed)`` notice is put before and after
+    each cell, carrying its submission-order index (``base_index`` +
+    position) and this process's pid. The notices are pure observation
+    — they never touch the cell's work — so results are bit-identical
+    with or without them.
     """
-    if queue is None:
+    if notices is None:
         return [_timed_call(fn, item) for item in chunk]
-    pid = os.getpid()
+    worker = str(os.getpid())
     outcomes: List[Tuple[R, float]] = []
     for position, item in enumerate(chunk):
         index = base_index + position
-        label = labels[position] if labels is not None else None
-        queue.put(ProgressEvent(
-            kind=STARTED, index=index, label=label, worker=pid,
-            timestamp=time.time(),
-        ))
+        notices.put((spans.LEASE, index, worker, None))
         outcome = _timed_call(fn, item)
         outcomes.append(outcome)
-        queue.put(ProgressEvent(
-            kind=FINISHED, index=index, label=label, worker=pid,
-            elapsed=outcome[1], timestamp=time.time(),
-        ))
+        notices.put((spans.COMPLETE, index, worker, outcome[1]))
     return outcomes
 
 
-def _drain_queue(queue, sink: ProgressSink) -> None:
-    """Forward queued heartbeats to ``sink`` until the ``None`` sentinel.
+#: ``source`` of the span events a local batch emits.
+SOURCE = "executor"
 
-    Runs on a daemon thread in the parent process, so :meth:`emit` is
-    never called concurrently with itself and terminal rendering stays
-    off the result-collection path.
+
+class _BatchEvents:
+    """Stamps one local batch's span events in this process for a sink.
+
+    Every event carries the batch's own ``run`` id and the one
+    ``source`` :data:`SOURCE`, so ``repro fabric timeline`` reconciles a
+    local progress log exactly as it does a coordinator's span log.
     """
-    while True:
-        event = queue.get()
-        if event is None:
-            return
-        sink.emit(event)
+
+    def __init__(self, sink: ProgressSink, labels):
+        self.sink = sink
+        self.labels = labels
+        self.run = uuid.uuid4().hex[:12]
+
+    def emit(self, kind: str, **fields) -> None:
+        self.sink.emit(spans.span_now(kind, SOURCE, run=self.run, **fields))
+
+    def label(self, index: int) -> Optional[str]:
+        return self.labels[index] if self.labels is not None else None
+
+    def put(self, notice) -> None:
+        """Stamp one :func:`_run_chunk` notice as a lease or completion."""
+        kind, index, worker, elapsed = notice
+        fields = {} if elapsed is None else {"winner": True, "elapsed": elapsed}
+        self.emit(
+            kind, cell=index, attempt=0, worker=worker,
+            label=self.label(index), **fields,
+        )
 
 
 class ParallelExecutor:
@@ -229,12 +243,12 @@ class ParallelExecutor:
         :class:`~repro.errors.ConfigurationError`.
     progress:
         An optional :class:`~repro.obs.progress.ProgressSink` receiving
-        ``begin``/``started``/``finished``/``finish`` callbacks for each
-        batch. ``None`` (default) keeps the executor exactly as before —
-        no queue, no manager process, no per-cell overhead. Heartbeats
-        are emitted from inside the workers (over a ``multiprocessing``
-        manager queue) or inline on the serial path, and never perturb
-        cell seeding or results.
+        each batch's span events (``batch-begin``, ``submit``,
+        ``lease``, ``complete``, ``batch-end``). ``None`` (default)
+        builds no event at all — no queue, no manager process, no
+        per-cell overhead. Events are stamped in this process: inline on
+        the serial path, from workers' notices on one drain thread on
+        the pool path. They never perturb cell seeding or results.
     checkpoint_dir:
         Optional directory making :meth:`run_simulations` batches
         *restartable*: each cell checkpoints into its own
@@ -356,7 +370,7 @@ class ParallelExecutor:
         as soon as its chunk is collected.
 
         ``labels`` (optional, one per item) name the cells in progress
-        heartbeats; they are ignored without a progress sink.
+        events; they are ignored without a progress sink.
 
         :meth:`map` always runs on this machine — arbitrary callables
         cannot cross the dispatch wire — so it refuses to run under a
@@ -373,110 +387,70 @@ class ParallelExecutor:
             raise ConfigurationError(
                 f"got {len(labels)} labels for {len(items)} items"
             )
-        sink = self.progress
-        if sink is None:
-            return self._map_silent(fn, items)
-        sink.begin(len(items), self.workers)
+        events = (
+            _BatchEvents(self.progress, labels)
+            if self.progress is not None else None
+        )
+        start = time.perf_counter()
+        if events is not None:
+            events.emit(spans.BATCH_BEGIN, cells=len(items), workers=self.workers)
+            for index in range(len(items)):
+                events.emit(spans.SUBMIT, cell=index, label=events.label(index))
         try:
-            results = self._map_observed(fn, items, labels)
+            if self.workers == 1 or len(items) <= 1:
+                outcomes = _run_chunk(fn, items, events)
+            else:
+                outcomes = self._map_pool(fn, items, events)
         except BaseException:
-            sink.finish(None)
+            if events is not None:
+                events.emit(spans.BATCH_END, error=True)
             raise
-        sink.finish(self.last_stats)
-        return results
-
-    def _finish_batch(
-        self, start: float, outcomes: List[Tuple[R, float]]
-    ) -> List[R]:
-        """Record :attr:`last_stats` and strip the per-cell timings."""
-        self.last_stats = ExecutionStats(
+        stats = self.last_stats = ExecutionStats(
             workers=self.workers,
             wall_time=time.perf_counter() - start,
             cell_times=[elapsed for _, elapsed in outcomes],
         )
+        if events is not None:
+            events.emit(
+                spans.BATCH_END, cells=stats.cell_count,
+                wall_time=stats.wall_time,
+            )
         return [result for result, _ in outcomes]
 
-    def _map_silent(self, fn: Callable[[T], R], items: List[T]) -> List[R]:
-        """The original no-observer path: zero progress overhead."""
-        start = time.perf_counter()
-        if self.workers == 1 or len(items) <= 1:
-            outcomes = [_timed_call(fn, item) for item in items]
-        else:
-            chunks = self._chunks(items)
-            pool_size = min(self.workers, len(chunks))
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                futures = [
-                    pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-                ]
-                # Collect in submission order: results are positionally
-                # stable regardless of which worker finishes first.
-                outcomes = [
-                    outcome for future in futures for outcome in future.result()
-                ]
-        return self._finish_batch(start, outcomes)
-
-    def _map_observed(
+    def _map_pool(
         self,
         fn: Callable[[T], R],
         items: List[T],
-        labels: Optional[Sequence[Optional[str]]],
-    ) -> List[R]:
-        """The same batch semantics, with per-cell heartbeats emitted."""
-        sink = self.progress
-        start = time.perf_counter()
-        if self.workers == 1 or len(items) <= 1:
-            pid = os.getpid()
-            outcomes = []
-            for index, item in enumerate(items):
-                label = labels[index] if labels is not None else None
-                sink.emit(ProgressEvent(
-                    kind=STARTED, index=index, label=label, worker=pid,
-                    timestamp=time.time(),
-                ))
-                outcome = _timed_call(fn, item)
-                outcomes.append(outcome)
-                sink.emit(ProgressEvent(
-                    kind=FINISHED, index=index, label=label, worker=pid,
-                    elapsed=outcome[1], timestamp=time.time(),
-                ))
-            return self._finish_batch(start, outcomes)
-
+        events: Optional[_BatchEvents],
+    ) -> List[Tuple[R, float]]:
+        """Fan chunks out over a process pool; outcomes in input order."""
         chunks = self._chunks(items)
-        pool_size = min(self.workers, len(chunks))
-        # A Manager queue (unlike a raw mp.Queue) pickles as a pool-task
-        # argument; created only here, so silent batches pay nothing.
-        with multiprocessing.Manager() as manager:
-            queue = manager.Queue()
-            drainer = threading.Thread(
-                target=_drain_queue, args=(queue, sink), daemon=True
+        with contextlib.ExitStack() as stack:
+            notices = None
+            if events is not None:
+                # A Manager queue (unlike a raw mp.Queue) pickles as a
+                # pool-task argument; the drain thread stamps what the
+                # workers put on it. Exits after the pool, so every
+                # notice is stamped before the batch ends.
+                manager = stack.enter_context(multiprocessing.Manager())
+                notices = stack.enter_context(
+                    drained(manager.Queue(), events.put)
+                )
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(self.workers, len(chunks)))
             )
-            drainer.start()
-            try:
-                with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                    futures = []
-                    base_index = 0
-                    for chunk in chunks:
-                        chunk_labels = (
-                            list(labels[base_index:base_index + len(chunk)])
-                            if labels is not None else None
-                        )
-                        futures.append(pool.submit(
-                            _run_chunk, fn, chunk, queue, base_index,
-                            chunk_labels,
-                        ))
-                        base_index += len(chunk)
-                    outcomes = [
-                        outcome
-                        for future in futures
-                        for outcome in future.result()
-                    ]
-            finally:
-                # All workers are done (or dead): the queue holds every
-                # event they ever put, so the sentinel lands last and
-                # the drainer forwards everything before exiting.
-                queue.put(None)
-                drainer.join()
-        return self._finish_batch(start, outcomes)
+            futures = []
+            base_index = 0
+            for chunk in chunks:
+                futures.append(
+                    pool.submit(_run_chunk, fn, chunk, notices, base_index)
+                )
+                base_index += len(chunk)
+            # Collect in submission order: results are positionally
+            # stable regardless of which worker finishes first.
+            return [
+                outcome for future in futures for outcome in future.result()
+            ]
 
     def run_simulations(
         self,

@@ -10,7 +10,7 @@ Eight cooperating pieces sit on top of the
 * :mod:`repro.obs.jsonl` — the one JSONL codec: a whole-file writer,
   a live flushed-per-line writer, and one reader that decodes each line
   on its own and either raises on the first damaged line or skips and
-  counts every one (traces, progress and span logs, crash rings and
+  counts every one (traces, progress/span logs, crash rings and
   arrival-rate replay files all go through it);
 * :mod:`repro.obs.export` — the JSONL object of a trace record, the
   per-category count fingerprint of a traced run, and Prometheus text
@@ -18,8 +18,9 @@ Eight cooperating pieces sit on top of the
 * :mod:`repro.obs.provenance` — per-run manifests (config, seed,
   package version, git state, environment fingerprint) written next to
   experiment outputs;
-* :mod:`repro.obs.progress` — streaming per-cell heartbeats from the
-  parallel executor into terminal renderers and JSONL progress logs;
+* :mod:`repro.obs.progress` — a batch's live cell-lifecycle span
+  events, from the parallel executor or the dispatch coordinator, into
+  terminal renderers and JSONL progress logs;
 * :mod:`repro.obs.report` — self-contained run reports from saved
   bundles, and regression-gating comparisons between two bundles;
 * :mod:`repro.obs.spans` — causally-correlated cell-lifecycle span
@@ -61,11 +62,7 @@ from .metrics import (
     TimeWeightedHistogram,
 )
 from .progress import (
-    FINISHED,
-    ROSTER,
-    STARTED,
     JsonlProgressSink,
-    ProgressEvent,
     ProgressSink,
     TeeProgressSink,
     TerminalProgressRenderer,
@@ -100,7 +97,6 @@ from .spans import (
 __all__ = [
     "BundleComparison",
     "Counter",
-    "FINISHED",
     "FabricTimeline",
     "Gauge",
     "JsonlDamage",
@@ -111,13 +107,10 @@ __all__ = [
     "MetricDelta",
     "MetricsRegistry",
     "ObservabilityServer",
-    "ProgressEvent",
     "ProgressSink",
     "PromExposition",
-    "ROSTER",
     "Reconciliation",
     "RunBundle",
-    "STARTED",
     "SpanEvent",
     "SpanRecorder",
     "TIMESERIES_BUDGET",

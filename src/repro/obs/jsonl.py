@@ -1,7 +1,7 @@
 """The one JSONL codec: writers and the skip-and-count reader.
 
 Every JSONL file the package writes or reads — run traces
-(``*.trace.jsonl``), progress heartbeat logs, fabric span logs,
+(``*.trace.jsonl``), progress and fabric span logs,
 crash-ring flushes and arrival-rate replay files — goes through this
 module. A format only supplies its record's ``*_to_dict`` /
 ``*_from_dict`` pair; the bytes, the line handling and the damage

@@ -1,16 +1,25 @@
-"""Streaming execution progress: heartbeats from running experiment cells.
+"""Streaming execution progress: a batch's cell lifecycle, as it happens.
 
 A multi-hour ``repro grid`` or ``fig1..fig7`` regeneration is a batch of
-independent simulation cells; until this module existed the batch was a
-black box until the last cell returned. A :class:`ProgressSink` receives
-one ``started`` and one ``finished`` :class:`ProgressEvent` per cell —
-emitted from inside the worker process, over a ``multiprocessing`` queue
-when the :class:`~repro.experiments.executor.ParallelExecutor` fans out,
-or via a direct call on the serial path — plus ``begin``/``finish``
-bracketing for the whole batch.
+independent simulation cells. A :class:`ProgressSink` receives the
+batch's :class:`~repro.obs.spans.SpanEvent` records live — the same
+vocabulary the dispatch coordinator writes to its span log and
+:class:`~repro.obs.spans.FabricTimeline` reconstructs:
 
-Heartbeats are pure observation: they carry wall-clock timestamps and
-cell indices only, never touch the simulation RNG, and the executor
+* ``batch-begin`` (``cells``, and ``workers`` for a local batch);
+* one ``submit`` per cell, then one ``lease`` when the cell starts;
+* ``complete`` when it finishes (``winner``, ``elapsed``);
+* ``batch-end`` (``cells`` and ``wall_time``, or ``error``).
+
+Under ``--backend remote`` the sink sees the coordinator's whole stream,
+so heartbeats, expiries, re-leases and worker joins and leaves arrive
+too. The :class:`~repro.experiments.executor.ParallelExecutor` stamps a
+local batch's events in the parent process — inline on the serial path,
+on one drain thread on the process-pool path — so they share a source
+and a monotonic clock.
+
+Events are pure observation: they carry wall-clock and monotonic stamps
+and cell indices only, never touch the simulation RNG, and the executor
 produces bit-identical results with any sink attached (the determinism
 parity test in ``tests/integration/test_live_telemetry.py`` proves it).
 
@@ -18,102 +27,89 @@ Three sinks ship with the package:
 
 * :class:`TerminalProgressRenderer` — a live single-line terminal view
   (completed/total, cells/s, ETA from observed cell times, busy workers);
-* :class:`JsonlProgressSink` — a machine-readable JSONL event log
-  (``begin`` / ``started`` / ``finished`` / ``end`` records);
+* :class:`JsonlProgressSink` — the span events as a JSONL log, readable
+  with :func:`~repro.obs.spans.load_span_logs` and ``repro fabric
+  timeline``;
 * :class:`TeeProgressSink` — fan-out to several sinks at once.
 
 All sinks tolerate being reused across several batches (the figure
-generators run one batch per plotted series): ``begin`` resets the
-per-batch state.
+generators run one batch per plotted series): ``batch-begin`` resets
+the per-batch state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
 import sys
+import threading
 import time
-from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, List, Optional, Sequence, Union
 
 from .jsonl import JsonlWriter
+from .spans import (
+    BATCH_BEGIN,
+    BATCH_END,
+    COMPLETE,
+    LEASE,
+    WORKER_JOIN,
+    WORKER_LEAVE,
+    SpanEvent,
+    span_to_dict,
+)
 
 PathLike = Union[str, pathlib.Path]
 
-#: Event kinds a cell can emit.
-STARTED = "started"
-FINISHED = "finished"
-
-#: Batch-level event kind: the live worker roster changed (a remote
-#: dispatch worker joined or left). ``index`` is -1 (no cell);
-#: ``workers`` carries the new roster size.
-ROSTER = "roster"
-
-
-@dataclass(frozen=True)
-class ProgressEvent:
-    """One heartbeat from one experiment cell (or the batch itself).
-
-    ``kind`` is :data:`STARTED`, :data:`FINISHED` or :data:`ROSTER`;
-    ``index`` is the cell's position in submission order (-1 for
-    batch-level :data:`ROSTER` events); ``label`` names the cell when
-    the caller supplied labels (``policy=RR,heterogeneity=20`` style);
-    ``worker`` is the emitting process id; ``elapsed`` is the cell's
-    wall time (``finished`` events only); ``timestamp`` is the
-    wall-clock ``time.time()`` at emission; ``workers`` is the live
-    worker-roster size (``roster`` events only).
-    """
-
-    kind: str
-    index: int
-    label: Optional[str] = None
-    worker: Optional[int] = None
-    elapsed: Optional[float] = None
-    timestamp: float = 0.0
-    workers: Optional[int] = None
-
 
 class ProgressSink:
-    """Receiver of batch progress; the default implementation drops all.
+    """Receiver of a batch's span events; the default implementation drops all.
 
-    Subclasses override any of :meth:`begin` (batch starts: total cell
-    count and worker count), :meth:`emit` (one :class:`ProgressEvent`),
-    :meth:`finish` (batch done; ``stats`` is the batch's
-    ``ExecutionStats``, or ``None`` when the batch raised) and
-    :meth:`close` (no further batches will arrive). During a parallel
-    batch :meth:`emit` is called from the executor's drain thread, never
-    concurrently with itself.
+    :meth:`emit` is never called concurrently with itself: parallel and
+    remote batches forward their events through one drain thread
+    (:func:`drained`). :meth:`close` means no further batches will
+    arrive.
     """
 
-    def begin(self, total: int, workers: int) -> None:
-        """A batch of ``total`` cells starts on ``workers`` workers."""
-
-    def emit(self, event: ProgressEvent) -> None:
-        """One cell heartbeat."""
-
-    def finish(self, stats=None) -> None:
-        """The batch completed (``stats=None`` means it raised)."""
+    def emit(self, event: SpanEvent) -> None:
+        """One lifecycle event of the running batch."""
 
     def close(self) -> None:
         """Release resources; no further batches will be reported."""
 
 
+@contextlib.contextmanager
+def drained(queue, handle: Callable) -> Iterator:
+    """Call ``handle(item)`` on one thread for each item put on ``queue``.
+
+    Yields ``queue``. On exit the ``None`` sentinel is put last, so the
+    thread handles everything put before it and then stops.
+    """
+
+    def drain() -> None:
+        while True:
+            item = queue.get()
+            if item is None:
+                return
+            handle(item)
+
+    thread = threading.Thread(target=drain, name="progress-drain", daemon=True)
+    thread.start()
+    try:
+        yield queue
+    finally:
+        queue.put(None)
+        thread.join()
+
+
 class TeeProgressSink(ProgressSink):
-    """Forward every callback to each of several sinks, in order."""
+    """Forward every event to each of several sinks, in order."""
 
     def __init__(self, sinks: Sequence[ProgressSink]):
         self.sinks: List[ProgressSink] = list(sinks)
 
-    def begin(self, total: int, workers: int) -> None:
-        for sink in self.sinks:
-            sink.begin(total, workers)
-
-    def emit(self, event: ProgressEvent) -> None:
+    def emit(self, event: SpanEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
-
-    def finish(self, stats=None) -> None:
-        for sink in self.sinks:
-            sink.finish(stats)
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -121,62 +117,24 @@ class TeeProgressSink(ProgressSink):
 
 
 class JsonlProgressSink(ProgressSink):
-    """Append progress events to a JSONL file, one object per line.
+    """Write the span events to a JSONL file, one object per line.
 
-    Schema (all records carry ``t``, the wall-clock emission time)::
-
-        {"event": "begin", "total": 8, "workers": 4, "t": ...}
-        {"event": "started", "cell": 0, "label": "...", "worker": 123, "t": ...}
-        {"event": "finished", "cell": 0, "label": "...", "worker": 123,
-         "elapsed": 0.51, "t": ...}
-        {"event": "roster", "workers": 2, "t": ...}      # remote backend
-        {"event": "end", "cells": 8, "wall_time": 2.97, "t": ...}
-
-    The stream is flushed after every record so the log can be tailed
-    while the batch runs and survives a killed process up to the last
-    completed heartbeat. Several batches simply append several
-    ``begin``..``end`` sections. Read a log back with
-    :func:`repro.obs.jsonl.read_jsonl` (``strict=False`` for a log that
-    is still being written or whose writer was killed).
+    Each line is :func:`~repro.obs.spans.span_to_dict` of one event, so
+    the log is a span log: :func:`~repro.obs.spans.load_span_logs` reads
+    it back (skipping torn lines) and ``repro fabric timeline`` renders
+    and reconciles it, for local and remote batches alike. The file is
+    truncated on the first event and flushed after every line, so the
+    log can be tailed while the batch runs and survives a killed process
+    up to the last complete line. Several batches append several
+    ``batch-begin``..``batch-end`` sections, each with its own ``run``.
     """
 
     def __init__(self, path: PathLike):
         self.path = pathlib.Path(path)
         self._log = JsonlWriter(self.path, append=False)
 
-    def begin(self, total: int, workers: int) -> None:
-        self._log.write(
-            {"event": "begin", "total": total, "workers": workers,
-             "t": time.time()}
-        )
-
-    def emit(self, event: ProgressEvent) -> None:
-        if event.kind == ROSTER:
-            self._log.write({
-                "event": ROSTER,
-                "workers": event.workers,
-                "t": event.timestamp or time.time(),
-            })
-            return
-        record = {
-            "event": event.kind,
-            "cell": event.index,
-            "label": event.label,
-            "worker": event.worker,
-            "t": event.timestamp or time.time(),
-        }
-        if event.elapsed is not None:
-            record["elapsed"] = event.elapsed
-        self._log.write(record)
-
-    def finish(self, stats=None) -> None:
-        record = {"event": "end", "t": time.time()}
-        if stats is not None:
-            record["cells"] = stats.cell_count
-            record["wall_time"] = stats.wall_time
-        else:
-            record["error"] = True
-        self._log.write(record)
+    def emit(self, event: SpanEvent) -> None:
+        self._log.write(span_to_dict(event))
 
     def close(self) -> None:
         self._log.close()
@@ -187,9 +145,9 @@ class TerminalProgressRenderer(ProgressSink):
 
     Renders ``completed/total``, percentage, observed throughput
     (cells/s), an ETA extrapolated from the mean observed cell time over
-    the configured worker count, and which cells are currently running.
-    Redraws are throttled to one per ``min_interval`` wall seconds
-    (``finished`` events always redraw, so the count never lags).
+    the worker count, and which cells are currently running. Redraws are
+    throttled to one per ``min_interval`` wall seconds (completions
+    always redraw, so the count never lags).
     """
 
     def __init__(
@@ -204,44 +162,42 @@ class TerminalProgressRenderer(ProgressSink):
     def _reset(self, total: int, workers: int) -> None:
         self.total = total
         self.workers = max(1, workers)
-        #: Live remote roster size (``roster`` events); ``None`` until
-        #: the first worker joins. Under ``--backend remote`` the
+        #: Live remote roster size (worker join/leave events); ``None``
+        #: until the first worker joins. Under ``--backend remote`` the
         #: configured local worker count is meaningless — this is the
         #: number that is displayed and that drives the ETA.
         self.live_workers: Optional[int] = None
         self.finished = 0
         self.cell_times: List[float] = []
-        self.running: dict = {}  # index -> label (or "cell <i>")
+        self.running: dict = {}  # cell -> label (or "cell <i>")
         self._start = time.monotonic()
         self._last_draw = 0.0
         self._width = 0
 
-    def begin(self, total: int, workers: int) -> None:
-        self._reset(total, workers)
-        self._draw(force=True)
-
-    def emit(self, event: ProgressEvent) -> None:
-        if event.kind == ROSTER:
-            if event.workers is not None:
-                self.live_workers = event.workers
-                self.workers = max(1, event.workers)
+    def emit(self, event: SpanEvent) -> None:
+        kind, extra = event.kind, event.extra
+        if kind == BATCH_BEGIN:
+            self._reset(int(extra.get("cells", 0)), int(extra.get("workers", 0)))
             self._draw(force=True)
-            return
-        label = event.label or f"cell {event.index}"
-        if event.kind == STARTED:
-            self.running[event.index] = label
+        elif kind in (WORKER_JOIN, WORKER_LEAVE):
+            connected = extra.get("connected")
+            if connected is not None:
+                self.live_workers = connected
+                self.workers = max(1, connected)
+            self._draw(force=True)
+        elif kind == LEASE:
+            self.running[event.cell] = extra.get("label") or f"cell {event.cell}"
             self._draw()
-        elif event.kind == FINISHED:
-            self.running.pop(event.index, None)
+        elif kind == COMPLETE and extra.get("winner"):
+            self.running.pop(event.cell, None)
             self.finished += 1
-            if event.elapsed is not None:
-                self.cell_times.append(event.elapsed)
+            if extra.get("elapsed") is not None:
+                self.cell_times.append(extra["elapsed"])
             self._draw(force=True)
-
-    def finish(self, stats=None) -> None:
-        self._draw(force=True)
-        self.stream.write("\n")
-        self.stream.flush()
+        elif kind == BATCH_END:
+            self._draw(force=True)
+            self.stream.write("\n")
+            self.stream.flush()
 
     # -- rendering ----------------------------------------------------------
 

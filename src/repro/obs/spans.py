@@ -32,7 +32,12 @@ Three deliberate design points:
   postmortem of a dead worker does not depend on it having streamed
   everything to the coordinator first.
 
-Like progress logs, span logs are written live by killable processes:
+A ``--progress-log`` holds the same events: the executor's local
+batches emit ``batch-begin``, ``submit``, ``lease``, ``complete`` and
+``batch-end`` under the source ``"executor"``, so the reconstructor
+reads local and remote batches alike.
+
+Span logs are written live by killable processes:
 always read them with :func:`load_span_logs`, which skips and counts
 torn lines (they are normal operation, not corruption).
 """
@@ -107,6 +112,30 @@ class SpanEvent:
     attempt: Optional[int] = None
     worker: Optional[str] = None
     extra: Dict[str, Any] = field(default_factory=dict)
+
+
+def span_now(
+    kind: str,
+    source: str,
+    *,
+    run: Optional[str] = None,
+    cell: Optional[int] = None,
+    attempt: Optional[int] = None,
+    worker: Optional[str] = None,
+    **extra: Any,
+) -> SpanEvent:
+    """A span event of ``source``, stamped with both clocks now."""
+    return SpanEvent(
+        kind=kind,
+        source=source,
+        wall=time.time(),
+        mono=time.monotonic(),
+        run=run,
+        cell=cell,
+        attempt=attempt,
+        worker=worker,
+        extra=extra,
+    )
 
 
 def span_to_dict(event: SpanEvent) -> Dict[str, Any]:
@@ -201,34 +230,19 @@ class SpanRecorder:
         """Whether emitted events go anywhere at all."""
         return self.path is not None or self.ring is not None
 
-    def emit(
-        self,
-        kind: str,
-        *,
-        run: Optional[str] = None,
-        cell: Optional[int] = None,
-        attempt: Optional[int] = None,
-        worker: Optional[str] = None,
-        **extra: Any,
-    ) -> SpanEvent:
-        """Record one event, stamped with both clocks; returns it."""
-        event = SpanEvent(
-            kind=kind,
-            source=self.source,
-            wall=time.time(),
-            mono=time.monotonic(),
-            run=run,
-            cell=cell,
-            attempt=attempt,
-            worker=worker,
-            extra=extra,
-        )
+    def emit(self, kind: str, **fields: Any) -> SpanEvent:
+        """Record one event of this recorder's source, stamped now."""
+        event = span_now(kind, self.source, **fields)
+        self.record(event)
+        return event
+
+    def record(self, event: SpanEvent) -> None:
+        """Append an already-stamped event to the ring and the log."""
         with self._lock:
             if self.ring is not None:
                 self.ring.append(event)
             if self._log is not None:
                 self._log.write(span_to_dict(event))
-        return event
 
     def flush_ring(self, path: PathLike) -> Optional[pathlib.Path]:
         """Write the ring buffer to ``path`` as JSONL (crash forensics).

@@ -36,12 +36,14 @@ from repro.experiments.persistence import result_to_dict
 from repro.obs.export import parse_prom_text
 from repro.obs.http import PROM_CONTENT_TYPE
 from repro.obs.jsonl import read_jsonl
+from repro.obs.progress import JsonlProgressSink
 from repro.obs.spans import (
     FabricTimeline,
     crash_file_name,
     load_span_logs,
     render_fabric_timeline,
     span_from_dict,
+    span_to_dict,
 )
 
 
@@ -87,6 +89,8 @@ def _run_observed(configs, tmp_path, *, workers=2, crash_first=False,
                   metrics_probe=None, lease_timeout=15.0):
     """A fully-instrumented remote run: spans + metrics everywhere.
 
+    The coordinator also streams its span events into a progress log,
+    ``tmp_path / "progress.jsonl"``.
     Returns ``(results, executor, agents, span_paths, crash_dir)``.
     ``metrics_probe`` is called once mid-run with the backend (scrape
     while the batch is live).
@@ -106,7 +110,8 @@ def _run_observed(configs, tmp_path, *, workers=2, crash_first=False,
         # The endpoint is up as soon as bind() returns — probe it while
         # no batch has ever run, then again after the batch below.
         metrics_probe(backend)
-    executor = ParallelExecutor(backend=backend)
+    sink = JsonlProgressSink(tmp_path / "progress.jsonl")
+    executor = ParallelExecutor(backend=backend, progress=sink)
     span_paths = [span_dir / "coordinator.jsonl"]
     agents = []
     try:
@@ -127,6 +132,7 @@ def _run_observed(configs, tmp_path, *, workers=2, crash_first=False,
             metrics_probe(backend)
     finally:
         backend.close()
+        sink.close()
         for agent in agents:
             try:
                 agent.wait(timeout=30)
@@ -170,6 +176,17 @@ class TestSpanReconciliation:
         assert "reconciliation: OK" in text
         assert "per-worker lanes:" in text
         assert "DRR2-TTL/S_K" in text
+        # The progress log is the coordinator's span stream, event for
+        # event (handler threads may interleave the two writers).
+        progress, torn = load_span_logs([tmp_path / "progress.jsonl"])
+        coordinator, _ = load_span_logs([span_paths[0]])
+        assert torn == 0
+
+        def lines(events):
+            return sorted(json.dumps(span_to_dict(e), sort_keys=True) for e in events)
+
+        assert lines(progress) == lines(coordinator)
+        assert FabricTimeline.from_events(progress).reconcile().ok
 
     def test_killed_worker_run_reconciles_with_re_leases(
         self, tmp_path, leases_after_join

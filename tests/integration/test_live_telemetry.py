@@ -6,9 +6,10 @@ Three claims are enforced here:
   several workers) produces cell-for-cell bit-identical results to a
   silent serial run: heartbeats observe the batch, they never perturb
   cell seeding.
-* **Complete heartbeat coverage** — a progress JSONL log of an N-cell
-  batch holds exactly one ``started`` and one ``finished`` record per
-  cell, bracketed by ``begin``/``end``.
+* **Complete lifecycle coverage** — a progress JSONL log of an N-cell
+  batch holds exactly one ``submit``, one ``lease`` and one winning
+  ``complete`` span event per cell, bracketed by
+  ``batch-begin``/``batch-end``, and reconciles as a fabric timeline.
 * **Regression gating end to end** — ``repro report --compare`` exits
   zero comparing a bundle against itself and non-zero (under
   ``--fail-on-regression``) against a copy with a worsened
@@ -17,14 +18,17 @@ Three claims are enforced here:
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import ParallelExecutor
 from repro.experiments.grid import run_grid
 from repro.obs import (
+    FabricTimeline,
     JsonlProgressSink,
     TimeSeries,
-    read_jsonl,
+    load_span_logs,
 )
 
 QUICK = SimulationConfig(policy="RR", duration=300.0, seed=17, total_clients=80)
@@ -65,29 +69,35 @@ class TestDeterminismParity:
             assert params_a == params_b
             assert _exact_metrics(result_a) == _exact_metrics(result_b)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_log_has_exactly_one_started_and_finished_per_cell(
-        self, tmp_path
+        self, tmp_path, workers
     ):
         log = tmp_path / "progress.jsonl"
         sink = JsonlProgressSink(log)
         run_grid(
             QUICK,
             GRID_AXES,
-            executor=ParallelExecutor(workers=4, progress=sink),
+            executor=ParallelExecutor(workers=workers, progress=sink),
         )
         sink.close()
-        records, _ = read_jsonl(log)
-        assert records[0]["event"] == "begin"
-        assert records[0]["total"] == 8
-        assert records[-1]["event"] == "end"
-        assert records[-1]["cells"] == 8
-        for kind in ("started", "finished"):
-            cells = [r["cell"] for r in records if r["event"] == kind]
-            assert sorted(cells) == list(range(8))
-        labels = {
-            r["label"] for r in records if r["event"] == "started"
-        }
+        events, skipped = load_span_logs([log])
+        assert skipped == 0
+        assert events[0].kind == "batch-begin"
+        assert events[0].extra == {"cells": 8, "workers": workers}
+        assert events[-1].kind == "batch-end"
+        assert events[-1].extra["cells"] == 8
+        for kind in ("submit", "lease"):
+            cells = [e.cell for e in events if e.kind == kind]
+            assert sorted(cells) == list(range(8)), kind
+        won = [
+            e.cell for e in events
+            if e.kind == "complete" and e.extra["winner"]
+        ]
+        assert sorted(won) == list(range(8))
+        labels = {e.extra["label"] for e in events if e.kind == "lease"}
         assert "policy=RR,heterogeneity=20" in labels
+        assert FabricTimeline.from_events(events).reconcile().ok
 
     def test_timeseries_metrics_identical_across_workers(self):
         configs = [QUICK, QUICK.replace(policy="DAL")]
@@ -209,9 +219,11 @@ class TestProgressCli:
         observed = capsys.readouterr().out
         # The pivot table is identical; only the timing block differs.
         assert observed.startswith(silent_table.split("\n\n")[0])
-        records, _ = read_jsonl(log)
-        assert [r["event"] for r in records][0] == "begin"
-        assert sum(r["event"] == "finished" for r in records) == 4
+        events, _ = load_span_logs([log])
+        assert events[0].kind == "batch-begin"
+        assert sum(
+            e.kind == "complete" and e.extra["winner"] for e in events
+        ) == 4
 
     def test_run_progress_renders_to_stderr(self, capsys):
         assert main([

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DispatchError
 from repro.experiments.dispatch import (
+    PROTOCOL_VERSION,
     Coordinator,
     LeaseTable,
     LocalBackend,
@@ -32,6 +33,7 @@ from repro.experiments.dispatch import (
 from repro.experiments.simulation import run_simulation
 from repro.experiments.config import SimulationConfig
 from repro.experiments.persistence import result_to_dict
+from repro.obs.spans import LEASE, SpanRecorder
 
 
 class TestFraming:
@@ -399,3 +401,118 @@ class TestCoordinatorShutdown:
         finally:
             agent.close()
             listener.close()
+
+
+def _hello(address, worker, protocol=PROTOCOL_VERSION):
+    """A raw peer connection that has said ``hello``."""
+    sock = socket.create_connection(address, timeout=10.0)
+    send_message(sock, {"type": "hello", "protocol": protocol, "worker": worker})
+    return sock
+
+
+def _serve_until_shutdown(address, payload, worker="good"):
+    """A minimal version-2 worker: answer every lease with ``payload``."""
+    sock = _hello(address, worker)
+    try:
+        while True:
+            send_message(sock, {"type": "request"})
+            message = recv_message(sock)
+            if message is None or message["type"] == "shutdown":
+                return
+            if message["type"] == "wait":
+                time.sleep(message["delay"])
+                continue
+            send_message(sock, {
+                "type": "result", "cell": message["cell"],
+                "attempt": message["attempt"], "elapsed": 0.0,
+                "payload": payload,
+            })
+    except OSError:
+        return
+    finally:
+        sock.close()
+
+
+@pytest.fixture(scope="module")
+def wire_result():
+    return result_to_wire(
+        run_simulation(SimulationConfig(policy="RR", duration=30.0, seed=3))
+    )
+
+
+class _Batch:
+    """A one-cell coordinator batch running on a background thread."""
+
+    def __init__(self, **options):
+        self.listener = bind_listener(("127.0.0.1", 0))
+        self.coordinator = Coordinator([{}], listener=self.listener, **options)
+        self.outcome = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self):
+        self.outcome = self.coordinator.run()
+
+    def finish(self, payload):
+        worker = threading.Thread(
+            target=_serve_until_shutdown,
+            args=(self.coordinator.address, payload), daemon=True,
+        )
+        worker.start()
+        self.thread.join(30.0)
+        worker.join(10.0)
+        self.listener.close()
+        assert not self.thread.is_alive()
+        assert not worker.is_alive()
+        return self.outcome
+
+
+class TestStalledPeer:
+    def test_peer_stalled_mid_frame_is_dropped_and_outlives_nothing(
+        self, wire_result
+    ):
+        lease_timeout = 0.5
+        batch = _Batch(lease_timeout=lease_timeout)
+        coordinator = batch.coordinator
+        stalled = _hello(coordinator.address, "stalled")
+        try:
+            send_message(stalled, {"type": "request"})
+            assert recv_message(stalled)["type"] == "lease"
+            # Four bytes of a 100-byte frame, then silence.
+            stalled.sendall(struct.pack(">I", 100))
+            stall = time.monotonic()
+            while (
+                "stalled" in coordinator.connected
+                and time.monotonic() - stall < 2 * lease_timeout
+            ):
+                time.sleep(0.01)
+            assert "stalled" not in coordinator.connected
+            outcome = batch.finish(wire_result)
+        finally:
+            stalled.close()
+        assert [worker for _, _, worker in outcome.completions] == ["good"]
+        assert coordinator._handlers
+        assert not any(h.is_alive() for h in coordinator._handlers)
+
+
+class TestProtocolVersion:
+    def test_version_1_peer_is_refused_and_never_leased(self, wire_result):
+        assert PROTOCOL_VERSION == 2
+        spans = SpanRecorder(source="coordinator", ring_size=64)
+        batch = _Batch(lease_timeout=5.0, spans=spans)
+        coordinator = batch.coordinator
+        old = _hello(coordinator.address, "old", protocol=1)
+        try:
+            assert recv_message(old) == {"type": "shutdown"}
+            try:
+                send_message(old, {"type": "request"})
+            except OSError:
+                pass  # the coordinator already hung up
+            assert recv_message(old) is None
+        finally:
+            old.close()
+        assert "old" not in coordinator.roster
+        assert "old" not in coordinator.connected
+        outcome = batch.finish(wire_result)
+        assert list(outcome.roster) == ["good"]
+        assert [e.worker for e in spans.ring if e.kind == LEASE] == ["good"]

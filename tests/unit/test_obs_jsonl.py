@@ -26,11 +26,16 @@ from repro.sim.tracing import TraceRecord
 from repro.workload.trace import ArrivalSchedule, _rate_point
 
 SPAN = SpanEvent(kind="lease", source="coordinator", wall=1.5, mono=0.5, cell=2)
+#: A progress log holds span events too: here, a local batch's completion.
+PROGRESS = SpanEvent(
+    kind="complete", source="executor", wall=2.5, mono=1.5, run="r1", cell=0,
+    attempt=0, worker="4242", extra={"winner": True, "elapsed": 0.5},
+)
 
 #: One well-formed line and its decoder, per JSONL format.
 FORMATS = {
     "trace": (record_to_dict(TraceRecord(1.0, "dns", {"server": 1})), record_from_dict),
-    "progress": ({"event": "started", "cell": 0, "t": 1.0}, None),
+    "progress": (span_to_dict(PROGRESS), span_from_dict),
     "span": (span_to_dict(SPAN), span_from_dict),
     "replay": ({"t": 0.0, "rate": 2.0}, _rate_point),
 }

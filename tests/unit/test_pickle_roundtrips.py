@@ -17,8 +17,8 @@ siblings and pins the fix for every transportable object:
 * the engine's out-of-band exceptions (``Interrupt``, ``Preempted``);
 * the data that rides the pool queue: ``SimulationResult`` (with
   config, trace and metrics attached), ``TraceRecord``/``Tracer``/
-  ``NullTracer``, ``ProgressEvent``, ``ExecutionStats`` and
-  ``Checkpoint``.
+  ``NullTracer``, ``SpanEvent`` (the progress and span record),
+  ``ExecutionStats`` and ``Checkpoint``.
 """
 
 import inspect
@@ -44,7 +44,7 @@ from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import ExecutionStats
 from repro.experiments.metrics import SimulationResult
 from repro.experiments.simulation import Simulation
-from repro.obs.progress import FINISHED, ProgressEvent
+from repro.obs.spans import COMPLETE, SpanEvent
 from repro.sim.checkpoint import Checkpoint
 from repro.sim.containers import Preempted
 from repro.sim.engine import EmptySchedule
@@ -184,13 +184,20 @@ def test_tracer_objects_roundtrip():
 
 
 def test_progress_event_roundtrips():
-    event = ProgressEvent(
-        kind=FINISHED,
-        index=7,
-        label="policy=RR,heterogeneity=20",
-        worker=4242,
-        elapsed=1.25,
-        timestamp=1e9,
+    event = SpanEvent(
+        kind=COMPLETE,
+        source="executor",
+        wall=1e9,
+        mono=12.5,
+        run="8c1f0a2b3c4d",
+        cell=7,
+        attempt=0,
+        worker="4242",
+        extra={
+            "label": "policy=RR,heterogeneity=20",
+            "winner": True,
+            "elapsed": 1.25,
+        },
     )
     assert roundtrip(event) == event
 
