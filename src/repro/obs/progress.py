@@ -51,7 +51,9 @@ from .spans import (
     BATCH_BEGIN,
     BATCH_END,
     COMPLETE,
+    EXPIRE,
     LEASE,
+    RELEASE,
     WORKER_JOIN,
     WORKER_LEAVE,
     SpanEvent,
@@ -193,6 +195,10 @@ class TerminalProgressRenderer(ProgressSink):
             self.finished += 1
             if extra.get("elapsed") is not None:
                 self.cell_times.append(extra["elapsed"])
+            self._draw(force=True)
+        elif kind in (EXPIRE, RELEASE):
+            # The lease is gone; a re-lease will add the cell back.
+            self.running.pop(event.cell, None)
             self._draw(force=True)
         elif kind == BATCH_END:
             self._draw(force=True)

@@ -19,9 +19,8 @@ from typing import List, Optional
 
 from ..dns.resolver import ResolutionChain
 from ..errors import ConfigurationError
-from ..sim.fastforward import FastForwardEnvironment
 from ..sim.rng import RandomStreams
-from .fluid import FluidClient, fluid_fallback_reasons
+from .fluid import FluidClient, session_kernel
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from ..web.cluster import ServerCluster
@@ -95,6 +94,7 @@ class ClientPopulation:
         "client_domains",
         "processes",
         "engine",
+        "_kernel",
     )
 
     def __init__(
@@ -153,24 +153,14 @@ class ClientPopulation:
         self.client_domains: List[int] = []
         for domain_id, count in enumerate(domains.client_counts(total_clients)):
             self.client_domains.extend([domain_id] * count)
+        self._kernel = session_kernel(env, self, FluidClient)
         #: ``"fluid"`` when the clients run as native fast-forward
         #: steppers, ``"event"`` for reference generator processes.
-        self.engine = "event"
-        if isinstance(env, FastForwardEnvironment):
-            reasons = fluid_fallback_reasons(self)
-            if reasons:
-                # Ineligible for the fluid lane: count each reason and
-                # fall back to reference event-stepping (the fast-forward
-                # environment dispatches generators verbatim).
-                for reason in reasons:
-                    env.count_fallback(reason)
-            else:
-                self.engine = "fluid"
-        if self.engine == "fluid":
+        self.engine = "event" if self._kernel is None else "fluid"
+        if self._kernel is not None:
             # Same spawn order, same eid consumption (one urgent init
             # entry per client), same stagger/think/pages/hits draws —
             # bit-identical to the generator path below.
-            env.register_task_class(FluidClient)
             self.processes = [
                 FluidClient(env, self, client_id, domain_id)
                 for client_id, domain_id in enumerate(self.client_domains)

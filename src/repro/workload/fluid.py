@@ -1,26 +1,32 @@
-"""Native fast-forward client stepper (the fluid lane of the workload).
+"""The fast lane of the workload: session kernel, eligibility gate, fluid client.
 
-:class:`FluidClient` is the :class:`~repro.sim.fastforward.FluidTask`
-mirror of :meth:`ClientPopulation._client
-<repro.workload.clients.ClientPopulation._client>`: one heap entry per
-think-sleep, stepped natively instead of resuming a generator. Its
-:meth:`~FluidClient.drain` loop performs the byte-exact work of each
-generator wake — the same eid allocations, the same RNG draws from the same
+Three populations have a fast-forward lane: :class:`FluidClient` (eager
+clients), :class:`~repro.workload.shards.ShardClientWake` (the sharded
+population) and :class:`~repro.workload.trace.TraceSessionWake` (the
+trace source). Each is a :class:`~repro.sim.fastforward.FluidTask` whose
+``drain`` steps heap wakes natively instead of dispatching the
+population's event-mode handlers. All three pass the one gate,
+:func:`session_kernel`, and share one :class:`SessionKernel` per
+population: its constants, its session start and its drain contract.
+
+Each drain performs the byte-exact work of the event-mode wake it
+replaces — the same eid allocations, the same RNG draws from the same
 streams, the same float operations in the same order — so a fast-forward
 run is bit-identical to the reference engine (trajectory, checkpoint
 digests, results). The golden-trajectory fixture and the Hypothesis
-equivalence harness enforce that claim; any drift between this file and
-the generator (or :meth:`WebServer.offer
-<repro.web.server.WebServer.offer>`, inlined below) fails them as a
-trajectory diff.
+equivalence suites enforce that claim; any drift between a drain, the
+kernel and the event-mode handlers (or :meth:`WebServer.offer
+<repro.web.server.WebServer.offer>`, inlined in the closed-loop drains)
+fails them as a trajectory diff.
 
 Where the speed comes from: per page cycle, the reference path pays a
-generator resume, a :class:`~repro.sim.events.Timeout` allocation plus
-factory frame, and three Python frames of ``random`` machinery
-(``randint`` → ``randrange`` → ``_randbelow``) plus one for
-``expovariate``. The native step replaces all of that with straight-line
-code over bound C primitives (``Random.random``,
-``Random.getrandbits``), replicating each wrapper's arithmetic exactly:
+generator resume (or a callback dispatch), a
+:class:`~repro.sim.events.Timeout` allocation plus factory frame, and
+three Python frames of ``random`` machinery (``randint`` → ``randrange``
+→ ``_randbelow``) plus one for ``expovariate``. The native step replaces
+all of that with straight-line code over bound C primitives
+(``Random.random``, ``Random.getrandbits``), replicating each wrapper's
+arithmetic exactly:
 
 * ``Exponential`` think times: ``-log(1.0 - random()) / lambd`` — the
   body of ``random.Random.expovariate`` with the identical precomputed
@@ -31,34 +37,34 @@ code over bound C primitives (``Random.random``,
   rejections);
 * ``Geometric`` pages: the inversion ``max(1, ceil(log(u) / log(1-p)))``
   with the same guard draws as :meth:`Geometric.sample
-  <repro.sim.distributions.Geometric.sample>`.
-
-Eligibility (the fallback gate): :func:`fluid_fallback_reasons` names
-every feature of a population that the mirror above cannot express —
-each reason is counted on the environment and the population falls back
-to reference generator clients (inside the same fast-forward
-environment, which dispatches them through the reference branches).
+  <repro.sim.distributions.Geometric.sample>` (once per session, in
+  :meth:`SessionKernel.start`).
 """
 
 from __future__ import annotations
 
 from heapq import heappush, heapreplace
 from math import ceil as _ceil, log as _log
-from typing import List
+from typing import List, Optional
 
 from ..errors import SimulationError
 from ..sim.distributions import DiscreteUniform, Exponential, Geometric
 from ..sim.events import _NORMAL_KEY
-from ..sim.fastforward import FluidTask
+from ..sim.fastforward import FastForwardEnvironment, FluidTask
 
-__all__ = ["FluidClient", "fluid_fallback_reasons"]
+__all__ = [
+    "FluidClient",
+    "SessionKernel",
+    "fluid_fallback_reasons",
+    "session_kernel",
+]
 
 
 def fluid_fallback_reasons(population) -> List[str]:
     """Why ``population`` cannot take the fluid lane (empty = eligible).
 
-    Each named feature would make :meth:`FluidClient.drain` diverge from
-    the reference generator, so its presence forces event-stepping:
+    Each named feature would make the fast-lane drains diverge from the
+    event-mode handlers, so its presence forces event-stepping:
 
     ``dynamic-domains``
         Domain remapping over time (``dynamics.is_static`` false).
@@ -88,6 +94,145 @@ def fluid_fallback_reasons(population) -> List[str]:
     return reasons
 
 
+class SessionKernel:
+    """The fast lane's population-shared session state and session start.
+
+    One record per population, built once by :func:`session_kernel`
+    and read by its task class's drain (:meth:`FluidClient.drain`,
+    ``ShardClientWake.drain`` or ``TraceSessionWake.drain``). It binds
+    what every client of the population shares — the chain and its
+    bound ``resolve``, the servers, the tracer switch, the stagger draw
+    — and builds the inlined-RNG constants once: ``think_lambd = 1.0 /
+    mean`` (the ``lambd`` :meth:`Exponential.sampler
+    <repro.sim.distributions.Exponential.sampler>` binds), the hits
+    rejection-loop width and ``bit_length()``, and the pages
+    ``log(1 - p)`` or the degenerate ``p == 1`` flag.
+
+    :meth:`start` is the fast lane's one session start, called once per
+    session; the per-page body (hits draw, offer, think draw, heap
+    arithmetic) stays inline in each drain.
+
+    Drain contract (quiescence and deferred counters): a drain runs only
+    while the heap top is its own task class and due by the target, so
+    nothing else executes inside one drain call — no monitor window,
+    alarm, estimator collection or checkpoint snapshot observes the
+    population mid-drain. Each drain therefore hoists the kernel's
+    fields into locals when the population changes, keeps the
+    population totals (sessions, pages, hits, DNS-routed hits) in local
+    integers and flushes them on exit; every observer sees the values
+    per-wake increments would have given. The counters are integers
+    that no RNG draw or float operation reads, so deferring them is
+    parity-exact.
+    """
+
+    __slots__ = (
+        "chain",
+        "resolve",
+        "servers",
+        "tracing",
+        "trace_record",
+        "stagger_uniform",
+        "think_mean",
+        "think_random",
+        "think_lambd",
+        "hits_getrandbits",
+        "hits_low",
+        "hits_width",
+        "hits_bits",
+        "pages_random",
+        "pages_log_q",
+        "pages_degenerate",
+    )
+
+    def __init__(self, population):
+        self.chain = chain = population.resolution_chain
+        self.resolve = chain.resolve
+        self.servers = population.cluster.servers
+        tracer = population.tracer
+        self.tracing = tracer.enabled
+        self.trace_record = tracer.record
+        model = population.session_model
+        # The open trace source has no stagger stream: its sessions
+        # start at arrivals, not after a per-client stagger.
+        stagger = getattr(population, "_stagger_rng", None)
+        self.stagger_uniform = None if stagger is None else stagger.uniform
+        self.think_mean = think_mean = model.think_time.mean
+        self.think_random = population._think_rng.random
+        self.think_lambd = 1.0 / think_mean
+        hits = model.hits_per_page
+        self.hits_getrandbits = population._hits_rng.getrandbits
+        self.hits_low = hits.low
+        self.hits_width = width = hits.high - hits.low + 1
+        self.hits_bits = width.bit_length()
+        p = model.pages_per_session._p
+        self.pages_random = population._pages_rng.random
+        self.pages_degenerate = p >= 1.0
+        self.pages_log_q = 0.0 if self.pages_degenerate else _log(1.0 - p)
+
+    def stagger(self) -> float:
+        """A client's first delay: uniform over one mean think time."""
+        return self.stagger_uniform(0.0, self.think_mean)
+
+    def start(self, now: float, domain_id: int, client: int):
+        """Start one session; returns ``(server_id, pages, resolved_by_dns)``.
+
+        Mirrors the session head of the event-mode handlers: resolve,
+        count the session as DNS-routed if ``authoritative_answers``
+        grew, draw the page count as :meth:`Geometric.sample
+        <repro.sim.distributions.Geometric.sample>` does (same guard
+        draws), then emit the ``session`` trace record.
+        """
+        chain = self.chain
+        before = chain.authoritative_answers
+        server_id = self.resolve(domain_id, now, client).server_id
+        resolved_by_dns = chain.authoritative_answers > before
+        if self.pages_degenerate:
+            pages = 1
+        else:
+            random = self.pages_random
+            u = random()
+            while u <= 0.0:  # pragma: no cover - random() in [0, 1)
+                u = random()
+            pages = _ceil(_log(u) / self.pages_log_q)
+            if pages < 1:
+                pages = 1
+        if self.tracing:
+            self.trace_record(
+                now,
+                "session",
+                {
+                    "client": client,
+                    "domain": domain_id,
+                    "server": server_id,
+                    "pages": pages,
+                    "dns": resolved_by_dns,
+                },
+            )
+        return server_id, pages, resolved_by_dns
+
+
+def session_kernel(env, population, task_class) -> Optional[SessionKernel]:
+    """The eligibility gate: ``population``'s kernel, or ``None`` to event-step.
+
+    Outside a :class:`~repro.sim.fastforward.FastForwardEnvironment`
+    there is no fast lane. Inside one, every
+    :func:`fluid_fallback_reasons` entry is counted on the environment
+    and the population falls back to its event-mode handlers (which the
+    environment dispatches through its reference branches). An eligible
+    population registers ``task_class`` as the environment's fluid task
+    and gets its :class:`SessionKernel`.
+    """
+    if not isinstance(env, FastForwardEnvironment):
+        return None
+    reasons = fluid_fallback_reasons(population)
+    for reason in reasons:
+        env.count_fallback(reason)
+    if reasons:
+        return None
+    env.register_task_class(task_class)
+    return SessionKernel(population)
+
+
 class FluidClient(FluidTask):
     """One client's session loop as a native fast-forward stepper.
 
@@ -95,68 +240,25 @@ class FluidClient(FluidTask):
     for state: construction consumes one eid for an urgent init entry
     (exactly as :class:`~repro.sim.process._Initialize` does for a
     generator client), the first step draws the stagger delay, and every
-    later step runs one page cycle — session start (DNS resolution,
-    pages draw, trace record) when no pages remain, then one page burst
-    and the next think-sleep.
+    later step runs one page cycle — session start
+    (:meth:`SessionKernel.start`) when no pages remain, then one page
+    burst and the next think-sleep. Everything population-shared lives
+    on the population's kernel; the task holds only this client's state.
     """
 
     __slots__ = (
-        "env",
         "population",
         "client_id",
         "domain_id",
-        "chain",
-        "resolve",
-        "servers",
-        "tracing",
-        "trace_record",
-        "_stagger_rng",
-        "_think_mean",
-        "_think_random",
-        "_think_lambd",
-        "_hits_getrandbits",
-        "_hits_low",
-        "_hits_width",
-        "_hits_bits",
-        "_pages_random",
-        "_pages_log_q",
-        "_pages_degenerate",
         "_remaining",
         "_server",
         "_resolved_by_dns",
     )
 
     def __init__(self, env, population, client_id: int, home_domain: int):
-        self.env = env
         self.population = population
         self.client_id = client_id
         self.domain_id = home_domain
-        chain = population.resolution_chain
-        self.chain = chain
-        self.resolve = chain.resolve
-        self.servers = population.cluster.servers
-        tracer = population.tracer
-        self.tracing = tracer.enabled
-        self.trace_record = tracer.record
-        model = population.session_model
-        think = model.think_time
-        self._stagger_rng = population._stagger_rng
-        self._think_mean = think.mean
-        # Exponential.sampler binds expovariate with lambd = 1.0 / mean;
-        # the same division here keeps the inlined draw float-identical.
-        self._think_random = population._think_rng.random
-        self._think_lambd = 1.0 / think.mean
-        hits = model.hits_per_page
-        self._hits_getrandbits = population._hits_rng.getrandbits
-        self._hits_low = hits.low
-        self._hits_width = width = hits.high - hits.low + 1
-        self._hits_bits = width.bit_length()
-        pages = model.pages_per_session
-        self._pages_random = population._pages_rng.random
-        self._pages_degenerate = pages._p >= 1.0
-        self._pages_log_q = (
-            0.0 if self._pages_degenerate else _log(1.0 - pages._p)
-        )
         # -1 = the init dispatch is still pending; 0 = session start due.
         self._remaining = -1
         self._server = None
@@ -181,17 +283,9 @@ class FluidClient(FluidTask):
         heapreplace parity argument).
         """
         replace = heapreplace
-        ceil = _ceil
         log = _log
-        # Population-shared state (RNG streams, session-model params,
-        # resolution chain — identical on every client of a population)
-        # is hoisted into locals on the first wake instead of loaded
-        # from the task per wake. Population counters accumulate in
-        # locals and flush on exit: within a drain window nothing else
-        # runs (quiescence), so every observer — monitor windows,
-        # checkpoint digests, results — sees the flushed values it
-        # would have seen under per-wake increments. Integer-only, so
-        # the deferred addition is parity-exact.
+        # Counters accumulate in locals and flush on exit; see
+        # SessionKernel for the quiescence argument.
         population = None
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
@@ -214,61 +308,31 @@ class FluidClient(FluidTask):
                         population.dns_routed_hits += routed_acc
                         pages_acc = hits_acc = sessions_acc = routed_acc = 0
                     population = p
-                    chain = task.chain
-                    resolve = task.resolve
-                    servers = task.servers
-                    tracing = task.tracing
-                    trace_record = task.trace_record
-                    stagger_uniform = task._stagger_rng.uniform
-                    think_mean = task._think_mean
-                    think_random = task._think_random
-                    think_lambd = task._think_lambd
-                    hits_getrandbits = task._hits_getrandbits
-                    hits_low = task._hits_low
-                    hits_width = task._hits_width
-                    hits_bits = task._hits_bits
-                    pages_random = task._pages_random
-                    pages_log_q = task._pages_log_q
-                    pages_degenerate = task._pages_degenerate
+                    kernel = p._kernel
+                    start = kernel.start
+                    servers = kernel.servers
+                    think_random = kernel.think_random
+                    think_lambd = kernel.think_lambd
+                    hits_getrandbits = kernel.hits_getrandbits
+                    hits_low = kernel.hits_low
+                    hits_width = kernel.hits_width
+                    hits_bits = kernel.hits_bits
                 remaining = task._remaining
                 if remaining > 0:
                     server = task._server
                     resolved_by_dns = task._resolved_by_dns
                 elif remaining == 0:
-                    # Session start: resolve, then draw the session length.
-                    before = chain.authoritative_answers
-                    record = resolve(task.domain_id, now, task.client_id)
-                    resolved_by_dns = chain.authoritative_answers > before
-                    server = servers[record.server_id]
-                    if pages_degenerate:
-                        remaining = 1
-                    else:
-                        u = pages_random()
-                        while u <= 0.0:  # pragma: no cover - random() in [0, 1)
-                            u = pages_random()
-                        remaining = ceil(log(u) / pages_log_q)
-                        if remaining < 1:
-                            remaining = 1
+                    server_id, remaining, resolved_by_dns = start(
+                        now, task.domain_id, task.client_id
+                    )
+                    server = servers[server_id]
                     sessions_acc += 1
-                    if tracing:
-                        trace_record(
-                            now,
-                            "session",
-                            {
-                                "client": task.client_id,
-                                "domain": task.domain_id,
-                                "server": record.server_id,
-                                "pages": remaining,
-                                "dns": resolved_by_dns,
-                            },
-                        )
                     task._server = server
                     task._resolved_by_dns = resolved_by_dns
                 else:
-                    # First dispatch (the _Initialize mirror): stagger the
-                    # session start across one mean think time.
+                    # First dispatch (the _Initialize mirror).
                     task._remaining = 0
-                    delay = stagger_uniform(0.0, think_mean)
+                    delay = kernel.stagger()
                     env._eid = eid = env._eid + 1
                     replace(queue, (now + delay, _NORMAL_KEY | eid, task))
                     budget -= 1

@@ -39,12 +39,12 @@ Engine modes
     universal mirror described above.
 ``fluid``
     Under a :class:`~repro.sim.fastforward.FastForwardEnvironment`, when
-    :func:`~repro.workload.fluid.fluid_fallback_reasons` is empty, the
-    wake class registers as the fluid task and
-    :meth:`ShardClientWake.drain` batch-steps quiescent windows with the
-    same inlined RNG/offer arithmetic as
-    :class:`~repro.workload.fluid.FluidClient` — state read from the
-    flat shards instead of per-task slots. Ineligible configurations
+    the gate :func:`~repro.workload.fluid.session_kernel` finds no
+    fallback reason, the wake class registers as the fluid task and
+    :meth:`ShardClientWake.drain` batch-steps quiescent windows: session
+    starts through the population's
+    :class:`~repro.workload.fluid.SessionKernel`, page cycles inline,
+    client state read from the flat shards. Ineligible configurations
     count their fallback reasons and take the ``event`` path inside the
     same environment.
 """
@@ -53,17 +53,17 @@ from __future__ import annotations
 
 from array import array
 from heapq import heappush, heapreplace
-from math import ceil as _ceil, log as _log
+from math import log as _log
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FastForwardEnvironment, FluidTask
+from ..sim.fastforward import FluidTask
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
-from .fluid import fluid_fallback_reasons
+from .fluid import session_kernel
 from .sessions import SessionModel
 
 __all__ = ["ShardClientWake", "ShardedClientPopulation", "DEFAULT_SHARD_SIZE"]
@@ -113,21 +113,20 @@ class ShardClientWake(FluidTask, Event):
         """Dispatch consecutive shard-client wakes natively (fluid lane).
 
         The structural twin of :meth:`FluidClient.drain
-        <repro.workload.fluid.FluidClient.drain>` — same inlined RNG
-        arithmetic, same inlined ``WebServer.offer``, same heapreplace
-        rescheduling — except client state is read from and written to
-        the population's flat arrays through ``task.slot``. Only
-        populations with no fallback reasons register this class, so the
-        dynamic-domains / caching / geography / non-standard-model
-        branches of the event-mode handler have no counterpart here.
+        <repro.workload.fluid.FluidClient.drain>` — the same kernel
+        session start, the same inlined page cycle and
+        ``WebServer.offer``, the same heapreplace rescheduling — except
+        client state is read from and written to the population's flat
+        arrays through ``task.slot``. Only populations with no fallback
+        reasons register this class, so the dynamic-domains / caching /
+        geography / non-standard-model branches of the event-mode
+        handler have no counterpart here.
         """
         replace = heapreplace
-        ceil = _ceil
         log = _log
-        # Population-shared state hoists and local counter accumulation:
-        # see FluidClient.drain for the quiescence/parity argument. The
-        # per-slot arrays are hoisted alongside the RNG state — one
-        # attribute load per population change, then C-speed indexing.
+        # Kernel fields and the per-slot arrays are hoisted when the
+        # population changes; counters accumulate in locals and flush on
+        # exit (see SessionKernel for the quiescence argument).
         population = None
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
@@ -148,31 +147,15 @@ class ShardClientWake(FluidTask, Event):
                         population.dns_routed_hits += routed_acc
                         pages_acc = hits_acc = sessions_acc = routed_acc = 0
                     population = p
-                    chain = p.resolution_chain
-                    resolve = chain.resolve
-                    servers = p.cluster.servers
-                    tracer = p.tracer
-                    tracing = tracer.enabled
-                    trace_record = tracer.record
-                    model = p.session_model
-                    think = model.think_time
-                    stagger_uniform = p._stagger_rng.uniform
-                    think_mean = think.mean
-                    # Exponential.sampler binds expovariate with
-                    # lambd = 1.0 / mean; same division, float-identical.
-                    think_random = p._think_rng.random
-                    think_lambd = 1.0 / think.mean
-                    hits_dist = model.hits_per_page
-                    hits_getrandbits = p._hits_rng.getrandbits
-                    hits_low = hits_dist.low
-                    hits_width = hits_dist.high - hits_dist.low + 1
-                    hits_bits = hits_width.bit_length()
-                    pages_dist = model.pages_per_session
-                    pages_random = p._pages_rng.random
-                    pages_degenerate = pages_dist._p >= 1.0
-                    pages_log_q = (
-                        0.0 if pages_degenerate else log(1.0 - pages_dist._p)
-                    )
+                    kernel = p._kernel
+                    start = kernel.start
+                    servers = kernel.servers
+                    think_random = kernel.think_random
+                    think_lambd = kernel.think_lambd
+                    hits_getrandbits = kernel.hits_getrandbits
+                    hits_low = kernel.hits_low
+                    hits_width = kernel.hits_width
+                    hits_bits = kernel.hits_bits
                     remaining_arr = p._remaining
                     server_arr = p._server
                     resolved_arr = p._resolved
@@ -181,49 +164,25 @@ class ShardClientWake(FluidTask, Event):
                     shard_size = p.shard_size
                 slot = task.slot
                 remaining = remaining_arr[slot]
+                # The drain runs only under static dynamics, so a
+                # session's domain is the home domain.
+                domain_id = home_arr[slot]
                 if remaining > 0:
                     server = servers[server_arr[slot]]
                     resolved_by_dns = resolved_arr[slot]
-                    domain_id = home_arr[slot]
                 elif remaining == 0:
-                    # Session start: resolve, then draw the session
-                    # length (drain runs only under static dynamics, so
-                    # the session's domain is the home domain).
-                    domain_id = home_arr[slot]
-                    before = chain.authoritative_answers
-                    record = resolve(domain_id, now, slot)
-                    resolved_by_dns = chain.authoritative_answers > before
-                    server = servers[record.server_id]
-                    if pages_degenerate:
-                        remaining = 1
-                    else:
-                        u = pages_random()
-                        while u <= 0.0:  # pragma: no cover - random() in [0, 1)
-                            u = pages_random()
-                        remaining = ceil(log(u) / pages_log_q)
-                        if remaining < 1:
-                            remaining = 1
+                    server_id, remaining, resolved_by_dns = start(
+                        now, domain_id, slot
+                    )
+                    server = servers[server_id]
                     sessions_acc += 1
                     shard_sessions[slot // shard_size] += 1
-                    if tracing:
-                        trace_record(
-                            now,
-                            "session",
-                            {
-                                "client": slot,
-                                "domain": domain_id,
-                                "server": record.server_id,
-                                "pages": remaining,
-                                "dns": resolved_by_dns,
-                            },
-                        )
-                    server_arr[slot] = record.server_id
+                    server_arr[slot] = server_id
                     resolved_arr[slot] = 1 if resolved_by_dns else 0
                 else:
-                    # First dispatch (the _Initialize mirror): stagger
-                    # the session start across one mean think time.
+                    # First dispatch (the _Initialize mirror).
                     remaining_arr[slot] = 0
-                    delay = stagger_uniform(0.0, think_mean)
+                    delay = kernel.stagger()
                     env._eid = eid = env._eid + 1
                     replace(queue, (now + delay, _NORMAL_KEY | eid, task))
                     budget -= 1
@@ -348,6 +307,7 @@ class ShardedClientPopulation:
         "_cb",
         "processes",
         "engine",
+        "_kernel",
     )
 
     def __init__(
@@ -449,16 +409,9 @@ class ShardedClientPopulation:
         # wake after dispatch. Safe because the engine iterates its
         # *local* reference after nulling the attribute.
         self._cb = [self._on_wake]
-        self.engine = "event"
-        if isinstance(env, FastForwardEnvironment):
-            reasons = fluid_fallback_reasons(self)
-            if reasons:
-                for reason in reasons:
-                    env.count_fallback(reason)
-            else:
-                self.engine = "fluid"
-        if self.engine == "fluid":
-            env.register_task_class(ShardClientWake)
+        self._kernel = session_kernel(env, self, ShardClientWake)
+        self.engine = "event" if self._kernel is None else "fluid"
+        if self._kernel is not None:
             self.processes = [
                 ShardClientWake(env, self, slot)
                 for slot in range(total_clients)

@@ -37,9 +37,12 @@ Selected with ``SimulationConfig.workload_source = "trace"`` / CLI
 for a given seed (all draws come from the named ``workload.*`` streams)
 but makes no bit-parity claim against the synthetic populations — it
 models a different system. Under a fast-forward environment it takes
-the fluid lane unless :func:`~repro.workload.fluid.fluid_fallback_reasons`
-names a reason (geography, dynamic domains, a non-standard session
-model); those reasons are counted and the source event-steps.
+the fluid lane unless the gate :func:`~repro.workload.fluid.session_kernel`
+finds a fallback reason (geography, dynamic domains, a non-standard
+session model); those reasons are counted and the source event-steps.
+On the fluid lane each accepted arrival starts its session through the
+population's :class:`~repro.workload.fluid.SessionKernel`, the same
+session start the synthetic populations' drains call.
 """
 
 from __future__ import annotations
@@ -48,19 +51,19 @@ import math
 from array import array
 from bisect import bisect_right
 from heapq import heappop, heappush, heapreplace
-from math import ceil as _ceil, log as _log
+from math import log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs.jsonl import read_jsonl
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FastForwardEnvironment, FluidTask
+from ..sim.fastforward import FluidTask
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
-from .fluid import fluid_fallback_reasons
+from .fluid import session_kernel
 from .sessions import SessionModel
 
 __all__ = ["ArrivalSchedule", "TraceDrivenPopulation", "TraceSessionWake"]
@@ -292,21 +295,22 @@ class TraceSessionWake(FluidTask, Event):
 
         Mirrors the event-mode handlers draw for draw: an arrival wake
         is :meth:`TraceDrivenPopulation._on_arrival` (with
-        ``_start_session`` and the first ``_run_page`` inlined), a
-        session wake is ``_run_page``. The hits/think/pages draws are
-        inlined as in :meth:`ShardClientWake.drain
-        <repro.workload.shards.ShardClientWake.drain>`; ``WebServer.offer``
-        is called, not inlined. A new session's first think wake takes
-        its eid before the arrival's next wake, as in the event handler.
-        Only populations with no fallback reasons register this class,
-        so geography and dynamic domains have no branch here.
+        ``_start_session`` as :meth:`SessionKernel.start
+        <repro.workload.fluid.SessionKernel.start>` and the first
+        ``_run_page`` inlined), a session wake is ``_run_page``. The
+        hits/think draws are inlined as in :meth:`ShardClientWake.drain
+        <repro.workload.shards.ShardClientWake.drain>`;
+        ``WebServer.offer`` is called, not inlined. A new session's
+        first think wake takes its eid before the arrival's next wake,
+        as in the event handler. Only populations with no fallback
+        reasons register this class, so geography and dynamic domains
+        have no branch here.
         """
         replace = heapreplace
-        ceil = _ceil
         log = _log
-        # Population-shared state is hoisted on the first wake; counters
-        # accumulate in locals and flush on exit (see FluidClient.drain
-        # for the quiescence argument).
+        # Kernel fields and the pool arrays are hoisted when the
+        # population changes; counters accumulate in locals and flush on
+        # exit (see SessionKernel for the quiescence argument).
         population = None
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
@@ -333,33 +337,20 @@ class TraceSessionWake(FluidTask, Event):
                     arrivals = p.total_arrivals
                     active = p.active_sessions
                     peak_active = p.peak_active_sessions
-                    chain = p.resolution_chain
-                    resolve = chain.resolve
-                    servers = p.cluster.servers
-                    tracer = p.tracer
-                    tracing = tracer.enabled
-                    trace_record = tracer.record
+                    kernel = p._kernel
+                    start = kernel.start
+                    servers = kernel.servers
+                    think_random = kernel.think_random
+                    think_lambd = kernel.think_lambd
+                    hits_getrandbits = kernel.hits_getrandbits
+                    hits_low = kernel.hits_low
+                    hits_width = kernel.hits_width
+                    hits_bits = kernel.hits_bits
                     sample_domain = p.domains.sample_domain
                     rate_at = p.schedule.rate_at
                     peak = p._peak_rate
                     arrival_lambd = p._arrival_lambd
                     arrival_random = p._arrival_rng.random
-                    model = p.session_model
-                    # Exponential.sampler binds expovariate with
-                    # lambd = 1.0 / mean; same division, float-identical.
-                    think_random = p._think_rng.random
-                    think_lambd = 1.0 / model.think_time.mean
-                    hits_dist = model.hits_per_page
-                    hits_getrandbits = p._hits_rng.getrandbits
-                    hits_low = hits_dist.low
-                    hits_width = hits_dist.high - hits_dist.low + 1
-                    hits_bits = hits_width.bit_length()
-                    pages_dist = model.pages_per_session
-                    pages_random = p._pages_rng.random
-                    pages_degenerate = pages_dist._p >= 1.0
-                    pages_log_q = (
-                        0.0 if pages_degenerate else log(1.0 - pages_dist._p)
-                    )
                     claim_slot = p._claim_slot
                     wakes = p._wakes
                     free = p._free
@@ -392,32 +383,10 @@ class TraceSessionWake(FluidTask, Event):
                         session_id = arrivals
                         arrivals += 1
                         domain_id = sample_domain(arrival_random())
-                        before = chain.authoritative_answers
-                        record = resolve(domain_id, now, session_id)
-                        resolved_by_dns = chain.authoritative_answers > before
-                        server_id = record.server_id
-                        if pages_degenerate:
-                            remaining = 1
-                        else:
-                            u = pages_random()
-                            while u <= 0.0:  # pragma: no cover - random() in [0, 1)
-                                u = pages_random()
-                            remaining = ceil(log(u) / pages_log_q)
-                            if remaining < 1:
-                                remaining = 1
+                        server_id, remaining, resolved_by_dns = start(
+                            now, domain_id, session_id
+                        )
                         sessions_acc += 1
-                        if tracing:
-                            trace_record(
-                                now,
-                                "session",
-                                {
-                                    "client": session_id,
-                                    "domain": domain_id,
-                                    "server": server_id,
-                                    "pages": remaining,
-                                    "dns": resolved_by_dns,
-                                },
-                            )
                         slot = claim_slot()
                         task = wakes[slot]
                         domain_arr[slot] = domain_id
@@ -556,6 +525,7 @@ class TraceDrivenPopulation:
         "_arrival_cb",
         "processes",
         "engine",
+        "_kernel",
     )
 
     def __init__(
@@ -643,15 +613,8 @@ class TraceDrivenPopulation:
         self._free: List[int] = []
         self._cb = [self._on_wake]
         self._arrival_cb = [self._on_arrival]
-        self.engine = "event"
-        if isinstance(env, FastForwardEnvironment):
-            reasons = fluid_fallback_reasons(self)
-            if reasons:
-                for reason in reasons:
-                    env.count_fallback(reason)
-            else:
-                self.engine = "fluid"
-                env.register_task_class(TraceSessionWake)
+        self._kernel = session_kernel(env, self, TraceSessionWake)
+        self.engine = "event" if self._kernel is None else "fluid"
         if metrics is not None:
             metrics.register("workload.sessions", lambda: self.total_sessions)
             metrics.register("workload.pages", lambda: self.total_pages)

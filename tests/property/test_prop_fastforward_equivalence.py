@@ -31,6 +31,13 @@ from repro.sim.checkpoint import state_digest
 #: adaptive TTL in both tiers, and the oracle bound.
 POLICIES = ["RR", "RR2", "DRR-TTL/S_K", "DRR2-TTL/S_K", "IDEAL"]
 
+#: Session-model edge cases of the fast lane's session kernel, next to
+#: the paper's values: one page per session takes the degenerate
+#: geometric branch (p == 1); hit ranges of width 1 and of a power-of-two
+#: width 4 are the edges of the getrandbits rejection loop.
+PAGES_MEANS = st.sampled_from([20.0, 1.0])
+HITS_RANGES = st.sampled_from([(5, 15), (1, 1), (4, 7)])
+
 #: Short-but-complete runs: several monitor windows and estimator
 #: collections, hundreds of sessions — enough dispatches that any
 #: divergence in draw order or float arithmetic has surfaced.
@@ -43,6 +50,8 @@ configs = st.builds(
     seed=st.integers(min_value=1, max_value=2**31 - 1),
     workload_error=st.sampled_from([0.0, 0.25]),
     estimator=st.sampled_from(["oracle", "measured"]),
+    mean_pages_per_session=PAGES_MEANS,
+    hits_per_page=HITS_RANGES,
 )
 
 
@@ -62,6 +71,8 @@ trace_configs = st.builds(
     trace_period=st.just(120.0),
     shard_size=st.sampled_from([4, 16]),
     trace=st.just(True),
+    mean_pages_per_session=PAGES_MEANS,
+    hits_per_page=HITS_RANGES,
 )
 
 

@@ -34,6 +34,10 @@ configs = st.builds(
     # Small shard sizes force multi-shard bookkeeping even at 50
     # clients; the partition must not be observable.
     shard_size=st.sampled_from([7, 64, 4096]),
+    # Session-model edges: one page per session (the degenerate
+    # geometric branch) and hit ranges of width 1 and 4.
+    mean_pages_per_session=st.sampled_from([20.0, 1.0]),
+    hits_per_page=st.sampled_from([(5, 15), (1, 1), (4, 7)]),
 )
 
 common = settings(

@@ -22,7 +22,9 @@ from repro.obs.spans import (
     BATCH_BEGIN,
     BATCH_END,
     COMPLETE,
+    EXPIRE,
     LEASE,
+    RELEASE,
     SUBMIT,
     WORKER_JOIN,
     WORKER_LEAVE,
@@ -308,6 +310,18 @@ class TestTerminalProgressRenderer:
         renderer.emit(_event(WORKER_JOIN, connected=1))
         renderer.emit(_event(LEASE, 0))
         assert "busy 1" in renderer.status_line()
+
+    @pytest.mark.parametrize("kind", [EXPIRE, RELEASE])
+    def test_lost_lease_is_no_longer_busy(self, kind):
+        renderer, _ = self._renderer()
+        self._begin(renderer, 4)
+        renderer.emit(_event(LEASE, 0, label="policy=RR"))
+        assert "busy 1" in renderer.status_line()
+        renderer.emit(_event(kind, 0))
+        line = renderer.status_line()
+        assert "busy" not in line
+        assert "policy=RR" not in line
+        assert "cells 0/4" in line
 
 
 class TestTeeProgressSink:
