@@ -11,7 +11,6 @@ than any single-threshold comparison).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +19,7 @@ from ..experiments.config import SimulationConfig
 from ..experiments.metrics import OVERLOAD_THRESHOLD, SimulationResult
 from ..experiments.simulation import run_simulation
 from ..sim.rng import derive_seed
+from ..sim.stats import t_interval
 
 Metric = Callable[[SimulationResult], float]
 
@@ -39,7 +39,8 @@ class PairedComparison:
     values_b: tuple
     #: Mean of (a - b) differences.
     mean_difference: float
-    #: 95% half-width of the mean difference (normal approximation).
+    #: 95% Student-t half-width of the mean difference (n - 1 degrees
+    #: of freedom over the n replications).
     half_width: float
 
     @property
@@ -90,11 +91,7 @@ def paired_comparison(
         values_b.append(
             metric(run_simulation(base.replace(policy=policy_b, seed=seed)))
         )
-    differences = [a - b for a, b in zip(values_a, values_b)]
-    n = len(differences)
-    mean = sum(differences) / n
-    variance = sum((d - mean) ** 2 for d in differences) / (n - 1)
-    half = 1.96 * math.sqrt(variance / n)
+    mean, half = t_interval([a - b for a, b in zip(values_a, values_b)])
     return PairedComparison(
         policy_a=policy_a,
         policy_b=policy_b,

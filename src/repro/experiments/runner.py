@@ -8,13 +8,12 @@ independently seeded runs; :func:`sweep` drives the sensitivity studies
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.rng import derive_seed
-from ..sim.stats import EmpiricalCdf
+from ..sim.stats import EmpiricalCdf, t_interval
 from .config import SimulationConfig
 from .executor import ExecutionStats, ParallelExecutor
 from .metrics import OVERLOAD_THRESHOLD, SimulationResult
@@ -60,22 +59,14 @@ class ReplicationSet:
     ) -> Tuple[float, float]:
         """Across-replication mean and CI half-width of the probability.
 
-        Uses a normal critical value; at the low replication counts
-        typical here the half-width is slightly optimistic (too narrow)
-        compared to a Student-t interval — see the statistics section
-        of ``docs/MODELING.md`` for the magnitude and a correction.
+        A Student-t interval with ``n - 1`` degrees of freedom over the
+        ``n`` replications (:func:`repro.sim.stats.t_interval`); the
+        half-width is 0 for a single replication.
         """
         values = [r.prob_max_below(threshold) for r in self.results]
-        n = len(values)
-        mean = sum(values) / n
-        if n < 2:
-            return mean, 0.0
-        variance = sum((v - mean) ** 2 for v in values) / (n - 1)
-        # Normal critical value; replications are few, so this is a
-        # slightly optimistic but conventional choice for summaries
-        # (docs/MODELING.md section 7 quantifies the bias).
-        z = {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}.get(round(confidence, 2), 1.960)
-        return mean, z * math.sqrt(variance / n)
+        if len(values) == 1:
+            return values[0], 0.0
+        return t_interval(values, confidence)
 
 
 def run_replications(

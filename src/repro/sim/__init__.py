@@ -11,7 +11,8 @@ package; this subpackage provides an equivalent process-oriented engine:
 * :class:`RandomStreams` and the distribution classes — reproducible
   workload randomness.
 * :class:`RunningStats`, :class:`TimeWeightedStats`,
-  :class:`EmpiricalCdf`, :func:`batch_means_ci` — output analysis.
+  :class:`EmpiricalCdf`, :func:`batch_means_ci`, :func:`t_interval`,
+  :func:`t_critical` — output analysis.
 * :class:`Checkpoint`, :func:`state_digest`, :func:`canonical_state` —
   deterministic run snapshots (see :mod:`repro.experiments.checkpointing`
   for the model-aware driver).
@@ -67,6 +68,8 @@ from .stats import (
     TimeWeightedStats,
     batch_means_ci,
     relative_ci_width,
+    t_critical,
+    t_interval,
 )
 from .tracing import NullTracer, TraceRecord, Tracer
 
@@ -115,6 +118,8 @@ __all__ = [
     "read_checkpoint",
     "relative_ci_width",
     "state_digest",
+    "t_critical",
+    "t_interval",
     "write_checkpoint",
     "zipf_weights",
 ]

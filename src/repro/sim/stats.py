@@ -12,20 +12,19 @@ Provides the accumulators the experiment harness relies on:
 * :func:`batch_means_ci` — confidence intervals for steady-state series
   with autocorrelation, via the classic batch-means method (the paper
   reports 95% intervals within 4% of the mean).
+* :func:`t_interval` — the Student-t interval over independent values
+  (batch means, replications, paired differences), with the critical
+  value from :func:`t_critical`, computed here from the standard library.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from statistics import NormalDist
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-
-try:  # scipy gives exact Student-t quantiles; fall back to normal z.
-    from scipy.stats import t as _student_t
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    _student_t = None
 
 
 class RunningStats:
@@ -178,12 +177,95 @@ class EmpiricalCdf:
         )
 
 
-def _t_quantile(confidence: float, dof: int) -> float:
-    """Two-sided Student-t critical value for ``confidence`` level."""
-    if _student_t is not None:
-        return float(_student_t.ppf(0.5 + confidence / 2.0, dof))
-    # Normal approximation for the (untested) no-scipy fallback.
-    return {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}.get(round(confidence, 2), 1.960)
+_TINY = 1e-300
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta ``I_x(a, b)`` (modified Lentz).
+
+    ``I_x(a, b) = x**a * (1 - x)**b / (a * B(a, b)) * _beta_fraction(a, b, x)``;
+    it converges quickly for ``x < (a + 1) / (a + b + 2)``.
+    """
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 10000):
+        for aa in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h
+
+
+def t_critical(confidence: float, dof: int) -> float:
+    """Two-sided Student-t critical value: ``P(|T_dof| <= t) = confidence``.
+
+    Closed forms for 1 and 2 degrees of freedom. Otherwise the start is
+    the Cornish-Fisher expansion around the normal quantile (Abramowitz &
+    Stegun 26.7.5, four terms), which alone is within 1e-13 relative
+    beyond 1000 degrees of freedom. Up to 1000 it is refined by Newton
+    steps on the upper tail ``I_{dof/(dof+t^2)}(dof/2, 1/2) / 2``, whose
+    incomplete beta comes from :func:`_beta_fraction` and ``math.lgamma``.
+    Against a reference quantile function the result is within 1e-11
+    relative for confidence 0.5-0.999 and any dof (cross-checked in the
+    unit tests); only the standard library is used.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise SimulationError(f"confidence must be in (0, 1), got {confidence!r}")
+    if dof < 1:
+        raise SimulationError(f"degrees of freedom must be >= 1, got {dof!r}")
+    p = (1.0 - confidence) / 2.0  # upper-tail probability
+    if dof == 1:
+        return 1.0 / math.tan(math.pi * p)
+    if dof == 2:
+        return confidence * math.sqrt(2.0 / ((1.0 - confidence) * (1.0 + confidence)))
+    nu = float(dof)
+    z = NormalDist().inv_cdf(1.0 - p)
+    z2 = z * z
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
+    t = z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
+    if dof > 1000 or t == 0.0:  # t == 0 only once confidence rounds away
+        return t
+    a = nu / 2.0
+    log_norm = math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(math.pi)
+    for _ in range(10):
+        t2 = t * t
+        x, y = nu / (nu + t2), t2 / (nu + t2)
+        front = math.exp(log_norm - a * math.log1p(t2 / nu) + 0.5 * math.log(y))
+        if x < (a + 1.0) / (a + 2.5):
+            tail = 0.5 * front * _beta_fraction(a, 0.5, x) / a
+        else:  # I_x(a, b) = 1 - I_y(b, a)
+            tail = 0.5 - front * _beta_fraction(0.5, a, y)
+        density = math.exp(log_norm - (a + 0.5) * math.log1p(t2 / nu)) / math.sqrt(nu)
+        step = (tail - p) / density
+        t += step
+        if abs(step) <= 1e-14 * t:
+            break
+    return t
+
+
+def t_interval(values: Sequence[float], confidence: float = 0.95) -> Tuple[float, float]:
+    """Mean and Student-t half-width ``t_critical(confidence, n - 1) * s / sqrt(n)``.
+
+    For independent, approximately normal ``values``: batch means,
+    replications, paired differences. Needs at least two values.
+    """
+    n = len(values)
+    if n < 2:
+        raise SimulationError(f"a t interval needs at least two values, got {n}")
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, t_critical(confidence, n - 1) * math.sqrt(variance / n)
 
 
 def batch_means_ci(
@@ -204,10 +286,17 @@ def batch_means_ci(
     (mean, half_width):
         Point estimate and 95% (by default) half-width. ``half_width`` is
         0 when the series is too short to batch.
+
+    Raises :class:`SimulationError` for no samples, fewer than two
+    batches, or a ``confidence`` outside (0, 1).
     """
     n = len(samples)
     if n == 0:
         raise SimulationError("cannot form a confidence interval from no samples")
+    if batches < 2:
+        raise SimulationError(f"batch means need at least two batches, got {batches!r}")
+    if not 0.0 < confidence < 1.0:
+        raise SimulationError(f"confidence must be in (0, 1), got {confidence!r}")
     mean = sum(samples) / n
     if n < 2 * batches:
         return mean, 0.0
@@ -217,10 +306,7 @@ def batch_means_ci(
         sum(samples[i : i + batch_size]) / batch_size
         for i in range(0, usable, batch_size)
     ]
-    grand = sum(means) / batches
-    variance = sum((m - grand) ** 2 for m in means) / (batches - 1)
-    half = _t_quantile(confidence, batches - 1) * math.sqrt(variance / batches)
-    return mean, half
+    return mean, t_interval(means, confidence)[1]
 
 
 def relative_ci_width(samples: Sequence[float], **kwargs) -> Optional[float]:

@@ -5,6 +5,9 @@ sliding-window estimator, response-time metrics, utilization series
 retention, and the analysis toolbox on real simulation output.
 """
 
+import math
+import statistics
+
 import pytest
 
 from repro.analysis import (
@@ -17,6 +20,7 @@ from repro.analysis import (
 )
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation, run_simulation
+from repro.sim.stats import t_critical
 
 QUICK = dict(duration=900.0, seed=9)
 
@@ -175,6 +179,20 @@ class TestComparisons:
         assert comparison.mean_difference > 0
         assert comparison.better == "DRR2-TTL/S_K"
         assert "DRR2-TTL/S_K" in str(comparison)
+
+    def test_paired_half_width_is_student_t(self):
+        values = [0.91, 0.70, 0.83, 0.78, 0.95, 0.71, 0.86, 0.80]
+        metric_values = iter(values)
+        comparison = paired_comparison(
+            SimulationConfig(policy="RR", duration=300.0, seed=5),
+            "DAL", "RR", replications=4,
+            metric=lambda result: next(metric_values),
+        )
+        differences = [a - b for a, b in zip(values[0::2], values[1::2])]
+        n = len(differences)
+        expected = t_critical(0.95, n - 1) * statistics.stdev(differences) / math.sqrt(n)
+        assert comparison.mean_difference == pytest.approx(statistics.fmean(differences))
+        assert comparison.half_width == pytest.approx(expected, rel=1e-12)
 
     def test_stochastic_dominance_adaptive_over_rr(self):
         config = SimulationConfig(policy="RR", duration=2400.0, seed=5)

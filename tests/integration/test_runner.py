@@ -1,5 +1,8 @@
 """Integration tests for the replication/sweep runner."""
 
+import math
+import statistics
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -9,6 +12,7 @@ from repro.experiments.runner import (
     run_replications,
     sweep,
 )
+from repro.sim.stats import t_critical
 
 BASE = SimulationConfig(policy="RR", duration=600.0, seed=4)
 
@@ -42,6 +46,17 @@ class TestReplications:
         mean, half = replication_set.prob_max_below_ci(0.9)
         assert 0.0 <= mean <= 1.0
         assert half >= 0.0
+
+    @pytest.mark.parametrize("confidence", [0.8, 0.95])
+    def test_prob_max_below_ci_is_student_t(self, confidence):
+        config = BASE.replace(policy="DRR2-TTL/S_K")
+        replication_set = run_replications(config, replications=3)
+        values = [r.prob_max_below(0.9) for r in replication_set.results]
+        assert len(set(values)) > 1
+        mean, half = replication_set.prob_max_below_ci(0.9, confidence)
+        expected = t_critical(confidence, 2) * statistics.stdev(values) / math.sqrt(3)
+        assert mean == pytest.approx(statistics.fmean(values))
+        assert half == pytest.approx(expected, rel=1e-12)
 
     def test_single_replication_zero_halfwidth(self):
         replication_set = run_replications(BASE, replications=1)

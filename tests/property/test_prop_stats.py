@@ -2,11 +2,12 @@
 
 import math
 import statistics
+from statistics import NormalDist
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from repro.sim.stats import EmpiricalCdf, RunningStats, batch_means_ci
+from repro.sim.stats import EmpiricalCdf, RunningStats, batch_means_ci, t_critical
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 samples = st.lists(floats, min_size=1, max_size=300)
@@ -92,3 +93,29 @@ class TestBatchMeans:
     def test_constant_series_has_zero_halfwidth(self, value, count):
         _, half = batch_means_ci([value] * count)
         assert half == 0.0 or half < 1e-6 * max(1.0, abs(value))
+
+
+confidences = st.floats(min_value=0.01, max_value=0.999)
+dofs = st.integers(min_value=1, max_value=10**6)
+
+
+class TestTCritical:
+    """Shape of the Student-t critical value (relative slack 1e-11, the accuracy bar)."""
+
+    @given(confidences, confidences, dofs)
+    def test_rises_with_confidence(self, first, second, dof):
+        low, high = sorted((first, second))
+        assert t_critical(low, dof) <= t_critical(high, dof) * (1 + 1e-11)
+
+    @given(confidences, dofs, dofs)
+    def test_falls_with_dof(self, confidence, first, second):
+        few, many = sorted((first, second))
+        assert t_critical(confidence, many) <= t_critical(confidence, few) * (1 + 1e-11)
+
+    @given(confidences, st.integers(min_value=1000, max_value=10**9))
+    def test_approaches_normal_quantile(self, confidence, dof):
+        # t - z = z (1 + z^2) / (4 dof) + O(dof^-2): above z, and within
+        # twice the first-order gap once dof is large.
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        gap = t_critical(confidence, dof) - z
+        assert -1e-11 * z <= gap <= z * (1.0 + z * z) / (2.0 * dof)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.sim.stats import (
     TimeWeightedStats,
     batch_means_ci,
     relative_ci_width,
+    t_critical,
+    t_interval,
 )
 
 
@@ -149,6 +152,24 @@ class TestBatchMeansCi:
         _, half99 = batch_means_ci(samples, confidence=0.99)
         assert half99 > half95
 
+    def test_uses_student_t_over_batch_means(self):
+        rng = random.Random(11)
+        samples = [rng.gauss(0.0, 1.0) for _ in range(200)]
+        means = [statistics.fmean(samples[i : i + 10]) for i in range(0, 200, 10)]
+        _, half = batch_means_ci(samples)
+        expected = t_critical(0.95, 19) * statistics.stdev(means) / math.sqrt(20)
+        assert half == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("batches", [1, 0, -3])
+    def test_fewer_than_two_batches_rejected(self, batches):
+        with pytest.raises(SimulationError, match="two batches"):
+            batch_means_ci([float(i) for i in range(200)], batches=batches)
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_confidence_outside_open_unit_interval_rejected(self, confidence):
+        with pytest.raises(SimulationError, match="confidence"):
+            batch_means_ci([float(i) for i in range(200)], confidence=confidence)
+
     def test_relative_ci_width(self):
         rng = random.Random(11)
         samples = [rng.gauss(10.0, 1.0) for _ in range(1000)]
@@ -158,3 +179,59 @@ class TestBatchMeansCi:
 
     def test_relative_ci_width_zero_mean(self):
         assert relative_ci_width([0.0] * 100) is None
+
+
+class TestTCritical:
+    def test_paper_interval_value(self):
+        # 20 batches at 95%: the paper's batch-means setting.
+        assert t_critical(0.95, 19) == pytest.approx(2.0930240544083087, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "confidence, dof, expected",
+        [
+            (0.95, 1, 12.706204736174694),
+            (0.99, 1, 63.656741162871526),
+            (0.95, 2, 4.302652729749462),
+            (0.90, 2, 2.9199855803537242),
+            (0.95, 4, 2.7764451051977934),
+            (0.99, 10, 3.16927267261695),
+            (0.95, 30, 2.0422724563012378),
+        ],
+    )
+    def test_table_values(self, confidence, dof, expected):
+        assert t_critical(confidence, dof) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("dof", [0, -1])
+    def test_dof_below_one_rejected(self, dof):
+        with pytest.raises(SimulationError, match="degrees of freedom"):
+            t_critical(0.95, dof)
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_confidence_outside_open_unit_interval_rejected(self, confidence):
+        with pytest.raises(SimulationError, match="confidence"):
+            t_critical(confidence, 10)
+
+    def test_agrees_with_scipy(self):
+        student_t = pytest.importorskip("scipy.stats").t
+        dofs = list(range(1, 1001)) + [2000, 5000, 10**4, 10**5]
+        worst = 0.0
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.999):
+            for dof in dofs:
+                reference = float(student_t.ppf(0.5 + confidence / 2.0, dof))
+                error = abs(t_critical(confidence, dof) - reference) / reference
+                worst = max(worst, error)
+        assert worst <= 1e-10
+
+
+class TestTInterval:
+    def test_half_width_formula(self):
+        values = [0.31, 0.52, 0.47, 0.66, 0.12, 0.58]
+        n = len(values)
+        mean, half = t_interval(values)
+        assert mean == pytest.approx(statistics.fmean(values), rel=1e-15)
+        expected = t_critical(0.95, n - 1) * statistics.stdev(values) / math.sqrt(n)
+        assert half == pytest.approx(expected, rel=1e-12)
+
+    def test_needs_two_values(self):
+        with pytest.raises(SimulationError):
+            t_interval([1.0])
