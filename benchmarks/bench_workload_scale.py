@@ -46,9 +46,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_FILE = REPO_ROOT / "BENCH_ENGINE.json"
 
 #: Hard tracemalloc budget for the truncated CI smoke, in MiB.  The
-#: lazy path peaks around 11 MiB at 10^6 domains / 2 000 clients; an
-#: eager population at the same scale allocates hundreds of MiB before
-#: the first event fires.
+#: sharded population peaks around 16 MiB at 10^6 domains / 2 000
+#: clients (23 MiB for the trace source), nearly all of it 8 MB share
+#: arrays; an eager population at the same scale allocates hundreds of
+#: MiB before the first event fires.
 CHECK_TRACEMALLOC_MIB = 64.0
 
 #: Hard peak-RSS ceiling for the full --record runs, in MiB.

@@ -29,6 +29,7 @@ Two estimators are provided:
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from typing import Deque, Iterable, List, Optional, Sequence
@@ -95,20 +96,21 @@ class HiddenLoadEstimator:
 class OracleEstimator(HiddenLoadEstimator):
     """Exact, static domain shares (the paper's baseline assumption).
 
-    Accepts any iterable of shares (a streaming
-    :meth:`DomainSet.iter_shares
-    <repro.workload.domains.DomainSet.iter_shares>` included) and packs
+    Accepts any iterable of shares (a :attr:`DomainSet.shares
+    <repro.workload.domains.DomainSet.shares>` array included) and packs
     them into a flat ``array('d')`` — at 10^6 domains that is one 8 MB
     buffer instead of a 10^6-element list of boxed floats.
     """
 
     def __init__(self, shares: Iterable[float]):
-        values = array("d", (float(s) for s in shares))
+        values = array("d", shares)
         if not values:
             raise ConfigurationError("need at least one domain share")
-        if any(s <= 0 for s in values):
-            raise ConfigurationError("domain shares must be positive")
         total = sum(values)
+        if not math.isfinite(total):
+            raise ConfigurationError("domain shares must be finite")
+        if min(values) <= 0:
+            raise ConfigurationError("domain shares must be positive")
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"shares must sum to 1, got {total!r}")
         self._shares = values

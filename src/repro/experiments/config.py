@@ -17,6 +17,7 @@ average utilization), ``alarm_threshold = 0.9`` and
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +29,7 @@ from ..web.cluster import (
     HETEROGENEITY_LEVELS,
     ServerCluster,
 )
-from ..workload.domains import LAZY_DOMAIN_THRESHOLD, DomainSet, LazyDomainSet
+from ..workload.domains import DomainSet
 from ..workload.sessions import SessionModel
 from ..workload.shards import DEFAULT_SHARD_SIZE
 from ..workload.trace import ArrivalSchedule
@@ -192,6 +193,13 @@ class SimulationConfig:
     keep_utilization_series: bool = False
 
     def __post_init__(self):
+        # NaN passes every range check below and infinity passes most
+        # (a run of ``duration=inf`` never returns), so every float field
+        # is first required to be finite.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.relative_capacities is None:
             if self.heterogeneity not in HETEROGENEITY_LEVELS:
                 known = ", ".join(str(k) for k in sorted(HETEROGENEITY_LEVELS))
@@ -201,6 +209,8 @@ class SimulationConfig:
                 )
         if self.domain_count < 1:
             raise ConfigurationError("domain_count must be >= 1")
+        if self.zipf_exponent < 0:
+            raise ConfigurationError("zipf_exponent must be >= 0")
         if self.total_clients < 1:
             raise ConfigurationError("total_clients must be >= 1")
         if self.duration <= 0:
@@ -307,22 +317,10 @@ class SimulationConfig:
         )
 
     def build_domains(self) -> DomainSet:
-        """The *nominal* (unperturbed) domain popularity.
-
-        At or above :data:`~repro.workload.domains.LAZY_DOMAIN_THRESHOLD`
-        domains the streaming representation is used — share-for-share
-        bit-identical to the materialized one, without the K-element
-        hot-path lists (keyed on ``domain_count`` alone, so the switch
-        can never make two runs of one config diverge).
-        """
-        factory = (
-            LazyDomainSet
-            if self.domain_count >= LAZY_DOMAIN_THRESHOLD
-            else DomainSet
-        )
+        """The *nominal* (unperturbed) domain popularity."""
         if self.uniform_domains:
-            return factory.uniform(self.domain_count)
-        return factory.pure_zipf(self.domain_count, self.zipf_exponent)
+            return DomainSet.uniform(self.domain_count)
+        return DomainSet.pure_zipf(self.domain_count, self.zipf_exponent)
 
     def effective_population(self) -> str:
         """Resolve the ``population`` field (``"auto"`` included)."""
@@ -411,6 +409,14 @@ class SimulationConfig:
             ("Seed", str(self.seed)),
         ]
 
+
+#: The float-typed fields, each required to be finite by ``__post_init__``
+#: (annotations are strings under ``from __future__ import annotations``).
+_FLOAT_FIELDS = tuple(
+    spec.name
+    for spec in dataclasses.fields(SimulationConfig)
+    if spec.type == "float"
+)
 
 #: The paper's default configuration (Table 1 with the documented choices
 #: for the scan-corrupted entries).

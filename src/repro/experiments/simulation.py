@@ -28,6 +28,7 @@ from ..sim.rng import RandomStreams
 from ..sim.tracing import NullTracer, Tracer
 from ..web.monitor import AlarmProtocol, UtilizationMonitor
 from ..workload.clients import ClientPopulation
+from ..workload.domains import DomainSet
 from ..workload.dynamics import RotatingHotDomains
 from ..workload.shards import ShardedClientPopulation
 from ..workload.trace import TraceDrivenPopulation
@@ -83,9 +84,11 @@ class Simulation:
         # -- domains: nominal (what the DNS believes) vs actual (what the
         #    clients do). The IDEAL policy forces a uniform actual
         #    distribution; the error experiments perturb the actual one.
-        nominal = config.build_domains()
-        if self.spec.uniform_workload and not config.uniform_domains:
-            nominal = nominal.__class__.uniform(config.domain_count)
+        nominal = (
+            DomainSet.uniform(config.domain_count)
+            if self.spec.uniform_workload
+            else config.build_domains()
+        )
         actual = nominal
         if config.workload_error > 0:
             actual = nominal.perturb_hottest(config.workload_error)
@@ -96,9 +99,7 @@ class Simulation:
         if config.estimator == "oracle":
             # The oracle reflects the *nominal* shares: under perturbation
             # the DNS estimates stay stale, exactly as in the paper.
-            # Streamed in (and packed into a flat array) so a million-
-            # domain share vector never exists as a Python list.
-            self.estimator = OracleEstimator(nominal.iter_shares())
+            self.estimator = OracleEstimator(nominal.shares)
         elif config.estimator == "measured":
             self.estimator = MeasuredEstimator(
                 self.env,

@@ -13,6 +13,8 @@ import functools
 import itertools
 import math
 import random
+from array import array
+from operator import truediv
 from typing import Callable, List, Sequence
 
 from ..errors import ConfigurationError
@@ -210,20 +212,30 @@ class Empirical(Distribution):
         return f"Empirical(n={len(self.values)})"
 
 
-def zipf_weights(count: int, exponent: float = 1.0) -> List[float]:
+def zipf_weights(count: int, exponent: float = 1.0) -> array:
     """Normalized pure-Zipf popularity weights for ranks ``1..count``.
 
     The i-th element is ``(1 / i**exponent) / H`` where ``H`` is the
-    generalized harmonic number, so the list sums to 1. The paper
+    generalized harmonic number, so the weights sum to 1. The paper
     partitions clients among domains with ``exponent = 1`` ("pure Zipf").
+
+    Returned as one ``array('d')``: both passes (the powers, then the
+    division by their sum) stream through C-level ``map`` so no
+    ``count``-element list of floats is ever built — at a million
+    domains that list alone would be ~32 MB.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count!r}")
-    if exponent < 0:
-        raise ConfigurationError(f"exponent must be >= 0, got {exponent!r}")
-    raw = [1.0 / (rank**exponent) for rank in range(1, count + 1)]
+    if not (math.isfinite(exponent) and exponent >= 0):
+        raise ConfigurationError(
+            f"exponent must be finite and >= 0, got {exponent!r}"
+        )
+    # Every pinned trajectory depends on these exact values: keep the
+    # expression ``1.0 / rank**exponent`` and the rank-order sum.
+    powers = map(pow, range(1, count + 1), itertools.repeat(exponent))
+    raw = array("d", map(truediv, itertools.repeat(1.0), powers))
     total = sum(raw)
-    return [value / total for value in raw]
+    return array("d", map(truediv, raw, itertools.repeat(total)))
 
 
 class Zipf(Distribution):

@@ -1,13 +1,7 @@
 """Workload substrate: domain popularity, session model, client processes."""
 
 from .clients import ClientPopulation
-from .domains import (
-    LAZY_DOMAIN_THRESHOLD,
-    DomainSet,
-    LazyDomainSet,
-    LazyUniformDomainSet,
-    LazyZipfDomainSet,
-)
+from .domains import DomainSet
 from .dynamics import DomainDynamics, RotatingHotDomains, StaticDomains
 from .sessions import (
     DEFAULT_MAX_HITS_PER_PAGE,
@@ -29,10 +23,6 @@ __all__ = [
     "DEFAULT_SHARD_SIZE",
     "DomainDynamics",
     "DomainSet",
-    "LAZY_DOMAIN_THRESHOLD",
-    "LazyDomainSet",
-    "LazyUniformDomainSet",
-    "LazyZipfDomainSet",
     "RotatingHotDomains",
     "SessionModel",
     "ShardClientWake",

@@ -11,17 +11,13 @@ experiments (Figs. 6-7).
 
 Scale
 -----
-The explicit :class:`DomainSet` stores one Python float per domain — the
-right representation up to a few tens of thousands of domains, and the
-one every paper-scale experiment uses. Million-domain workloads (the
-regime where TTL/K policies get interesting) instead use the lazy
-subclasses :class:`LazyZipfDomainSet` / :class:`LazyUniformDomainSet`,
-which compute ``share(j)`` on demand — bit-identical to the explicit
-values — and stream derived quantities (client counts, cumulative
-sampling) so no ``K``-element Python list is ever allocated on the hot
-path. :meth:`SimulationConfig.build_domains
-<repro.experiments.config.SimulationConfig.build_domains>` switches
-representation at :data:`LAZY_DOMAIN_THRESHOLD`.
+:class:`DomainSet` keeps its shares in one ``array('d')``: 8 bytes per
+domain, against 32 for a list of Python floats. The paper's 20 domains
+and the million-domain workloads where TTL/K policies get interesting
+use the same representation, so no domain count can change which code a
+run takes. Derived quantities are streamed (client counts) or kept as
+arrays too (the cumulative table behind :meth:`DomainSet.sample_domain`),
+so no ``K``-element Python list is built on any run path.
 """
 
 from __future__ import annotations
@@ -29,28 +25,24 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 from array import array
-from typing import Iterator, List, Sequence
+from operator import mul, truediv
+from typing import Iterable, Iterator, List
 
 from ..errors import ConfigurationError
 from ..sim.distributions import zipf_weights
 
-#: Domain counts at or above this use the lazy share representation when
-#: built from a :class:`~repro.experiments.config.SimulationConfig`.
-#: Below it, the explicit list-backed set is faster and every historical
-#: trajectory is pinned to it.
-LAZY_DOMAIN_THRESHOLD = 100_000
-
 
 def _largest_remainder_counts(
-    shares_factory, domain_count: int, total_clients: int
+    shares: array, total_clients: int
 ) -> Iterator[int]:
     """Stream integer client counts per domain (largest-remainder).
 
-    ``shares_factory`` must return a fresh iterator over the (normalized)
-    shares on each call; the algorithm makes a bounded number of passes
-    over it and keeps only ``O(total_clients)``-bounded working state, so
-    a million-domain set never materializes a ``K``-element list here.
+    The algorithm makes a bounded number of passes over the (normalized)
+    ``shares`` and keeps only ``O(total_clients)``-bounded working
+    state, so a million-domain set never materializes a ``K``-element
+    list here.
 
     Contract (see :meth:`DomainSet.client_counts`): counts sum exactly to
     ``total_clients``; among equal fractional remainders the
@@ -65,7 +57,7 @@ def _largest_remainder_counts(
     """
     # Pass 1: floors and the remainder to distribute.
     floor_sum = 0
-    for share in shares_factory():
+    for share in shares:
         floor_sum += int(share * total_clients)
     remainder = total_clients - floor_sum
 
@@ -77,7 +69,7 @@ def _largest_remainder_counts(
     if remainder > 0:
         heap: List = []
         push, replace = heapq.heappush, heapq.heapreplace
-        for j, share in enumerate(shares_factory()):
+        for j, share in enumerate(shares):
             x = share * total_clients
             key = (x - int(x), -j)
             if len(heap) < remainder:
@@ -90,7 +82,7 @@ def _largest_remainder_counts(
     # At most 2 * total_clients domains can have exact >= 0.5 (the exact
     # shares sum to total_clients), so this list is client-bounded.
     starved: List = []
-    for j, share in enumerate(shares_factory()):
+    for j, share in enumerate(shares):
         exact = share * total_clients
         if exact >= 0.5 and int(exact) == 0 and j not in winners:
             starved.append((-exact, j))
@@ -103,7 +95,7 @@ def _largest_remainder_counts(
         # donor is always legal, so capping at len(starved) suffices.
         donors: List = []
         cap = len(starved)
-        for j, share in enumerate(shares_factory()):
+        for j, share in enumerate(shares):
             exact = share * total_clients
             count = int(exact) + (j in winners)
             if count >= 2 or (count == 1 and exact < 0.5):
@@ -133,10 +125,10 @@ def _largest_remainder_counts(
 
     # Final pass: emit the counts.
     if adjust:
-        for j, share in enumerate(shares_factory()):
+        for j, share in enumerate(shares):
             yield int(share * total_clients) + (j in winners) + adjust.get(j, 0)
     else:
-        for j, share in enumerate(shares_factory()):
+        for j, share in enumerate(shares):
             yield int(share * total_clients) + (j in winners)
 
 
@@ -146,22 +138,28 @@ class DomainSet:
     Parameters
     ----------
     shares:
-        Fraction of the client population in each domain; must be positive
-        and sum to 1 (within floating-point tolerance). Domains are indexed
-        ``0..K-1`` in *descending* popularity.
+        Fraction of the client population in each domain; must be
+        finite, positive and sum to 1 (within floating-point tolerance).
+        Domains are indexed ``0..K-1`` in *descending* popularity. The
+        values are copied into one ``array('d')``, exposed as
+        :attr:`shares`.
     """
 
-    def __init__(self, shares: Sequence[float]):
-        values = [float(s) for s in shares]
+    def __init__(self, shares: Iterable[float]):
+        values = array("d", shares)
         if not values:
             raise ConfigurationError("a domain set needs at least one domain")
-        if any(s <= 0 for s in values):
-            raise ConfigurationError("domain shares must be positive")
+        # Any NaN or infinity makes the sum non-finite, so this one
+        # check covers every share; ``min`` alone could miss a NaN.
         total = sum(values)
+        if not math.isfinite(total):
+            raise ConfigurationError("domain shares must be finite")
+        if min(values) <= 0:
+            raise ConfigurationError("domain shares must be positive")
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(f"domain shares must sum to 1, got {total!r}")
-        self.shares: List[float] = values
-        self._cumulative: List[float] = []
+        self.shares: array = values
+        self._cumulative: array = array("d")
 
     # -- constructors ------------------------------------------------------
 
@@ -178,7 +176,7 @@ class DomainSet:
             raise ConfigurationError(
                 f"domain_count must be >= 1, got {domain_count!r}"
             )
-        return cls([1.0 / domain_count] * domain_count)
+        return cls(array("d", [1.0 / domain_count]) * domain_count)
 
     # -- share access ------------------------------------------------------
 
@@ -209,11 +207,11 @@ class DomainSet:
     def hottest_domain(self) -> int:
         """Index of the most popular domain.
 
-        Ties resolve to the lowest index (``max`` keeps the first
+        Ties resolve to the lowest index (``index`` finds the first
         maximum), so a perturbation applied to a flat region of the
         distribution is deterministic.
         """
-        return max(range(len(self.shares)), key=lambda j: self.shares[j])
+        return self.shares.index(max(self.shares))
 
     def client_counts(self, total_clients: int) -> List[int]:
         """Integer client counts per domain by largest-remainder rounding.
@@ -235,19 +233,18 @@ class DomainSet:
             raise ConfigurationError(
                 f"total_clients must be >= 1, got {total_clients!r}"
             )
-        return _largest_remainder_counts(
-            self.iter_shares, self.domain_count, total_clients
-        )
+        return _largest_remainder_counts(self.shares, total_clients)
 
     def sample_domain(self, u: float) -> int:
         """Map a uniform variate ``u`` in [0, 1) to a domain index.
 
         Inverse-CDF sampling used by the trace-driven workload source to
         attribute arrivals to domains with the configured popularity.
-        The cumulative table is built once on first use.
+        The cumulative table (one ``array('d')``) is built once on first
+        use; each sample is one bisect over it.
         """
         if not self._cumulative:
-            self._cumulative = list(itertools.accumulate(self.shares))
+            self._cumulative = array("d", itertools.accumulate(self.shares))
             self._cumulative[-1] = 1.0  # guard against float drift
         index = bisect.bisect_right(self._cumulative, u)
         return min(index, len(self.shares) - 1)
@@ -284,11 +281,11 @@ class DomainSet:
                 f"share {new_hot_share!r} >= 1"
             )
         scale = (1.0 - new_hot_share) / (1.0 - hot_share)
-        shares = [share * scale for share in self.iter_shares()]
+        shares = array("d", map(mul, self.shares, itertools.repeat(scale)))
         shares[hot] = new_hot_share
         total = sum(shares)
         if total != 1.0:
-            shares = [share / total for share in shares]
+            shares = array("d", map(truediv, shares, itertools.repeat(total)))
         return DomainSet(shares)
 
     def __len__(self) -> int:
@@ -299,158 +296,3 @@ class DomainSet:
 
     def __repr__(self) -> str:
         return f"<DomainSet K={self.domain_count} top={max(self.shares):.3f}>"
-
-
-class LazyDomainSet(DomainSet):
-    """Base for domain sets that compute shares on demand.
-
-    Subclasses define :meth:`share` / :meth:`iter_shares` analytically
-    and never store a per-domain list; the :attr:`shares` *property*
-    materializes one (O(K) — for interop and small-scale tests only).
-    Every computed value is bit-identical to the explicit representation
-    of the same distribution, so swapping representations can never
-    change a trajectory — the domain-set property suite pins this.
-    """
-
-    def __init__(self, domain_count: int):
-        if domain_count < 1:
-            raise ConfigurationError(
-                f"domain_count must be >= 1, got {domain_count!r}"
-            )
-        self._count = int(domain_count)
-
-    @classmethod
-    def pure_zipf(cls, domain_count: int, exponent: float = 1.0) -> "DomainSet":
-        """Lazy counterpart of :meth:`DomainSet.pure_zipf`."""
-        return LazyZipfDomainSet(domain_count, exponent)
-
-    @classmethod
-    def uniform(cls, domain_count: int) -> "DomainSet":
-        """Lazy counterpart of :meth:`DomainSet.uniform`."""
-        return LazyUniformDomainSet(domain_count)
-
-    @property
-    def shares(self) -> List[float]:  # type: ignore[override]
-        """Materialized share list (O(K); prefer :meth:`iter_shares`)."""
-        return list(self.iter_shares())
-
-    @property
-    def domain_count(self) -> int:
-        return self._count
-
-    def share(self, domain_id: int) -> float:
-        raise NotImplementedError
-
-    def iter_shares(self) -> Iterator[float]:
-        return (self.share(j) for j in range(self._count))
-
-    def client_counts(self, total_clients: int) -> Sequence[int]:
-        """Counts as a compact typed array (values match the base class)."""
-        return array("q", self.iter_client_counts(total_clients))
-
-
-class LazyZipfDomainSet(LazyDomainSet):
-    """Pure-Zipf shares computed on demand (million-domain scale).
-
-    ``share(j)`` reproduces ``zipf_weights(K, exponent)[j]`` bit-for-bit:
-    the same raw weight expression divided by the same total, summed in
-    the same rank order.
-    """
-
-    def __init__(self, domain_count: int, exponent: float = 1.0):
-        super().__init__(domain_count)
-        if exponent < 0:
-            raise ConfigurationError(
-                f"exponent must be >= 0, got {exponent!r}"
-            )
-        self.exponent = float(exponent)
-        # Identical additions in identical order to `sum(raw)` inside
-        # zipf_weights, so every derived share matches it bitwise.
-        self._total = sum(
-            1.0 / (rank**self.exponent)
-            for rank in range(1, self._count + 1)
-        )
-        #: Block size of the cumulative-share checkpoints backing
-        #: :meth:`sample_domain` (built lazily; K/64 doubles).
-        self._block = 64
-        self._block_cumulative: array = array("d")
-
-    def share(self, domain_id: int) -> float:
-        if not 0 <= domain_id < self._count:
-            raise IndexError(domain_id)
-        return (1.0 / ((domain_id + 1) ** self.exponent)) / self._total
-
-    def iter_shares(self) -> Iterator[float]:
-        total = self._total
-        exponent = self.exponent
-        return (
-            (1.0 / (rank**exponent)) / total
-            for rank in range(1, self._count + 1)
-        )
-
-    def hottest_domain(self) -> int:
-        """Rank 0: Zipf shares are strictly descending."""
-        return 0
-
-    def sample_domain(self, u: float) -> int:
-        """Inverse-CDF sample via block checkpoints + a short walk.
-
-        Memory is ``K / block`` doubles instead of a ``K``-list; each
-        sample costs one bisect plus at most ``block`` share
-        evaluations, computed inline with :meth:`share`'s expression
-        (the walk's indices are in range by construction).
-        """
-        blocks = self._block_cumulative
-        if not blocks:
-            running = 0.0
-            block = self._block
-            for j, share in enumerate(self.iter_shares()):
-                running += share
-                if (j + 1) % block == 0:
-                    blocks.append(running)
-        block = self._block
-        b = bisect.bisect_right(blocks, u)
-        j = b * block
-        running = blocks[b - 1] if b else 0.0
-        last = self._count - 1
-        exponent = self.exponent
-        total = self._total
-        while j < last:
-            running += (1.0 / ((j + 1) ** exponent)) / total
-            if u < running:
-                return j
-            j += 1
-        return last
-
-    def __repr__(self) -> str:
-        return (
-            f"<LazyZipfDomainSet K={self._count} "
-            f"exponent={self.exponent:g}>"
-        )
-
-
-class LazyUniformDomainSet(LazyDomainSet):
-    """Equal shares computed on demand (million-domain scale)."""
-
-    def __init__(self, domain_count: int):
-        super().__init__(domain_count)
-        self._share = 1.0 / self._count
-
-    def share(self, domain_id: int) -> float:
-        if not 0 <= domain_id < self._count:
-            raise IndexError(domain_id)
-        return self._share
-
-    def iter_shares(self) -> Iterator[float]:
-        return itertools.repeat(self._share, self._count)
-
-    def hottest_domain(self) -> int:
-        """Ties resolve to the lowest index, exactly as the base class."""
-        return 0
-
-    def sample_domain(self, u: float) -> int:
-        index = int(u * self._count)
-        return min(index, self._count - 1)
-
-    def __repr__(self) -> str:
-        return f"<LazyUniformDomainSet K={self._count}>"

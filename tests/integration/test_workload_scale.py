@@ -14,28 +14,33 @@ import pytest
 
 from repro.experiments.config import SimulationConfig
 from repro.experiments.simulation import Simulation
-from repro.workload.domains import LazyZipfDomainSet
+from repro.workload.domains import DomainSet
 
-#: Above both lazy thresholds (domains and clients trip at 100 000)
-#: while keeping the slow tier's runtime in seconds.
+#: Twice the K = 10^5 of the repository benchmark, while keeping the
+#: slow tier's runtime in seconds.
 DOMAINS = 200_000
 
 #: MiB of traced allocations allowed for a truncated large-K run.
-#: Measured peaks sit near 10 MiB; one eager 200k-element list of
-#: tuples alone would roughly double that.
+#: Measured peaks sit near 5 MiB; one eager 200k-element list of
+#: tuples alone would add several times that.
 BUDGET_MIB = 48.0
 
 
-def traced_peak_mib(config):
+def traced_peak_mib(call):
+    """``call()``'s value and the peak MiB of traced allocations in it."""
     tracemalloc.start()
     try:
-        sim = Simulation(config)
-        result = sim.run()
+        value = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return value, peak / (1024.0 * 1024.0)
+
+
+def run_peak_mib(config):
+    result, peak = traced_peak_mib(lambda: Simulation(config).run())
     assert result.total_hits > 0
-    return peak / (1024.0 * 1024.0)
+    return peak
 
 
 @pytest.mark.slow
@@ -48,7 +53,7 @@ def test_synthetic_large_k_within_budget():
         duration=60.0,
         seed=5,
     )
-    assert traced_peak_mib(config) <= BUDGET_MIB
+    assert run_peak_mib(config) <= BUDGET_MIB
 
 
 @pytest.mark.slow
@@ -62,18 +67,24 @@ def test_trace_large_k_within_budget():
         duration=60.0,
         seed=5,
     )
-    assert traced_peak_mib(config) <= BUDGET_MIB
+    assert run_peak_mib(config) <= BUDGET_MIB
 
 
 @pytest.mark.slow
-def test_lazy_domain_set_never_materializes_share_list():
+def test_million_domain_set_builds_without_a_share_list():
+    """Building 10^6 shares holds two 8 MB arrays at most; a list of
+    10^6 boxed floats alone would take about 32 MiB."""
+    domains, peak = traced_peak_mib(lambda: DomainSet.pure_zipf(10**6))
+    assert domains.domain_count == 10**6
+    assert peak < 16.0
+
+
+@pytest.mark.slow
+def test_million_domain_client_counts_stream():
     """Streaming client counts allocate O(winners), not O(K)."""
-    tracemalloc.start()
-    try:
-        domains = LazyZipfDomainSet(1_000_000)
-        total = sum(domains.iter_client_counts(1_000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    domains = DomainSet.pure_zipf(10**6)
+    total, peak = traced_peak_mib(
+        lambda: sum(domains.iter_client_counts(1_000))
+    )
     assert total == 1_000
-    assert peak < 8 * 1024 * 1024  # an 8 MiB float array alone busts this
+    assert peak < 8.0  # an 8 MB float array alone busts this

@@ -5,11 +5,7 @@ import math
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.workload.domains import (
-    DomainSet,
-    LazyUniformDomainSet,
-    LazyZipfDomainSet,
-)
+from repro.workload.domains import DomainSet
 
 
 class TestClientCounts:
@@ -75,70 +71,41 @@ class TestRelativeWeights:
         assert all(0.0 < w <= 1.0 for w in weights)
 
 
-class TestLazyParity:
-    """Lazy domain sets are bit-equal to their eager counterparts.
-
-    The lazy classes exist so 10^6 domains never materialize
-    10^6-element lists; below the threshold the eager class is still
-    used, so every observable — shares, counts, inverse-CDF samples —
-    must agree value-for-value or configs straddling the threshold
-    would diverge.
-    """
-
-    @given(st.integers(min_value=1, max_value=400))
-    def test_zipf_shares_bit_equal(self, k):
-        eager = DomainSet.pure_zipf(k)
-        lazy = LazyZipfDomainSet(k)
-        assert list(lazy.iter_shares()) == eager.shares
-        for j in range(k):
-            assert lazy.share(j) == eager.shares[j]
-
-    @given(st.integers(min_value=1, max_value=400))
-    def test_uniform_shares_bit_equal(self, k):
-        eager = DomainSet.uniform(k)
-        lazy = LazyUniformDomainSet(k)
-        assert list(lazy.iter_shares()) == eager.shares
-
-    @given(st.integers(min_value=1, max_value=200),
-           st.integers(min_value=1, max_value=3000))
-    def test_client_counts_bit_equal(self, k, clients):
-        eager = DomainSet.pure_zipf(k).client_counts(clients)
-        lazy = LazyZipfDomainSet(k).client_counts(clients)
-        assert list(lazy) == eager
-
-    @given(st.integers(min_value=2, max_value=300),
-           st.floats(min_value=0.0, max_value=1.0, exclude_max=True,
-                     allow_nan=False))
-    def test_sample_domain_bit_equal(self, k, u):
-        eager = DomainSet.pure_zipf(k)
-        lazy = LazyZipfDomainSet(k)
-        assert lazy.sample_domain(u) == eager.sample_domain(u)
+class TestZipfShares:
+    @given(st.integers(min_value=1, max_value=400),
+           st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
+    def test_bit_equal_to_list_formula(self, k, exponent):
+        """The array pass keeps the list formula's values bit for bit:
+        the same power expression, summed in the same rank order."""
+        raw = [1.0 / (rank**exponent) for rank in range(1, k + 1)]
+        total = sum(raw)
+        expected = [value / total for value in raw]
+        assert list(DomainSet.pure_zipf(k, exponent).shares) == expected
 
 
 class TestLazyScale:
-    """Large-K invariants evaluated without materializing K-lists."""
+    """Large-K invariants, read through the streaming accessors."""
 
     @given(st.integers(min_value=1_000, max_value=100_000),
            st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_counts_sum_exactly_at_scale(self, k, clients):
-        counts = LazyZipfDomainSet(k).client_counts(clients)
+        counts = DomainSet.pure_zipf(k).client_counts(clients)
         assert sum(counts) == clients
         assert all(c >= 0 for c in counts)
 
     @given(st.integers(min_value=2, max_value=50_000))
     @settings(max_examples=10, deadline=None)
     def test_zipf_shares_strictly_descending(self, k):
-        lazy = LazyZipfDomainSet(k)
         previous = None
-        for share in lazy.iter_shares():
+        for share in DomainSet.pure_zipf(k).iter_shares():
             assert share > 0.0
             if previous is not None:
                 assert share < previous
             previous = share
 
     def test_million_domain_counts_sum_exactly(self):
-        domains = LazyZipfDomainSet(1_000_000)
+        domains = DomainSet.pure_zipf(1_000_000)
         total = 0
         nonzero = 0
         for count in domains.iter_client_counts(50_000):
@@ -148,7 +115,7 @@ class TestLazyScale:
         assert nonzero > 0
 
     def test_million_domain_samples_cover_tail(self):
-        domains = LazyZipfDomainSet(1_000_000)
+        domains = DomainSet.pure_zipf(1_000_000)
         assert domains.sample_domain(0.0) == 0
         head = domains.sample_domain(0.05)
         tail = domains.sample_domain(0.999999)

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.estimator."""
 
+import math
+
 import pytest
 
 from repro.core.estimator import MeasuredEstimator, OracleEstimator
@@ -36,6 +38,13 @@ class TestOracleEstimator:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             OracleEstimator([])
+
+    @pytest.mark.parametrize(
+        "shares", [[math.nan, math.nan], [0.5, math.nan], [math.inf, -math.inf]]
+    )
+    def test_non_finite_shares_rejected(self, shares):
+        with pytest.raises(ConfigurationError, match="finite"):
+            OracleEstimator(shares)
 
     def test_returns_copy(self):
         estimator = OracleEstimator([0.5, 0.5])

@@ -1,5 +1,8 @@
 """Unit tests for repro.experiments.config."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -94,6 +97,24 @@ class TestValidation:
             {"hits_per_page": (0, 5)},
             {"hits_per_page": (10, 5)},
             {"ns_override_mode": "shrug"},
+            {"zipf_exponent": -0.5},
+            {"policy": "IDEAL", "zipf_exponent": -0.5},
         ):
             with pytest.raises(ConfigurationError):
                 SimulationConfig(**kwargs)
+
+
+#: Every float-valued field of the config, found from its default.
+FLOAT_FIELDS = [
+    spec.name
+    for spec in dataclasses.fields(SimulationConfig)
+    if isinstance(spec.default, float)
+]
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            SimulationConfig(**{name: value})

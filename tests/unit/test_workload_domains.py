@@ -1,6 +1,7 @@
 """Unit tests for repro.workload.domains."""
 
 import math
+from array import array
 
 import pytest
 
@@ -20,6 +21,31 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             DomainSet([])
+
+    @pytest.mark.parametrize(
+        "shares",
+        [
+            [math.nan, math.nan],
+            [0.5, math.nan, 0.5],
+            [math.inf, 0.5],
+            [math.inf, -math.inf],
+        ],
+    )
+    def test_non_finite_shares_rejected(self, shares):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DomainSet(shares)
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("domain_count", [20, 100_000])
+    def test_non_finite_zipf_exponent_rejected(self, domain_count, exponent):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DomainSet.pure_zipf(domain_count, exponent)
+
+    def test_shares_are_one_float_array(self):
+        domains = DomainSet([0.25, 0.75])
+        assert isinstance(domains.shares, array)
+        assert domains.shares.typecode == "d"
+        assert list(domains.shares) == [0.25, 0.75]
 
     def test_pure_zipf_shares(self):
         domains = DomainSet.pure_zipf(4)
