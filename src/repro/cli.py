@@ -899,7 +899,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         return 0
 
     if args.command == "resume":
-        from .errors import CheckpointError
+        from .errors import CheckpointError, ConfigurationError
         from .experiments.checkpointing import resume_run
 
         try:
@@ -908,7 +908,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 halt_at=args.halt_at,
                 engine_mode=args.engine_mode,
             )
-        except CheckpointError as error:
+        except (CheckpointError, ConfigurationError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         if result is None:

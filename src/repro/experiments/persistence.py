@@ -23,6 +23,7 @@ from ..errors import ConfigurationError
 from ..obs.export import record_to_dict, write_metrics_prom
 from ..obs.jsonl import read_json_object, write_jsonl
 from ..obs.provenance import write_manifest
+from ..sim.checkpoint import json_fields
 from .config import SimulationConfig
 from .figures import FigureResult, Series
 from .metrics import SimulationResult
@@ -39,14 +40,18 @@ def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
     return data
 
 
-def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
-    """Rebuild a :class:`SimulationConfig` saved by :func:`config_to_dict`."""
-    kwargs = dict(data)
-    if kwargs.get("relative_capacities") is not None:
-        kwargs["relative_capacities"] = tuple(kwargs["relative_capacities"])
-    if "hits_per_page" in kwargs:
-        kwargs["hits_per_page"] = tuple(kwargs["hits_per_page"])
-    return SimulationConfig(**kwargs)
+def config_from_dict(data: Any) -> SimulationConfig:
+    """Rebuild a :class:`SimulationConfig` saved by :func:`config_to_dict`.
+
+    A non-object, an unknown key or a mistyped value raises
+    :class:`~repro.errors.ConfigurationError` naming the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {spec.name for spec in dataclasses.fields(SimulationConfig)}
+    if unknown:
+        raise ConfigurationError(f"unknown config key {', '.join(sorted(map(repr, unknown)))}")
+    return SimulationConfig(**json_fields(SimulationConfig, data, "config", ConfigurationError))
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:

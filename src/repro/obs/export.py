@@ -144,6 +144,12 @@ _PROM_SAMPLE = re.compile(
     r" (?P<value>[^ ]+)$"
 )
 
+#: Sample values a Prometheus scraper accepts, ``NaN`` and ``±Inf`` included
+#: (and the ``inf``/``nan`` of :func:`_prom_number`); not ``1_000``.
+_PROM_VALUE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[Ii]nf)|NaN|nan"
+)
+
 _PROM_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
 
 
@@ -172,7 +178,8 @@ def parse_prom_text(text: str) -> PromExposition:
     is not a well-formed sample, a ``# HELP`` / ``# TYPE`` comment, a
     free comment, or blank — the validation the CI smoke job runs
     against a live ``/metrics`` scrape. A ``# TYPE`` naming an unknown
-    type is rejected too.
+    type, a sample value outside the exposition grammar (see
+    :data:`_PROM_VALUE`) and a repeated sample key are rejected too.
     """
     samples: Dict[str, float] = {}
     types: Dict[str, str] = {}
@@ -196,14 +203,12 @@ def parse_prom_text(text: str) -> PromExposition:
             raise ConfigurationError(
                 f"line {line_number}: not a valid sample line {line!r}"
             )
-        try:
-            value = float(match.group("value"))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"line {line_number}: bad sample value {line!r}"
-            ) from exc
+        if _PROM_VALUE.fullmatch(match.group("value")) is None:
+            raise ConfigurationError(f"line {line_number}: bad sample value {line!r}")
         key = match.group("name") + (match.group("labels") or "")
-        samples[key] = value
+        if key in samples:
+            raise ConfigurationError(f"line {line_number}: duplicate sample {key!r}")
+        samples[key] = float(match.group("value"))
     return PromExposition(samples=samples, types=types, helps=helps)
 
 

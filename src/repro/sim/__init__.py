@@ -42,12 +42,6 @@ from .distributions import (
     Zipf,
     zipf_weights,
 )
-from .containers import (
-    Container,
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-)
 from .engine import EmptySchedule, Environment
 from .fastforward import FastForwardEnvironment, FluidTask
 from .events import (
@@ -79,7 +73,6 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "Checkpoint",
     "Constant",
-    "Container",
     "DiscreteUniform",
     "Distribution",
     "Empirical",
@@ -96,9 +89,6 @@ __all__ = [
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

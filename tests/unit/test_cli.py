@@ -224,3 +224,29 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "headline metrics" in out
         assert "Jain index" in out
+
+
+class TestResumeDamagedBundle:
+    """``repro resume`` on damaged input exits 2 with ``error:``."""
+
+    def test_non_object_checkpoint(self, capsys, tmp_path):
+        (tmp_path / "checkpoint-000002.json").write_text("[1]\n")
+        assert main(["resume", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_damaged_config_in_checkpoint(self, capsys, tmp_path):
+        import repro
+        from repro.sim.checkpoint import Checkpoint, state_digest, write_checkpoint
+
+        config = {"bogus": 1}
+        write_checkpoint(
+            Checkpoint(
+                sequence=1, time=60.0, dispatched=10, config=config,
+                config_hash=state_digest(config), seed=1, every=60.0,
+                state={}, digest=state_digest({}),
+                engine_version=repro.__version__,
+            ),
+            tmp_path,
+        )
+        assert main(["resume", str(tmp_path)]) == 2
+        assert "error: unknown config key 'bogus'" in capsys.readouterr().err

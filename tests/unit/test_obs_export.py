@@ -276,6 +276,27 @@ class TestParsePromText:
         exposition = parse_prom_text("# a comment\n\nrepro_x 1\n")
         assert exposition.value("repro_x") == 1.0
 
+    def test_rejects_repeated_sample_key(self):
+        with pytest.raises(ConfigurationError, match="line 3: duplicate"):
+            parse_prom_text('a 1\na{le="1"} 2\na 2\n')
+
+    @pytest.mark.parametrize(
+        "value", ["1_000", "infinity", "0x10", "\u0661", "1e", ".", "+NaN"]
+    )
+    def test_rejects_python_only_number_spellings(self, value):
+        with pytest.raises(ConfigurationError, match="line 2: bad sample value"):
+            parse_prom_text(f"a 1\nb {value}\n")
+
+    def test_accepts_special_values(self):
+        exposition = parse_prom_text(
+            "a NaN\nb +Inf\nc -Inf\nd inf\ne -inf\nf nan\ng -1.5e-3\nh .5\n"
+        )
+        samples = exposition.samples
+        assert samples["a"] != samples["a"] and samples["f"] != samples["f"]
+        assert samples["b"] == samples["d"] == float("inf")
+        assert samples["c"] == samples["e"] == -float("inf")
+        assert (samples["g"], samples["h"]) == (-0.0015, 0.5)
+
 
 class TestManifest:
     def test_build_manifest_fields(self):

@@ -42,6 +42,28 @@ class TestConfigRoundTrip:
         text = json.dumps(config_to_dict(SimulationConfig()))
         assert config_from_dict(json.loads(text)) == SimulationConfig()
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ([1], "JSON object"),
+            ({"bogus": 1}, "'bogus'"),
+            ({"hits_per_page": 5}, "'hits_per_page' must be Tuple\\[int, int\\], got 5"),
+            ({"hits_per_page": [5, "15"]}, "'hits_per_page' must be Tuple"),
+            ({"duration": "600"}, "'duration' must be float"),
+            ({"duration": 10**400}, "'duration' must be float"),
+            ({"seed": True}, "'seed' must be int"),
+            ({"trace_categories": "dns"}, "'trace_categories' must be Optional"),
+        ],
+    )
+    def test_damaged_input_raises_configuration_error(self, data, match):
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict(data)
+
+    def test_int_in_float_field_is_kept(self):
+        config = config_from_dict({"duration": 600, "relative_capacities": [1, 2]})
+        assert config_to_dict(config)["duration"] == 600
+        assert config.relative_capacities == (1, 2)
+
 
 class TestResultRoundTrip:
     def test_basic_round_trip(self):

@@ -14,7 +14,7 @@ siblings and pins the fix for every transportable object:
 * every exception class in :mod:`repro.errors` (enumerated
   programmatically — a new exception cannot dodge the audit: the test
   fails until an example is registered here);
-* the engine's out-of-band exceptions (``Interrupt``, ``Preempted``);
+* the engine's out-of-band exceptions (``EmptySchedule``, ``Interrupt``);
 * the data that rides the pool queue: ``SimulationResult`` (with
   config, trace and metrics attached), ``TraceRecord``/``Tracer``/
   ``NullTracer``, ``SpanEvent`` (the progress and span record),
@@ -46,7 +46,6 @@ from repro.experiments.metrics import SimulationResult
 from repro.experiments.simulation import Simulation
 from repro.obs.spans import COMPLETE, SpanEvent
 from repro.sim.checkpoint import Checkpoint
-from repro.sim.containers import Preempted
 from repro.sim.engine import EmptySchedule
 from repro.sim.process import Interrupt
 from repro.sim.tracing import NullTracer, TraceRecord, Tracer
@@ -132,8 +131,6 @@ def test_engine_exceptions_roundtrip():
     assert isinstance(empty, EmptySchedule)
     interrupt = roundtrip(Interrupt("preempt cause"))
     assert interrupt.cause == "preempt cause"
-    preempted = roundtrip(Preempted("slot-3", 12.5))
-    assert preempted.args == ("slot-3", 12.5)
 
 
 # -- pool-queue payloads -----------------------------------------------------

@@ -122,6 +122,27 @@ class TestConditionEvents:
         assert both.triggered
         assert not both.ok
 
+    @pytest.mark.parametrize("condition", ["any_of", "all_of"])
+    def test_failed_member_raises_at_the_waiting_yield(self, env, condition):
+        log = []
+
+        def failer(event):
+            yield env.timeout(10.0)
+            event.fail(ValueError("member failed"))
+
+        def waiter():
+            failing = env.event()
+            env.process(failer(failing))
+            try:
+                yield getattr(env, condition)([env.timeout(100.0), failing])
+                log.append(("done", env.now))
+            except ValueError as error:
+                log.append((str(error), env.now))
+
+        env.process(waiter())
+        env.run(until=50.0)
+        assert log == [("member failed", 10.0)]
+
     def test_condition_with_already_triggered_events(self, env):
         done = env.event().succeed("x")
         env.run()
