@@ -11,6 +11,12 @@ Any engine change that alters event ordering, RNG draw order, or float
 arithmetic anywhere in the pipeline shows up here as a diff against the
 fixture.
 
+Python 3.12 made ``sum`` over floats compensated, which moves the last
+bits of the Zipf normalization and hence the trajectory, so the fixture
+holds one fingerprint per kind of float sum (keyed like
+``golden_large_k.json``). Regenerating rewrites only the section of the
+running interpreter.
+
 Regenerate (only when a trajectory change is *intended* and understood)::
 
     PYTHONPATH=src python tests/integration/test_golden_trajectory.py --regenerate
@@ -32,6 +38,9 @@ FIXTURE = (
     / "fixtures"
     / "golden_trajectory.json"
 )
+
+#: Which float ``sum`` this interpreter has; it keys the fixture.
+FLOAT_SUM = "compensated" if sum([0.1] * 10) == 1.0 else "naive"
 
 #: The golden run: small enough to finish in about a second, yet it
 #: exercises every moving part — adaptive scheduling with alarms, the
@@ -126,7 +135,12 @@ def load_golden() -> dict:
     """
     if not FIXTURE.exists():
         pytest.fail(f"golden fixture missing: {FIXTURE} — {REGENERATE_HINT}")
-    golden = json.loads(FIXTURE.read_text())
+    golden = json.loads(FIXTURE.read_text()).get(FLOAT_SUM)
+    if golden is None:
+        pytest.fail(
+            f"golden fixture has no {FLOAT_SUM!r}-sum section — "
+            f"{REGENERATE_HINT}"
+        )
     recorded = golden.get("meta")
     if recorded is None:
         pytest.fail(
@@ -222,5 +236,7 @@ if __name__ == "__main__":
     if "--regenerate" not in sys.argv:
         sys.exit("pass --regenerate to overwrite the golden fixture")
     FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(compute_fingerprint(), indent=1) + "\n")
-    print(f"wrote {FIXTURE}")
+    fixture = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    fixture[FLOAT_SUM] = compute_fingerprint()
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
+    print(f"wrote the {FLOAT_SUM}-sum fingerprint to {FIXTURE}")
