@@ -4,14 +4,12 @@ The paper's simulators were written on top of the proprietary CSIM
 package; this subpackage provides an equivalent process-oriented engine:
 
 * :class:`Environment` — clock, event queue, ``run(until)``.
-* :class:`Event`, :class:`Timeout`, :class:`AllOf`, :class:`AnyOf` —
-  waitable occurrences.
-* :class:`Process`, :class:`Interrupt` — generator-based concurrency.
-* :class:`Resource`, :class:`Store` — queued shared resources.
+* :class:`Event`, :class:`Timeout` — waitable occurrences.
+* :class:`Process` — generator-based concurrency.
+* :class:`Store` — a blocking FIFO object buffer.
 * :class:`RandomStreams` and the distribution classes — reproducible
   workload randomness.
-* :class:`RunningStats`, :class:`TimeWeightedStats`,
-  :class:`EmpiricalCdf`, :func:`batch_means_ci`, :func:`t_interval`,
+* :class:`RunningStats`, :class:`EmpiricalCdf`, :func:`batch_means_ci`, :func:`t_interval`,
   :func:`t_critical` — output analysis.
 * :class:`Checkpoint`, :func:`state_digest`, :func:`canonical_state` —
   deterministic run snapshots (see :mod:`repro.experiments.checkpointing`
@@ -44,22 +42,13 @@ from .distributions import (
 )
 from .engine import EmptySchedule, Environment
 from .fastforward import FastForwardEnvironment, FluidTask
-from .events import (
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Timeout,
-)
-from .process import Interrupt, Process
-from .resources import Resource, Store
+from .events import PRIORITY_NORMAL, PRIORITY_URGENT, Event, Timeout
+from .process import Process
+from .resources import Store
 from .rng import RandomStreams, derive_seed
 from .stats import (
     EmpiricalCdf,
     RunningStats,
-    TimeWeightedStats,
     batch_means_ci,
     relative_ci_width,
     t_critical,
@@ -68,8 +57,6 @@ from .stats import (
 from .tracing import NullTracer, TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CHECKPOINT_FORMAT_VERSION",
     "Checkpoint",
     "Constant",
@@ -84,18 +71,14 @@ __all__ = [
     "FastForwardEnvironment",
     "FluidTask",
     "Geometric",
-    "Interrupt",
     "NullTracer",
-    "PRIORITY_LOW",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
     "Process",
     "RandomStreams",
-    "Resource",
     "RunningStats",
     "Store",
     "Timeout",
-    "TimeWeightedStats",
     "TraceRecord",
     "Tracer",
     "Uniform",

@@ -30,14 +30,12 @@ performs the exact same dispatch in the exact same order. See
 from __future__ import annotations
 
 import heapq
-from typing import Generator, Iterable, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .events import (
     _PRIORITY_SHIFT,
     PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
     Event,
     Timeout,
     timeout_factory,
@@ -70,7 +68,7 @@ class Environment:
         run.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "timeout")
+    __slots__ = ("_now", "_queue", "_eid", "timeout")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -81,7 +79,6 @@ class Environment:
         #: Heap of ``(time, priority << shift | eid, event)`` entries.
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         # One sleep per client think time makes `timeout` the
         # most-called factory in a run; see timeout_factory.
         self.timeout = timeout_factory(self)
@@ -92,11 +89,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     def schedule(
         self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
@@ -128,8 +120,7 @@ class Environment:
 
         Derived as *scheduled minus still-queued*: events only ever
         leave the heap by being dispatched (there is no cancellation
-        path — interrupted timeouts stay queued and are dispatched as
-        no-ops), so this needs no counter on the hot dispatch loop.
+        path), so this needs no counter on the hot dispatch loop.
         Checkpoints record it as the exact replay position of a cut.
         """
         return self._eid - len(self._queue)
@@ -217,10 +208,8 @@ class Environment:
             waiter = event._waiter
             if waiter is not None:
                 event._waiter = None
-                if waiter._target is event and event._ok:
+                if event._ok:
                     # Inlined sole-waiter resume (the sleep fast path).
-                    waiter._target = None
-                    self._active_process = waiter
                     try:
                         next_event = waiter._generator.send(event._value)
                     except BaseException as error:  # incl. StopIteration
@@ -234,13 +223,10 @@ class Environment:
                         ):
                             # Fresh sole-waiter sleep: park directly.
                             next_event._waiter = waiter
-                            waiter._target = next_event
-                            self._active_process = None
                         else:
                             waiter._after_yield(next_event)
                 else:
-                    # Stale target (interrupt) or failed event: the full
-                    # resume handles detaching and the throw path.
+                    # Failed event: the full resume takes the throw path.
                     waiter._resume(event)
             callbacks = event._callbacks
             if callbacks is not None:
@@ -259,14 +245,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Spawn ``generator`` as a simulation :class:`Process`."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now!r} queued={len(self._queue)}>"

@@ -3,8 +3,7 @@
 The engine follows the classic process-interaction style popularized by
 CSIM and simpy: an :class:`Event` is a one-shot occurrence that carries a
 value (or an exception) and a list of callbacks; a :class:`Timeout` is an
-event scheduled to trigger after a simulated delay; condition events
-(:class:`AnyOf`, :class:`AllOf`) compose other events.
+event scheduled to trigger after a simulated delay.
 
 Events move through three states:
 
@@ -44,7 +43,6 @@ from ..errors import SimulationError
 #: scheduled for the same simulation time.
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
-PRIORITY_LOW = 2
 
 _PENDING = object()
 _INFINITY = float("inf")
@@ -149,17 +147,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Useful as a callback: ``other.callbacks.append(this.trigger)``.
-        """
-        if self._value is not _PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -234,68 +221,3 @@ def timeout_factory(env) -> Callable[..., Timeout]:
 
     return timeout
 
-
-class ConditionEvent(Event):
-    """Base class for events composed of several sub-events."""
-
-    __slots__ = ("events", "_outstanding")
-
-    def __init__(self, env, events):
-        super().__init__(env)
-        self.events = tuple(events)
-        for event in self.events:
-            if event.env is not env:
-                raise SimulationError("cannot mix events from different environments")
-        self._outstanding = len(self.events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event._processed:
-                self._check(event)
-            else:
-                cbs = event._callbacks
-                if cbs is None:
-                    cbs = event._callbacks = []
-                cbs.append(self._check)
-
-    def _collect(self) -> dict:
-        """Values of all triggered sub-events, keyed by event."""
-        return {
-            event: event._value
-            for event in self.events
-            if event.triggered and event._ok
-        }
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(ConditionEvent):
-    """Triggers once *all* sub-events have triggered successfully."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._outstanding -= 1
-        if self._outstanding == 0:
-            self.succeed(self._collect())
-
-
-class AnyOf(ConditionEvent):
-    """Triggers as soon as *any* sub-event triggers successfully."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())

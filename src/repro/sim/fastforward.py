@@ -19,8 +19,8 @@ scheduler/alarm/DNS decision state asynchronously — every such mutation
 in this codebase happens *inside* some dispatch, never between them.
 Model code opts a client shape in only when its whole per-wake body can
 be mirrored exactly (see :mod:`repro.workload.fluid` for the eligibility
-gate); everything else — monitor and estimator processes, condition
-events, interrupts — takes the reference dispatch path of
+gate); everything else — monitor and estimator processes, shared
+events, failed events — takes the reference dispatch path of
 :meth:`~repro.sim.engine.Environment.run`, verbatim.
 
 Equivalence guarantee
@@ -248,9 +248,7 @@ class FastForwardEnvironment(Environment):
             waiter = event._waiter
             if waiter is not None:
                 event._waiter = None
-                if waiter._target is event and event._ok:
-                    waiter._target = None
-                    self._active_process = waiter
+                if event._ok:
                     try:
                         next_event = waiter._generator.send(event._value)
                     except BaseException as error:  # incl. StopIteration
@@ -263,8 +261,6 @@ class FastForwardEnvironment(Environment):
                             and not next_event._processed
                         ):
                             next_event._waiter = waiter
-                            waiter._target = next_event
-                            self._active_process = None
                         else:
                             waiter._after_yield(next_event)
                 else:

@@ -16,19 +16,10 @@ resumes it directly.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..errors import SimulationError, StopProcess
 from .events import PRIORITY_URGENT, Event, _PENDING
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    @property
-    def cause(self):
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class _Initialize(Event):
@@ -47,92 +38,48 @@ class _Initialize(Event):
 class Process(Event):
     """A running simulation process (see module docstring)."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env, generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process is currently waiting on.
-        self._target: Optional[Event] = _Initialize(env, self)
+        _Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the underlying generator has not exited."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is waiting for (``None`` if running)."""
-        return self._target
-
-    def interrupt(self, cause=None) -> None:
-        """Interrupt the process, raising :class:`Interrupt` inside it.
-
-        The process stops waiting for its current target event and is
-        resumed immediately (at the current simulation time). Interrupting
-        a dead process is an error.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._waiter = self
-        # Jump the queue so the interrupt lands before same-time events.
-        self.env.schedule(event, priority=PRIORITY_URGENT)
-
     # -- internal ---------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Resume the generator with the triggered ``event``."""
-        if self._value is not _PENDING:
-            # Already terminated. Only an interrupt can still reach a dead
-            # process: it was scheduled while the victim was alive, but the
-            # victim handled an earlier interrupt and finished before this
-            # one fired. Dropping it matches SimPy — an interrupt for a
-            # completed process is moot.
-            return
-        env = self.env
-        env._active_process = self
-        # Detach from the old target: if we were interrupted while waiting,
-        # the stale target must no longer resume us when it fires — whether
-        # we were parked in its waiter slot or on its callbacks list.
-        target = self._target
-        if target is not None and target is not event:
-            if target._waiter is self:
-                target._waiter = None
+        """Resume the generator with the processed ``event``.
+
+        A process waits on exactly one event at a time and is resumed
+        once per wait, so a resume always finds the generator alive.
+        """
+        try:
+            if event._ok:
+                next_event = self._generator.send(event._value)
             else:
-                callbacks = target._callbacks
-                if callbacks is not None:
-                    try:
-                        callbacks.remove(self._resume)
-                    except ValueError:
-                        pass
-        self._target = None
+                next_event = self._generator.throw(event._value)
+        except BaseException as error:  # incl. StopIteration
+            self._terminate(error)
+        else:
+            self._after_yield(next_event)
+
+    def _after_yield(self, next_event) -> None:
+        """Wait on the event the generator just yielded.
+
+        Also the slow tail of the resume inlined in
+        :meth:`Environment.run`, for anything but a fresh sole-waiter
+        Timeout. Registers on ``next_event`` — or, if it is already
+        processed, keeps pumping the generator with its outcome.
+        """
         while True:
-            try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
-                else:
-                    next_event = self._generator.throw(event._value)
-            except StopIteration as stop:
-                env._active_process = None
-                self.succeed(getattr(stop, "value", None))
-                return
-            except StopProcess as stop:
-                env._active_process = None
-                self.succeed(stop.value)
-                return
-            except BaseException as error:
-                env._active_process = None
-                self.fail(error)
-                return
             if not isinstance(next_event, Event):
-                env._active_process = None
                 error = SimulationError(
                     f"process yielded a non-event: {next_event!r}"
                 )
@@ -150,68 +97,23 @@ class Process(Event):
                     if callbacks is None:
                         callbacks = next_event._callbacks = []
                     callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
                 return
-            # Already processed: feed its value straight back in.
-            event = next_event
-
-    def _after_yield(self, next_event) -> None:
-        """Slow tail of the resume inlined in :meth:`Environment.run`.
-
-        The inlined fast path has already sent into the generator and
-        received ``next_event``, but it was not a fresh sole-waiter
-        Timeout. Register on it — or, if it is already processed, keep
-        pumping the generator exactly as :meth:`_resume` would.
-        ``env._active_process`` is still this process on entry.
-        """
-        env = self.env
-        while True:
-            if not isinstance(next_event, Event):
-                env._active_process = None
-                error = SimulationError(
-                    f"process yielded a non-event: {next_event!r}"
-                )
-                self._generator.close()
-                self.fail(error)
-                return
-            if not next_event._processed:
-                if next_event._waiter is None and next_event._callbacks is None:
-                    next_event._waiter = self
-                else:
-                    callbacks = next_event._callbacks
-                    if callbacks is None:
-                        callbacks = next_event._callbacks = []
-                    callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
-                return
-            event = next_event
+            # Already processed: feed its outcome straight back in.
             try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
+                if next_event._ok:
+                    next_event = self._generator.send(next_event._value)
                 else:
-                    next_event = self._generator.throw(event._value)
-            except StopIteration as stop:
-                env._active_process = None
-                self.succeed(getattr(stop, "value", None))
-                return
-            except StopProcess as stop:
-                env._active_process = None
-                self.succeed(stop.value)
-                return
-            except BaseException as error:
-                env._active_process = None
-                self.fail(error)
+                    next_event = self._generator.throw(next_event._value)
+            except BaseException as error:  # incl. StopIteration
+                self._terminate(error)
                 return
 
     def _terminate(self, error: BaseException) -> None:
-        """Classify an exception out of ``generator.send`` and finish.
+        """Finish with the exception that ended the generator.
 
-        Counterpart of :meth:`_resume`'s except clauses for the resume
-        inlined in :meth:`Environment.run`.
+        ``StopIteration`` and :class:`~repro.errors.StopProcess` are a
+        normal return; anything else fails the process.
         """
-        self.env._active_process = None
         if isinstance(error, StopIteration):
             self.succeed(getattr(error, "value", None))
         elif isinstance(error, StopProcess):

@@ -1,17 +1,10 @@
-"""Shared-resource primitives built on the event engine.
+"""A FIFO object buffer built on the event engine.
 
 The paper's model itself needs no queued resources (servers are modelled
-as fluid accumulators), but a general DES substrate without resources
-would be crippled for downstream users, and the example applications and
-tests use them. Two primitives are provided:
-
-:class:`Resource`
-    A counted resource with FIFO queueing, in the style of
-    ``simpy.Resource`` — ``request()`` yields an event that triggers when
-    a slot is granted, ``release()`` frees it.
-:class:`Store`
-    An unbounded-or-bounded FIFO buffer of Python objects with blocking
-    ``get``/``put``.
+as fluid accumulators). :class:`Store` — an unbounded-or-bounded FIFO
+buffer of Python objects with blocking ``get``/``put`` — backs the
+event-driven :class:`~repro.web.queueing.QueueingWebServer`, the
+reference implementation the fluid server is cross-validated against.
 """
 
 from __future__ import annotations
@@ -21,83 +14,6 @@ from typing import Any, Deque, Optional
 
 from ..errors import SimulationError
 from .events import Event
-
-
-class Request(Event):
-    """Pending acquisition of one :class:`Resource` slot."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._queue.append(self)
-        resource._dispatch()
-
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        if self.triggered:
-            raise SimulationError("cannot cancel a granted request; release instead")
-        self.resource._queue.remove(self)
-
-    # Context-manager support: ``with resource.request() as req: yield req``
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        if self.triggered:
-            self.resource.release(self)
-        else:
-            self.cancel()
-
-
-class Resource:
-    """A resource with ``capacity`` identical slots and a FIFO queue."""
-
-    __slots__ = ("env", "capacity", "_in_use", "_queue")
-
-    def __init__(self, env, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity!r}")
-        self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._queue: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
-    def request(self) -> Request:
-        """Ask for a slot; the returned event triggers when granted."""
-        return Request(self)
-
-    def release(self, request: Request) -> None:
-        """Return the slot held by ``request`` to the pool."""
-        if request.resource is not self:
-            raise SimulationError("request was issued against a different resource")
-        if not request.triggered:
-            raise SimulationError("cannot release an ungranted request")
-        self._in_use -= 1
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._queue and self._in_use < self.capacity:
-            request = self._queue.popleft()
-            self._in_use += 1
-            request.succeed(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"<Resource capacity={self.capacity} in_use={self._in_use} "
-            f"queued={len(self._queue)}>"
-        )
 
 
 class StorePut(Event):

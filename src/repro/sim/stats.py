@@ -4,8 +4,6 @@ Provides the accumulators the experiment harness relies on:
 
 * :class:`RunningStats` — numerically stable (Welford) moments of a
   sample stream.
-* :class:`TimeWeightedStats` — time-integrated average of a piecewise
-  constant signal (e.g. queue length, utilization between samples).
 * :class:`EmpiricalCdf` — the paper's headline metric is the cumulative
   frequency of the per-interval maximum server utilization; this class
   turns a sample series into that curve.
@@ -94,47 +92,6 @@ class RunningStats:
         if self.count == 0:
             return "<RunningStats empty>"
         return f"<RunningStats n={self.count} mean={self._mean:.6g}>"
-
-
-class TimeWeightedStats:
-    """Time-average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; the previous value is
-    weighted by the elapsed simulated time.
-    """
-
-    __slots__ = ("_last_time", "_last_value", "_area", "_start", "maximum")
-
-    def __init__(self, initial_time: float = 0.0, initial_value: float = 0.0):
-        self._start = float(initial_time)
-        self._last_time = float(initial_time)
-        self._last_value = float(initial_value)
-        self._area = 0.0
-        self.maximum = float(initial_value)
-
-    def update(self, now: float, value: float) -> None:
-        """Record that the signal takes ``value`` from time ``now`` on."""
-        if now < self._last_time:
-            raise SimulationError(
-                f"time went backwards: {now!r} < {self._last_time!r}"
-            )
-        self._area += self._last_value * (now - self._last_time)
-        self._last_time = now
-        self._last_value = float(value)
-        if value > self.maximum:
-            self.maximum = float(value)
-
-    def mean(self, now: float) -> float:
-        """Time-average of the signal over ``[start, now]``."""
-        if now < self._last_time:
-            raise SimulationError(
-                f"time went backwards: {now!r} < {self._last_time!r}"
-            )
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._last_value
-        area = self._area + self._last_value * (now - self._last_time)
-        return area / elapsed
 
 
 class EmpiricalCdf:

@@ -3,9 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.sim.engine import EmptySchedule, Environment
-from repro.sim.process import Interrupt
+from repro.sim.fastforward import FastForwardEnvironment
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
@@ -87,13 +86,16 @@ class TestProcessScheduling:
         assert sorted(done) == list(range(count))
 
 
-#: One worker action: sleep for a delay, wait on a shared gate event, or
-#: interrupt another worker (then sleep). Together these exercise every
-#: dispatch shape the engine has — the sole-waiter sleep fast path,
-#: shared events with waiter + callbacks-list registration, and the
-#: interrupt detach path.
+#: One worker action: sleep for a delay, wait on a shared gate, or wait
+#: on something that fails — a shared failing gate (even target) or a
+#: fresh child process that sleeps and then raises (odd target) — and
+#: catch the exception at the ``yield``. Together these exercise every
+#: dispatch shape the engine has: the sole-waiter sleep fast path,
+#: shared events with waiter + callbacks-list registration, waits on
+#: already-processed events, the throw path for failed events and the
+#: slow tail for a non-Timeout sole wait.
 _ACTION = st.tuples(
-    st.sampled_from(["sleep", "wait", "interrupt"]),
+    st.sampled_from(["sleep", "wait", "fail"]),
     st.floats(min_value=0.0, max_value=16.0, allow_nan=False),
     st.integers(min_value=0, max_value=3),
 )
@@ -107,50 +109,60 @@ class TestStepRunEquivalence:
     """run() is an inlined fast path over the same dispatch as step().
 
     The contract pinned here: for ANY program of sleeps, shared-event
-    waits and interrupts, driving the simulation with ``run()`` and
-    driving an identical twin with ``step()`` until :class:`EmptySchedule`
-    produces bit-identical trajectories (same wakeups, same clock values,
-    same interrupt deliveries, in the same order).
+    waits and waits on failing events, driving the simulation with
+    ``run()`` and driving an identical twin with ``step()`` until
+    :class:`EmptySchedule` produces bit-identical trajectories (same
+    wakeups, same clock values, same caught failures, in the same
+    order). Both copies of the inlined dispatch are held to it: the one
+    in :meth:`Environment.run` and the reference branch of
+    :meth:`FastForwardEnvironment.run`, driven with no task class
+    registered.
     """
 
     @staticmethod
-    def _execute(program, mode):
-        env = Environment()
+    def _execute(program, env_class, mode):
+        env = env_class()
         log = []
         gates = [env.event() for _ in range(4)]
-        processes = []
+        failing_gates = [env.event() for _ in range(2)]
+
+        def failing_child(delay, tag):
+            yield env.timeout(delay)
+            raise ValueError(f"child {tag} failed")
 
         def worker(worker_id, actions):
             for index, (kind, delay, target) in enumerate(actions):
-                try:
-                    if kind == "sleep":
-                        yield env.timeout(delay)
-                        log.append((worker_id, index, env.now, "slept"))
-                    elif kind == "wait":
-                        value = yield gates[target]
-                        log.append((worker_id, index, env.now, "gate", value))
+                if kind == "sleep":
+                    yield env.timeout(delay)
+                    log.append((worker_id, index, env.now, "slept"))
+                elif kind == "wait":
+                    value = yield gates[target]
+                    log.append((worker_id, index, env.now, "gate", value))
+                else:
+                    if target % 2:
+                        failing = env.process(
+                            failing_child(delay, (worker_id, index))
+                        )
                     else:
-                        victim = processes[target % len(processes)]
-                        if victim.is_alive and victim is not env.active_process:
-                            try:
-                                victim.interrupt((worker_id, index))
-                            except SimulationError:
-                                pass
-                        yield env.timeout(delay)
-                        log.append((worker_id, index, env.now, "slept-after"))
-                except Interrupt as interrupt:
-                    log.append(
-                        (worker_id, index, env.now, "intr", interrupt.cause)
-                    )
+                        failing = failing_gates[target // 2]
+                    try:
+                        yield failing
+                        log.append((worker_id, index, env.now, "no-failure"))
+                    except ValueError as error:
+                        log.append((worker_id, index, env.now, str(error)))
             log.append((worker_id, "done", env.now))
 
         def gatekeeper():
-            for gate in gates:
+            for number, gate in enumerate(gates):
                 yield env.timeout(3.0)
                 gate.succeed(env.now)
+                if number < len(failing_gates):
+                    failing_gates[number].fail(
+                        ValueError(f"gate {number} failed at {env.now}")
+                    )
 
         for worker_id, actions in enumerate(program):
-            processes.append(env.process(worker(worker_id, actions)))
+            env.process(worker(worker_id, actions))
         env.process(gatekeeper())
 
         if mode == "run":
@@ -167,4 +179,7 @@ class TestStepRunEquivalence:
     @given(_PROGRAM)
     @settings(max_examples=60, deadline=None)
     def test_step_and_run_trajectories_identical(self, program):
-        assert self._execute(program, "run") == self._execute(program, "step")
+        reference = self._execute(program, Environment, "step")
+        assert self._execute(program, Environment, "run") == reference
+        fast = self._execute(program, FastForwardEnvironment, "run")
+        assert fast == reference

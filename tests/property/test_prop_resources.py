@@ -1,4 +1,4 @@
-"""Model-based property tests for Resource/Store semantics."""
+"""Model-based property tests for Store semantics."""
 
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -10,56 +10,7 @@ from hypothesis.stateful import (
 )
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Resource, Store
-
-
-class ResourceModel(RuleBasedStateMachine):
-    """Check Resource against a simple counter/FIFO model."""
-
-    @initialize(capacity=st.integers(min_value=1, max_value=4))
-    def setup(self, capacity):
-        self.env = Environment()
-        self.capacity = capacity
-        self.resource = Resource(self.env, capacity=capacity)
-        self.granted = []  # requests currently holding a slot
-        self.waiting = []  # requests queued, FIFO
-
-    @rule()
-    def request(self):
-        request = self.resource.request()
-        if len(self.granted) < self.capacity:
-            assert request.triggered
-            self.granted.append(request)
-        else:
-            assert not request.triggered
-            self.waiting.append(request)
-
-    @precondition(lambda self: self.granted)
-    @rule(index=st.integers(min_value=0, max_value=10))
-    def release(self, index):
-        request = self.granted.pop(index % len(self.granted))
-        self.resource.release(request)
-        if self.waiting:
-            promoted = self.waiting.pop(0)
-            assert promoted.triggered  # FIFO promotion
-            self.granted.append(promoted)
-
-    @precondition(lambda self: self.waiting)
-    @rule(index=st.integers(min_value=0, max_value=10))
-    def cancel_waiting(self, index):
-        request = self.waiting.pop(index % len(self.waiting))
-        request.cancel()
-
-    @invariant()
-    def counts_match_model(self):
-        if not hasattr(self, "resource"):
-            return
-        assert self.resource.count == len(self.granted)
-        assert self.resource.queue_length == len(self.waiting)
-        assert self.resource.count <= self.capacity
-
-
-TestResourceModel = ResourceModel.TestCase
+from repro.sim.resources import Store
 
 
 class StoreModel(RuleBasedStateMachine):

@@ -14,7 +14,7 @@ siblings and pins the fix for every transportable object:
 * every exception class in :mod:`repro.errors` (enumerated
   programmatically — a new exception cannot dodge the audit: the test
   fails until an example is registered here);
-* the engine's out-of-band exceptions (``EmptySchedule``, ``Interrupt``);
+* the engine's out-of-band exception (``EmptySchedule``);
 * the data that rides the pool queue: ``SimulationResult`` (with
   config, trace and metrics attached), ``TraceRecord``/``Tracer``/
   ``NullTracer``, ``SpanEvent`` (the progress and span record),
@@ -47,7 +47,6 @@ from repro.experiments.simulation import Simulation
 from repro.obs.spans import COMPLETE, SpanEvent
 from repro.sim.checkpoint import Checkpoint
 from repro.sim.engine import EmptySchedule
-from repro.sim.process import Interrupt
 from repro.sim.tracing import NullTracer, TraceRecord, Tracer
 
 
@@ -129,8 +128,6 @@ def test_checkpoint_mismatch_error_attrs_survive():
 def test_engine_exceptions_roundtrip():
     empty = roundtrip(EmptySchedule("no events left"))
     assert isinstance(empty, EmptySchedule)
-    interrupt = roundtrip(Interrupt("preempt cause"))
-    assert interrupt.cause == "preempt cause"
 
 
 # -- pool-queue payloads -----------------------------------------------------

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
 
 
 class TestEvent:
@@ -57,13 +55,6 @@ class TestEvent:
         assert seen == ["payload"]
         assert event.processed
 
-    def test_trigger_copies_state_from_other_event(self, env):
-        source = env.event().succeed("data")
-        target = env.event()
-        target.trigger(source)
-        assert target.triggered
-        assert target.value == "data"
-
     def test_repr_shows_state(self, env):
         event = env.event()
         assert "pending" in repr(event)
@@ -89,68 +80,3 @@ class TestTimeout:
         env.timeout(0.0).callbacks.append(lambda e: fired.append(env.now))
         env.run()
         assert fired == [0.0]
-
-
-class TestConditionEvents:
-    def test_all_of_waits_for_every_event(self, env):
-        first, second = env.event(), env.event()
-        both = env.all_of([first, second])
-        first.succeed(1)
-        env.run()
-        assert not both.triggered
-        second.succeed(2)
-        env.run()
-        assert both.triggered
-        assert both.value == {first: 1, second: 2}
-
-    def test_any_of_fires_on_first(self, env):
-        first, second = env.event(), env.event()
-        either = env.any_of([first, second])
-        second.succeed("winner")
-        env.run()
-        assert either.triggered
-        assert either.value == {second: "winner"}
-
-    def test_empty_all_of_succeeds_immediately(self, env):
-        assert env.all_of([]).triggered
-
-    def test_all_of_fails_if_member_fails(self, env):
-        first, second = env.event(), env.event()
-        both = env.all_of([first, second])
-        first.fail(ValueError("nope"))
-        env.run()
-        assert both.triggered
-        assert not both.ok
-
-    @pytest.mark.parametrize("condition", ["any_of", "all_of"])
-    def test_failed_member_raises_at_the_waiting_yield(self, env, condition):
-        log = []
-
-        def failer(event):
-            yield env.timeout(10.0)
-            event.fail(ValueError("member failed"))
-
-        def waiter():
-            failing = env.event()
-            env.process(failer(failing))
-            try:
-                yield getattr(env, condition)([env.timeout(100.0), failing])
-                log.append(("done", env.now))
-            except ValueError as error:
-                log.append((str(error), env.now))
-
-        env.process(waiter())
-        env.run(until=50.0)
-        assert log == [("member failed", 10.0)]
-
-    def test_condition_with_already_triggered_events(self, env):
-        done = env.event().succeed("x")
-        env.run()
-        both = env.all_of([done])
-        assert both.triggered
-        assert both.value == {done: "x"}
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        with pytest.raises(SimulationError):
-            env.all_of([other.event()])

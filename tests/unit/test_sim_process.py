@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import SimulationError, StopProcess
-from repro.sim.engine import Environment
-from repro.sim.process import Interrupt, Process
 
 
 class TestBasicProcesses:
@@ -145,202 +143,3 @@ class TestProcessComposition:
         assert (1.0, "fast") in log
         assert (2.0, "slow") in log
         assert log == sorted(log, key=lambda item: item[0])
-
-
-class TestInterrupts:
-    def test_interrupt_raises_inside_process(self, env):
-        caught = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                caught.append((env.now, interrupt.cause))
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            victim.interrupt(cause="wake up")
-
-        env.process(interrupter())
-        env.run()
-        assert caught == [(2.0, "wake up")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        env.process(interrupter())
-        env.run()
-        assert log == [3.0]
-
-    def test_stale_target_does_not_resume_interrupted_process(self, env):
-        resumes = []
-
-        def sleeper():
-            try:
-                yield env.timeout(5.0)
-                resumes.append("timeout")
-            except Interrupt:
-                resumes.append("interrupt")
-            yield env.timeout(100.0)
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(interrupter())
-        env.run(until=50.0)
-        assert resumes == ["interrupt"]
-
-    def test_interrupting_dead_process_raises(self, env):
-        def quick():
-            yield env.timeout(1.0)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        failures = []
-
-        def selfish():
-            this = env.active_process
-            try:
-                this.interrupt()
-            except SimulationError:
-                failures.append(True)
-            yield env.timeout(1.0)
-
-        env.process(selfish())
-        env.run()
-        assert failures == [True]
-
-    def test_interrupt_cause_accessible(self):
-        interrupt = Interrupt("the-cause")
-        assert interrupt.cause == "the-cause"
-
-    def test_interrupt_detaches_fast_path_sleeper(self, env):
-        """Interrupting a process parked in a Timeout's waiter slot.
-
-        A sole sleeper occupies the Timeout's ``_waiter`` slot (no
-        callbacks list exists). The interrupt must detach it from that
-        slot; when the stale Timeout later fires it must not resume the
-        process a second time. Regression for the fast-path engine: an
-        engine that only scrubbed callbacks lists would double-resume.
-        """
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(10.0)
-                log.append(("slept", env.now))
-            except Interrupt as interrupt:
-                log.append(("interrupted", env.now, interrupt.cause))
-            yield env.timeout(0.5)
-            log.append(("resumed", env.now))
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(2.0)
-            victim.interrupt("wake")
-
-        env.process(interrupter())
-        env.run(until=4.0)
-        assert log == [("interrupted", 2.0, "wake"), ("resumed", 2.5)]
-        # Let the stale 10.0 Timeout fire: the victim must stay detached.
-        env.run(until=20.0)
-        assert log == [("interrupted", 2.0, "wake"), ("resumed", 2.5)]
-
-    def test_interrupt_clears_stale_timeout_waiter_slot(self, env):
-        """White-box: the stale Timeout holds no dangling waiter reference."""
-        captured = {}
-
-        def sleeper():
-            timeout = env.timeout(10.0)
-            captured["timeout"] = timeout
-            try:
-                yield timeout
-            except Interrupt:
-                pass
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(interrupter())
-        env.run(until=5.0)
-        assert captured["timeout"]._waiter is None
-        assert captured["timeout"]._callbacks is None
-
-    def test_interrupt_fast_path_sleeper_via_step(self, env):
-        """The same detach guarantee when driven by single-stepping."""
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(10.0)
-                log.append("slept")
-            except Interrupt:
-                log.append("interrupted")
-            yield env.timeout(100.0)
-
-        victim = env.process(sleeper())
-
-        def interrupter():
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(interrupter())
-        while env.peek() <= 50.0:
-            env.step()
-        assert log == ["interrupted"]
-
-    def test_interrupt_delivered_after_victim_died_is_dropped(self, env):
-        """A queued interrupt whose victim has since terminated is moot.
-
-        Both interrupts are scheduled while the victim is alive; handling
-        the first one makes the victim finish, so the second fires against
-        a dead process. It must be silently dropped (SimPy semantics), not
-        thrown into the exhausted generator.
-        """
-        log = []
-
-        def victim():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        victim_process = env.process(victim())
-
-        def double_interrupter():
-            yield env.timeout(1.0)
-            victim_process.interrupt("first")
-            victim_process.interrupt("second")
-
-        env.process(double_interrupter())
-        env.run()
-        assert log == [(1.0, "first")]
-        assert not victim_process.is_alive
-        assert victim_process.ok

@@ -3,96 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.resources import Resource, Store
-
-
-class TestResource:
-    def test_capacity_must_be_positive(self, env):
-        with pytest.raises(SimulationError):
-            Resource(env, capacity=0)
-
-    def test_request_granted_when_free(self, env):
-        resource = Resource(env, capacity=1)
-        request = resource.request()
-        assert request.triggered
-        assert resource.count == 1
-
-    def test_request_queues_when_full(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert first.triggered
-        assert not second.triggered
-        assert resource.queue_length == 1
-
-    def test_release_grants_next_in_fifo_order(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        third = resource.request()
-        resource.release(first)
-        assert second.triggered
-        assert not third.triggered
-
-    def test_release_ungranted_request_raises(self, env):
-        resource = Resource(env, capacity=1)
-        resource.request()
-        waiting = resource.request()
-        with pytest.raises(SimulationError):
-            resource.release(waiting)
-
-    def test_release_against_other_resource_raises(self, env):
-        a, b = Resource(env), Resource(env)
-        request = a.request()
-        with pytest.raises(SimulationError):
-            b.release(request)
-
-    def test_cancel_removes_waiting_request(self, env):
-        resource = Resource(env, capacity=1)
-        resource.request()
-        waiting = resource.request()
-        waiting.cancel()
-        assert resource.queue_length == 0
-
-    def test_cancel_granted_request_raises(self, env):
-        resource = Resource(env)
-        request = resource.request()
-        with pytest.raises(SimulationError):
-            request.cancel()
-
-    def test_context_manager_releases(self, env):
-        resource = Resource(env, capacity=1)
-        log = []
-
-        def worker(name):
-            with resource.request() as request:
-                yield request
-                log.append((env.now, name, "in"))
-                yield env.timeout(2.0)
-            log.append((env.now, name, "out"))
-
-        env.process(worker("a"))
-        env.process(worker("b"))
-        env.run()
-        assert (0.0, "a", "in") in log
-        assert (2.0, "b", "in") in log  # b entered only after a released
-
-    def test_multi_capacity_allows_parallel_holders(self, env):
-        resource = Resource(env, capacity=2)
-        entered = []
-
-        def worker(name):
-            with resource.request() as request:
-                yield request
-                entered.append((env.now, name))
-                yield env.timeout(1.0)
-
-        for name in ("a", "b", "c"):
-            env.process(worker(name))
-        env.run()
-        assert (0.0, "a") in entered
-        assert (0.0, "b") in entered
-        assert (1.0, "c") in entered
+from repro.sim.resources import Store
 
 
 class TestStore:

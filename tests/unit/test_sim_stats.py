@@ -10,7 +10,6 @@ from repro.errors import SimulationError
 from repro.sim.stats import (
     EmpiricalCdf,
     RunningStats,
-    TimeWeightedStats,
     batch_means_ci,
     relative_ci_width,
     t_critical,
@@ -53,40 +52,6 @@ class TestRunningStats:
         stats = RunningStats()
         stats.extend([1.0, 2.0, 3.0])
         assert stats.count == 3
-
-
-class TestTimeWeightedStats:
-    def test_constant_signal(self):
-        stats = TimeWeightedStats(initial_value=2.0)
-        assert stats.mean(10.0) == 2.0
-
-    def test_step_signal(self):
-        stats = TimeWeightedStats()
-        stats.update(5.0, 1.0)  # 0 for [0, 5), 1 for [5, 10)
-        assert stats.mean(10.0) == pytest.approx(0.5)
-
-    def test_multiple_steps(self):
-        stats = TimeWeightedStats()
-        stats.update(2.0, 4.0)
-        stats.update(6.0, 1.0)
-        # areas: 0*2 + 4*4 + 1*2 = 18 over 8
-        assert stats.mean(8.0) == pytest.approx(18.0 / 8.0)
-
-    def test_maximum_tracked(self):
-        stats = TimeWeightedStats()
-        stats.update(1.0, 7.0)
-        stats.update(2.0, 3.0)
-        assert stats.maximum == 7.0
-
-    def test_time_going_backwards_rejected(self):
-        stats = TimeWeightedStats()
-        stats.update(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            stats.update(4.0, 2.0)
-
-    def test_mean_at_start_is_current_value(self):
-        stats = TimeWeightedStats(initial_time=3.0, initial_value=9.0)
-        assert stats.mean(3.0) == 9.0
 
 
 class TestEmpiricalCdf:
