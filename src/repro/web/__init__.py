@@ -7,17 +7,14 @@ from .cluster import (
 )
 from .monitor import AlarmProtocol, UtilizationMonitor
 from .queueing import QueueingWebServer
-from .requests import PageRequest, SessionRecord
 from .server import WebServer
 
 __all__ = [
     "AlarmProtocol",
     "DEFAULT_TOTAL_CAPACITY",
     "HETEROGENEITY_LEVELS",
-    "PageRequest",
     "QueueingWebServer",
     "ServerCluster",
-    "SessionRecord",
     "UtilizationMonitor",
     "WebServer",
 ]
