@@ -36,13 +36,14 @@ completion wins, in results, winning span events and timing alike.
 from __future__ import annotations
 
 import queue
+import reprlib
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ...errors import DispatchError
+from ...errors import DispatchError, ReproError
 from ...obs import spans as span_kinds
 from ...obs.progress import ProgressSink, drained
 from ...obs.spans import SpanRecorder, span_now
@@ -246,10 +247,7 @@ class Coordinator:
         if self._failure is not None:
             raise self._failure
         with self._lock:
-            results = [
-                result_from_wire(payload)
-                for payload in self.table.results_in_order()
-            ]
+            results = self.table.results_in_order()
             completions = list(self.table.completions)
             retried = {
                 str(index): count
@@ -364,7 +362,10 @@ class Coordinator:
                 connected=live,
             )
             while not self._stop:
-                message = recv_message(connection)
+                try:
+                    message = recv_message(connection)
+                except DispatchError as error:
+                    raise DispatchError(f"{error} (from worker {worker_id})") from None
                 if message is None:
                     return
                 kind = message["type"]
@@ -372,7 +373,7 @@ class Coordinator:
                     if not self._answer_request(connection, worker_id):
                         return
                 elif kind == HEARTBEAT:
-                    cell = int(message["cell"])
+                    cell = self._cell(message, worker_id)
                     with self._lock:
                         self.table.heartbeat(cell, worker_id)
                     self._span(
@@ -459,15 +460,34 @@ class Coordinator:
 
     # -- worker message handling ---------------------------------------------
 
+    def _cell(self, message: Dict[str, Any], worker_id: str) -> int:
+        """The index of the batch cell ``message`` names.
+
+        Raises :class:`~repro.errors.DispatchError` naming the worker
+        when the message names no cell of this batch.
+        """
+        cell = message.get("cell")
+        if type(cell) is not int or not 0 <= cell < self.table.cell_count:
+            raise DispatchError(
+                f"{message['type']} message from worker {worker_id} names "
+                f"no cell of this batch: {reprlib.repr(cell)}"
+            )
+        return cell
+
     def _handle_result(
         self, message: Dict[str, Any], worker_id: str
     ) -> None:
-        index = int(message["cell"])
-        elapsed = float(message.get("elapsed") or 0.0)
+        index = self._cell(message, worker_id)
+        try:
+            elapsed = float(message.get("elapsed") or 0.0)
+            result = result_from_wire(message.get("payload"))
+        except (ReproError, TypeError, ValueError, OverflowError) as error:
+            raise DispatchError(
+                f"malformed result for cell {index} from worker "
+                f"{worker_id}: {error}"
+            ) from error
         with self._lock:
-            first = self.table.complete(
-                index, worker_id, message["payload"], elapsed
-            )
+            first = self.table.complete(index, worker_id, result, elapsed)
             if first and worker_id in self.roster:
                 self.roster[worker_id]["cells"] += 1
             done = self.table.done
@@ -487,6 +507,8 @@ class Coordinator:
         self, message: Dict[str, Any], worker_id: str
     ) -> None:
         index = message.get("cell")
+        if index is not None:
+            index = self._cell(message, worker_id)
         label = message.get("label")
         detail = message.get("error", "unknown error")
         kind = message.get("kind", "Exception")
@@ -500,7 +522,7 @@ class Coordinator:
         if index is not None:
             self._span(
                 span_kinds.ERROR,
-                cell=int(index),
+                cell=index,
                 attempt=message.get("attempt"),
                 worker=worker_id,
                 error=detail,

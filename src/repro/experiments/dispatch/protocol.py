@@ -51,11 +51,12 @@ wire saves byte-identically to one produced in-process.
 from __future__ import annotations
 
 import json
+import reprlib
 import socket
 import struct
 from typing import Any, Dict, Optional, Tuple
 
-from ...errors import DispatchError
+from ...errors import ConfigurationError, DispatchError
 from ...obs.export import record_from_dict, record_to_dict
 from ..metrics import SimulationResult
 from ..persistence import result_from_dict, result_to_dict
@@ -136,8 +137,8 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     """Receive one framed message; ``None`` when the peer is gone.
 
     Raises :class:`~repro.errors.DispatchError` on a frame that cannot
-    be data (oversized length prefix or non-JSON payload) — a protocol
-    violation, not a death.
+    be data (oversized length prefix, non-JSON or too deeply nested
+    payload, or not a typed object) — a protocol violation, not a death.
     """
     header = _recv_exactly(sock, HEADER.size)
     if header is None:
@@ -155,8 +156,12 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DispatchError(f"undecodable frame: {exc}") from exc
+    except RecursionError:
+        raise DispatchError("undecodable frame: nested too deeply") from None
     if not isinstance(message, dict) or "type" not in message:
-        raise DispatchError(f"malformed message (no type): {message!r}")
+        raise DispatchError(
+            f"malformed message (no type): {reprlib.repr(message)}"
+        )
     return message
 
 
@@ -181,10 +186,20 @@ def result_to_wire(result: SimulationResult) -> Dict[str, Any]:
     }
 
 
-def result_from_wire(payload: Dict[str, Any]) -> SimulationResult:
-    """Rebuild the :class:`SimulationResult` sent by :func:`result_to_wire`."""
+def result_from_wire(payload: Any) -> SimulationResult:
+    """Rebuild the :class:`SimulationResult` sent by :func:`result_to_wire`.
+
+    A payload that is not one raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if not isinstance(payload, dict) or "result" not in payload:
+        raise ConfigurationError(f"not a wire result: {reprlib.repr(payload)}")
     result = result_from_dict(payload["result"])
     trace = payload.get("trace")
     if trace is not None:
+        if not isinstance(trace, list):
+            raise ConfigurationError(
+                f"a wire result trace must be a list, got {type(trace).__name__}"
+            )
         result.trace = [record_from_dict(record) for record in trace]
     return result

@@ -87,41 +87,52 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     }
 
 
-def result_from_dict(data: Dict[str, Any]) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` saved by :func:`result_to_dict`."""
+def result_from_dict(data: Any) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` saved by :func:`result_to_dict`.
+
+    A non-object, a missing field or a value of the wrong shape raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a result must be a JSON object, got {type(data).__name__}")
     if data.get("kind") != "simulation_result":
         raise ConfigurationError(
             f"not a serialized simulation result: kind={data.get('kind')!r}"
         )
-    config = data.get("config")
-    series = data.get("utilization_series")
-    return SimulationResult(
-        policy=data["policy"],
-        max_utilization_samples=list(data["max_utilization_samples"]),
-        mean_utilization_per_server=list(
-            data["mean_utilization_per_server"]
-        ),
-        dns_resolutions=data["dns_resolutions"],
-        address_request_rate=data["address_request_rate"],
-        dns_resolution_fraction=data["dns_resolution_fraction"],
-        dns_control_fraction=data["dns_control_fraction"],
-        mean_granted_ttl=data["mean_granted_ttl"],
-        alarm_signals=data["alarm_signals"],
-        ns_ttl_overrides=data["ns_ttl_overrides"],
-        mean_page_response_time=data.get("mean_page_response_time", 0.0),
-        max_page_response_time=data.get("max_page_response_time", 0.0),
-        mean_network_rtt=data.get("mean_network_rtt", 0.0),
-        total_hits=data["total_hits"],
-        total_sessions=data["total_sessions"],
-        duration=data["duration"],
-        config=config_from_dict(config) if config else None,
-        metrics=data.get("metrics"),
-        utilization_series=(
-            [(now, list(vector)) for now, vector in series]
-            if series
-            else None
-        ),
-    )
+    try:
+        config = data.get("config")
+        series = data.get("utilization_series")
+        return SimulationResult(
+            policy=data["policy"],
+            max_utilization_samples=list(data["max_utilization_samples"]),
+            mean_utilization_per_server=list(
+                data["mean_utilization_per_server"]
+            ),
+            dns_resolutions=data["dns_resolutions"],
+            address_request_rate=data["address_request_rate"],
+            dns_resolution_fraction=data["dns_resolution_fraction"],
+            dns_control_fraction=data["dns_control_fraction"],
+            mean_granted_ttl=data["mean_granted_ttl"],
+            alarm_signals=data["alarm_signals"],
+            ns_ttl_overrides=data["ns_ttl_overrides"],
+            mean_page_response_time=data.get("mean_page_response_time", 0.0),
+            max_page_response_time=data.get("max_page_response_time", 0.0),
+            mean_network_rtt=data.get("mean_network_rtt", 0.0),
+            total_hits=data["total_hits"],
+            total_sessions=data["total_sessions"],
+            duration=data["duration"],
+            config=config_from_dict(config) if config else None,
+            metrics=data.get("metrics"),
+            utilization_series=(
+                [(now, list(vector)) for now, vector in series]
+                if series
+                else None
+            ),
+        )
+    except KeyError as exc:
+        raise ConfigurationError(f"simulation result field {exc} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed simulation result: {exc}") from exc
 
 
 def figure_to_dict(figure: FigureResult) -> Dict[str, Any]:

@@ -1,24 +1,31 @@
-"""Property tests for three decoders of untrusted input: checkpoint
-files, serialized simulation configs and Prometheus text expositions.
+"""Property tests for the decoders of untrusted input: checkpoint
+files, serialized simulation configs, Prometheus text expositions,
+dispatch frame bodies and cell results on the wire.
 
 Whatever the input, each either decodes or raises its typed error —
 :class:`~repro.errors.CheckpointError` for checkpoints,
 :class:`~repro.errors.ConfigurationError` for configs and exposition
-text — never an ``AttributeError``/``TypeError`` from deep inside. The
-exposition emitter's own output always parses back to the values it
-rendered.
+text, :class:`~repro.errors.DispatchError` for frames and a
+:class:`~repro.errors.ReproError` for wire results — never an
+``AttributeError``/``TypeError``/``RecursionError`` from deep inside.
+The exposition emitter's own output always parses back to the values
+it rendered.
 """
 
 import dataclasses
 import json
 import math
+import socket
+import threading
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, DispatchError, ReproError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.persistence import config_from_dict
+from repro.experiments.dispatch.protocol import HEADER, recv_message, result_from_wire
+from repro.experiments.metrics import SimulationResult
+from repro.experiments.persistence import config_from_dict, result_to_dict
 from repro.obs.export import metrics_to_prom_text, parse_prom_text
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.checkpoint import Checkpoint, read_checkpoint, state_digest
@@ -97,6 +104,73 @@ def test_config_decodes_or_raises_configuration_error(data):
     try:
         assert isinstance(config_from_dict(data), SimulationConfig)
     except ConfigurationError:
+        pass
+
+
+# -- dispatch frames and wire results ------------------------------------------
+
+
+def _receive_frame(body):
+    """``recv_message`` on one frame carrying ``body``."""
+    ours, theirs = socket.socketpair()
+    sender = threading.Thread(target=theirs.sendall, args=(HEADER.pack(len(body)) + body,))
+    sender.start()
+    try:
+        return recv_message(ours)
+    finally:
+        sender.join()
+        ours.close()
+        theirs.close()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    body=st.binary(max_size=64)
+    | json_values.map(lambda value: json.dumps(value).encode())
+    | st.builds(lambda depth, tail: b"[" * depth + tail, st.integers(0, 5000), st.binary(max_size=4))
+)
+@example(body=b"[" * 100_000)
+@example(body=b'{"type": "heartbeat"}')
+def test_arbitrary_frame_body_decodes_or_raises_dispatch_error(body):
+    try:
+        message = _receive_frame(body)
+    except DispatchError:
+        return
+    assert isinstance(message, dict) and "type" in message
+
+
+VALID_RESULT = result_to_dict(
+    SimulationResult(
+        policy="RR", max_utilization_samples=[0.5], mean_utilization_per_server=[0.4, 0.6],
+        dns_resolutions=3, address_request_rate=0.1, dns_resolution_fraction=0.5,
+        dns_control_fraction=0.25, mean_granted_ttl=240.0, alarm_signals=1, ns_ttl_overrides=0,
+    )
+)
+RESULT_KEYS = sorted(VALID_RESULT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    payload=json_values
+    | st.fixed_dictionaries(
+        {"result": json_values | st.builds(
+            lambda changes, dropped: {
+                k: v for k, v in {**VALID_RESULT, **changes}.items() if k not in dropped
+            },
+            st.dictionaries(st.sampled_from(RESULT_KEYS), json_values, max_size=3),
+            st.sets(st.sampled_from(RESULT_KEYS), max_size=2),
+        )},
+        optional={"trace": json_values},
+    )
+)
+@example(payload=1)
+@example(payload={"trace": None})
+@example(payload={"result": [1]})
+@example(payload={"result": VALID_RESULT, "trace": [{"time": 1.0, "category": "dns"}]})
+def test_arbitrary_json_decodes_as_wire_result_or_raises_typed_error(payload):
+    try:
+        assert isinstance(result_from_wire(payload), SimulationResult)
+    except ReproError:
         pass
 
 

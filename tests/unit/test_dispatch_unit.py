@@ -7,6 +7,7 @@ cell wins. These tests pin both without sockets-across-processes or
 timing dependence (every clock is passed in explicitly).
 """
 
+import json
 import socket
 import struct
 import threading
@@ -91,6 +92,22 @@ class TestFraming:
             left.close()
             right.close()
 
+    def test_deeply_nested_frame_rejected(self):
+        left, right = self._pair()
+        payload = b"[" * 100_000
+        sender = threading.Thread(
+            target=left.sendall,
+            args=(struct.pack(">I", len(payload)) + payload,),
+        )
+        sender.start()
+        try:
+            with pytest.raises(DispatchError, match="nested too deeply"):
+                recv_message(right)
+        finally:
+            sender.join()
+            left.close()
+            right.close()
+
 
 class TestAddresses:
     def test_parse_and_format_roundtrip(self):
@@ -114,6 +131,20 @@ class TestResultWire:
         assert result_to_dict(clone) == result_to_dict(result)
         assert clone.trace is not None
         assert len(clone.trace) == len(result.trace)
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            1,
+            {"trace": None},
+            {"result": [1]},
+            {"result": {"kind": "simulation_result"}},
+        ],
+    )
+    def test_undecodable_payload_raises_configuration_error(self, payload):
+        with pytest.raises(ConfigurationError):
+            result_from_wire(payload)
 
 
 class TestLeaseTable:
@@ -516,3 +547,76 @@ class TestProtocolVersion:
         outcome = batch.finish(wire_result)
         assert list(outcome.roster) == ["good"]
         assert [e.worker for e in spans.ring if e.kind == LEASE] == ["good"]
+
+
+def _frame(message):
+    return json.dumps(message).encode()
+
+
+#: Frame bodies a worker might send after taking the lease of cell 0,
+#: each with whether the resulting error can name the cell.
+MALFORMED_FRAMES = {
+    "deeply-nested": (b"[" * 100_000, False),
+    "heartbeat-without-cell": (_frame({"type": "heartbeat"}), False),
+    "heartbeat-cell-not-a-number": (
+        _frame({"type": "heartbeat", "cell": "x"}), False
+    ),
+    "result-payload-not-an-object": (
+        _frame({"type": "result", "cell": 0, "payload": 1}), True
+    ),
+    "result-payload-without-result": (
+        _frame({"type": "result", "cell": 0, "payload": {"trace": None}}),
+        True,
+    ),
+    "result-payload-result-not-an-object": (
+        _frame({"type": "result", "cell": 0, "payload": {"result": [1]}}),
+        True,
+    ),
+}
+
+
+def _send_after_lease(address, body):
+    """A peer that takes a lease, sends ``body`` as one frame, and
+    listens until the coordinator hangs up."""
+    sock = _hello(address, "bad")
+    try:
+        send_message(sock, {"type": "request"})
+        assert recv_message(sock)["type"] == "lease"
+        sock.sendall(struct.pack(">I", len(body)) + body)
+        while recv_message(sock) is not None:
+            pass
+    except (OSError, DispatchError):
+        pass
+    finally:
+        sock.close()
+
+
+class TestMalformedWorkerFrames:
+    """A malformed frame from a worker fails the batch with a
+    :class:`DispatchError` naming the worker (and the cell, where the
+    frame names one) — never a crashed handler thread or an untyped
+    error out of ``Coordinator.run``."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+    def test_batch_fails_naming_the_worker(self, case, monkeypatch):
+        body, names_cell = MALFORMED_FRAMES[case]
+        crashed = []
+        monkeypatch.setattr(threading, "excepthook", crashed.append)
+        listener = bind_listener(("127.0.0.1", 0))
+        coordinator = Coordinator([{}], listener=listener, timeout=5.0)
+        peer = threading.Thread(
+            target=_send_after_lease,
+            args=(coordinator.address, body),
+            daemon=True,
+        )
+        peer.start()
+        try:
+            with pytest.raises(DispatchError) as caught:
+                coordinator.run()
+        finally:
+            peer.join(10.0)
+            listener.close()
+        assert "worker bad" in str(caught.value)
+        if names_cell:
+            assert "cell 0" in str(caught.value)
+        assert crashed == []
