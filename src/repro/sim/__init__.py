@@ -9,8 +9,9 @@ package; this subpackage provides an equivalent process-oriented engine:
 * :class:`Store` — a blocking FIFO object buffer.
 * :class:`RandomStreams` and the distribution classes — reproducible
   workload randomness.
-* :class:`RunningStats`, :class:`EmpiricalCdf`, :func:`batch_means_ci`, :func:`t_interval`,
-  :func:`t_critical` — output analysis.
+* :class:`RunningStats`, :class:`EmpiricalCdf`,
+  :func:`batch_means_ci`, :func:`t_interval`, :func:`t_critical` —
+  output analysis.
 * :class:`Checkpoint`, :func:`state_digest`, :func:`canonical_state` —
   deterministic run snapshots (see :mod:`repro.experiments.checkpointing`
   for the model-aware driver).
