@@ -17,15 +17,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import reprlib
 from typing import Any, Dict, Optional, Union
 
 from ..errors import ConfigurationError
 from ..obs.export import record_to_dict, write_metrics_prom
-from ..obs.jsonl import read_json_object, write_jsonl
+from ..obs.jsonl import json_fields, read_json_object, write_jsonl
 from ..obs.provenance import write_manifest
-from ..sim.checkpoint import json_fields
 from .config import SimulationConfig
-from .figures import FigureResult, Series
+from .figures import FigureResult
 from .metrics import SimulationResult
 
 PathLike = Union[str, pathlib.Path]
@@ -34,10 +34,8 @@ _FORMAT_VERSION = 1
 
 
 def config_to_dict(config: SimulationConfig) -> Dict[str, Any]:
-    """A JSON-safe dict of a simulation config."""
-    data = dataclasses.asdict(config)
-    # Tuples are not JSON-distinguishable from lists; normalize on load.
-    return data
+    """A JSON-safe dict of a simulation config (tuples become tuples again on load)."""
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(data: Any) -> SimulationConfig:
@@ -46,129 +44,57 @@ def config_from_dict(data: Any) -> SimulationConfig:
     A non-object, an unknown key or a mistyped value raises
     :class:`~repro.errors.ConfigurationError` naming the key.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"a config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {spec.name for spec in dataclasses.fields(SimulationConfig)}
+    fields = json_fields(SimulationConfig, data, "config", ConfigurationError)
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown config key {', '.join(sorted(map(repr, unknown)))}")
-    return SimulationConfig(**json_fields(SimulationConfig, data, "config", ConfigurationError))
+    return SimulationConfig(**fields)
+
+
+def _record_fields(cls: type, data: Any, kind: str, owner: str) -> Dict[str, Any]:
+    """The fields of ``cls`` in ``data``, a JSON object stamped ``kind``."""
+    if not isinstance(data, dict) or data.get("kind") != kind:
+        raise ConfigurationError(f"not a serialized {owner}: {reprlib.repr(data)}")
+    return json_fields(cls, data, owner, ConfigurationError)
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
     """A JSON-safe dict of a simulation result (trace omitted)."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "simulation_result",
-        "policy": result.policy,
-        "max_utilization_samples": list(result.max_utilization_samples),
-        "mean_utilization_per_server": list(
-            result.mean_utilization_per_server
-        ),
-        "dns_resolutions": result.dns_resolutions,
-        "address_request_rate": result.address_request_rate,
-        "dns_resolution_fraction": result.dns_resolution_fraction,
-        "dns_control_fraction": result.dns_control_fraction,
-        "mean_granted_ttl": result.mean_granted_ttl,
-        "alarm_signals": result.alarm_signals,
-        "ns_ttl_overrides": result.ns_ttl_overrides,
-        "mean_page_response_time": result.mean_page_response_time,
-        "max_page_response_time": result.max_page_response_time,
-        "mean_network_rtt": result.mean_network_rtt,
-        "total_hits": result.total_hits,
-        "total_sessions": result.total_sessions,
-        "duration": result.duration,
-        "config": (
-            config_to_dict(result.config)
-            if isinstance(result.config, SimulationConfig)
-            else None
-        ),
-        "metrics": result.metrics,
-        "utilization_series": result.utilization_series,
-    }
+    data: Dict[str, Any] = {"format_version": _FORMAT_VERSION, "kind": "simulation_result"}
+    for spec in dataclasses.fields(result):
+        if spec.name != "trace":
+            data[spec.name] = getattr(result, spec.name)
+    config = result.config
+    data["config"] = config_to_dict(config) if isinstance(config, SimulationConfig) else None
+    return data
 
 
 def result_from_dict(data: Any) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` saved by :func:`result_to_dict`.
 
-    A non-object, a missing field or a value of the wrong shape raises
-    :class:`~repro.errors.ConfigurationError`.
+    A non-object, a missing field or a mistyped value raises
+    :class:`~repro.errors.ConfigurationError`; a ``trace`` key is ignored.
     """
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"a result must be a JSON object, got {type(data).__name__}")
-    if data.get("kind") != "simulation_result":
-        raise ConfigurationError(
-            f"not a serialized simulation result: kind={data.get('kind')!r}"
-        )
-    try:
-        config = data.get("config")
-        series = data.get("utilization_series")
-        return SimulationResult(
-            policy=data["policy"],
-            max_utilization_samples=list(data["max_utilization_samples"]),
-            mean_utilization_per_server=list(
-                data["mean_utilization_per_server"]
-            ),
-            dns_resolutions=data["dns_resolutions"],
-            address_request_rate=data["address_request_rate"],
-            dns_resolution_fraction=data["dns_resolution_fraction"],
-            dns_control_fraction=data["dns_control_fraction"],
-            mean_granted_ttl=data["mean_granted_ttl"],
-            alarm_signals=data["alarm_signals"],
-            ns_ttl_overrides=data["ns_ttl_overrides"],
-            mean_page_response_time=data.get("mean_page_response_time", 0.0),
-            max_page_response_time=data.get("max_page_response_time", 0.0),
-            mean_network_rtt=data.get("mean_network_rtt", 0.0),
-            total_hits=data["total_hits"],
-            total_sessions=data["total_sessions"],
-            duration=data["duration"],
-            config=config_from_dict(config) if config else None,
-            metrics=data.get("metrics"),
-            utilization_series=(
-                [(now, list(vector)) for now, vector in series]
-                if series
-                else None
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"simulation result field {exc} is missing") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed simulation result: {exc}") from exc
+    fields = _record_fields(SimulationResult, data, "simulation_result", "simulation result")
+    fields.pop("trace", None)
+    if fields.get("config") is not None:
+        fields["config"] = config_from_dict(fields["config"])
+    return SimulationResult(**fields)
 
 
 def figure_to_dict(figure: FigureResult) -> Dict[str, Any]:
     """A JSON-safe dict of a regenerated figure."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "kind": "figure_result",
-        "figure_id": figure.figure_id,
-        "title": figure.title,
-        "x_label": figure.x_label,
-        "y_label": figure.y_label,
-        "notes": figure.notes,
-        "series": [
-            {"label": s.label, "x": list(s.x), "y": list(s.y)}
-            for s in figure.series
-        ],
-    }
+    data = dataclasses.asdict(figure)
+    return {"format_version": _FORMAT_VERSION, "kind": "figure_result", **data}
 
 
-def figure_from_dict(data: Dict[str, Any]) -> FigureResult:
-    """Rebuild a :class:`FigureResult` saved by :func:`figure_to_dict`."""
-    if data.get("kind") != "figure_result":
-        raise ConfigurationError(
-            f"not a serialized figure: kind={data.get('kind')!r}"
-        )
-    return FigureResult(
-        figure_id=data["figure_id"],
-        title=data["title"],
-        x_label=data["x_label"],
-        y_label=data["y_label"],
-        notes=data.get("notes", ""),
-        series=[
-            Series(label=s["label"], x=list(s["x"]), y=list(s["y"]))
-            for s in data["series"]
-        ],
-    )
+def figure_from_dict(data: Any) -> FigureResult:
+    """Rebuild a :class:`FigureResult` saved by :func:`figure_to_dict`.
+
+    A non-object, a missing field or a mistyped value raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return FigureResult(**_record_fields(FigureResult, data, "figure_result", "figure"))
 
 
 def save_json(obj, path: PathLike) -> pathlib.Path:
@@ -245,5 +171,5 @@ def load_json(path: PathLike):
     if kind == "figure_result":
         return figure_from_dict(data)
     if kind == "simulation_config":
-        return config_from_dict(data["config"])
+        return config_from_dict(data.get("config"))
     raise ConfigurationError(f"unknown serialized kind {kind!r}")

@@ -20,29 +20,20 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 from ..errors import ConfigurationError
 from ..sim.tracing import TraceRecord
+from .jsonl import json_fields
 
 PathLike = Union[str, pathlib.Path]
 
 
 def record_to_dict(record: TraceRecord) -> Dict[str, object]:
     """The JSONL object for one trace record."""
-    return {
-        "time": record.time,
-        "category": record.category,
-        "payload": record.payload,
-    }
+    return dict(vars(record))
 
 
-def record_from_dict(data: Dict[str, object]) -> TraceRecord:
-    """Rebuild a :class:`TraceRecord` from its JSONL object."""
-    try:
-        return TraceRecord(
-            time=float(data["time"]),
-            category=str(data["category"]),
-            payload=data.get("payload"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed trace record {data!r}") from exc
+def record_from_dict(data: Any) -> TraceRecord:
+    """Rebuild a :class:`TraceRecord` from its JSONL object; raises
+    :class:`~repro.errors.ConfigurationError` on a malformed one."""
+    return TraceRecord(**json_fields(TraceRecord, data, "trace record", ConfigurationError))
 
 
 def _prom_name(name: str, prefix: str) -> str:

@@ -1,4 +1,5 @@
-"""The one JSONL codec: writers and the skip-and-count reader.
+"""The one JSON codec: JSONL writers, the skip-and-count reader and the
+typed record decoder.
 
 Every JSONL file the package writes or reads — run traces
 (``*.trace.jsonl``), progress and fabric span logs,
@@ -20,12 +21,24 @@ Blank lines are skipped and never count as damage. In strict mode the
 first damaged line raises ``ConfigurationError("<path>:<line>:
 <reason>")``; in salvage mode it is skipped and recorded as a
 :class:`JsonlDamage` with the byte offset of the line's start.
+
+:func:`json_fields` is the one decoder of every JSON record type —
+results, figures, configs, checkpoints, trace records and span events:
+it checks a JSON object against a dataclass's field annotations, so a
+format's ``*_from_dict`` is ``cls(**json_fields(...))`` plus its genuine
+conversions.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import pathlib
+import re
+import reprlib
+import sys
+import typing
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -160,3 +173,108 @@ def read_json_object(path: PathLike) -> Dict[str, Any]:
         return _parse_object(pathlib.Path(path).read_bytes())
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
+
+
+def json_fields(cls: type, data: Any, owner: str, error: type) -> Dict[str, Any]:
+    """The fields of dataclass ``cls`` in the JSON object ``data``.
+
+    Raises ``error`` when ``data`` is not an object, and naming the field
+    when a field without a default is missing or a value does not fit
+    its annotation. Values are decoded by annotation: a JSON list becomes
+    a list for ``List[...]`` and a tuple for ``Tuple[...]``, an object a
+    nested dataclass; numbers are never converted (an int stays an int
+    in a ``float`` field). Keys that are not fields are dropped.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{owner} must be a JSON object, got {type(data).__name__}")
+    fields = {}
+    for name, hint, decode, required in _field_specs(cls):
+        if name not in data:
+            if required:
+                raise error(f"{owner} field {name!r} is missing")
+            continue
+        try:
+            fields[name] = decode(data[name])
+        except _Misfit as exc:
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            expected = re.sub(r"\w[\w.]*\.", "", expected)  # typing.List -> List
+            detail = f" ({exc})" if str(exc) else ""
+            raise error(
+                f"{owner} field {name!r} must be {expected}, "
+                f"got {reprlib.repr(data[name])}{detail}"
+            ) from None
+    return fields
+
+
+class _Misfit(Exception):
+    """A JSON value that does not fit its annotation."""
+
+
+@functools.lru_cache(maxsize=None)
+def _field_specs(cls: type) -> Tuple[Tuple[str, Any, Callable[[Any], Any], bool], ...]:
+    """``(name, annotation, decoder, required)`` per field of dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            spec.name,
+            hints[spec.name],
+            _decoder(hints[spec.name]),
+            spec.default is dataclasses.MISSING
+            and spec.default_factory is dataclasses.MISSING,
+        )
+        for spec in dataclasses.fields(cls)
+    )
+
+
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The function that decodes a JSON value as annotation ``hint``,
+    raising :class:`_Misfit` when the value does not fit (a ``float``
+    takes any finite number, a ``bool`` only ``bool``). Built once per
+    field, so decoding a record inspects no annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is Any:
+        return lambda value: value
+    if origin is Union:
+        item = _decoder(args[0])
+        return lambda value: None if value is None else item(value)
+    if origin is tuple and args and args[-1] is not Ellipsis:
+        items = [_decoder(arg) for arg in args]
+
+        def fixed(value):
+            if not isinstance(value, (list, tuple)) or len(value) != len(items):
+                raise _Misfit()
+            return tuple(decode(entry) for decode, entry in zip(items, value))
+
+        return fixed
+    if origin in (list, tuple):
+        item = _decoder(args[0] if args else Any)
+
+        def sequence(value):
+            if not isinstance(value, (list, tuple)):
+                raise _Misfit()
+            return origin(map(item, value))
+
+        return sequence
+    if origin is dict:
+        item = _decoder(args[1] if args else Any)
+
+        def mapping(value):
+            if not isinstance(value, dict) or not all(isinstance(key, str) for key in value):
+                raise _Misfit()
+            return {key: item(entry) for key, entry in value.items()}
+
+        return mapping
+    if dataclasses.is_dataclass(hint):
+        return lambda value: hint(**json_fields(hint, value, hint.__name__, _Misfit))
+    kinds = (int, float) if hint is float else hint
+
+    def scalar(value):
+        if (
+            isinstance(value, bool) is not (hint is bool)
+            or not isinstance(value, kinds)
+            or hint is float and not abs(value) <= sys.float_info.max
+        ):
+            raise _Misfit()
+        return value
+
+    return scalar

@@ -46,7 +46,7 @@ class RunBundle:
 
     directory: pathlib.Path
     stem: str
-    #: The raw ``<stem>.json`` result dict.
+    #: The ``<stem>.json`` result dict (checked to decode).
     result: Dict[str, Any]
     #: The provenance manifest (``None`` when the bundle has none).
     manifest: Optional[Dict[str, Any]] = None
@@ -104,9 +104,12 @@ def _detect_stem(directory: pathlib.Path) -> str:
 def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
     """Load a bundle written by ``save_run_artifacts`` (or ``repro trace``).
 
-    Only ``<stem>.json`` is mandatory. A truncated trace sidecar — the
-    signature of a crashed run — is salvaged, not fatal: all complete
-    records are counted and the damage is reported on the bundle.
+    Only ``<stem>.json`` is mandatory; a result that does not decode
+    with :func:`~repro.experiments.persistence.result_from_dict` raises
+    :class:`~repro.errors.ConfigurationError`. A truncated trace
+    sidecar — the signature of a crashed run — is salvaged, not fatal:
+    all complete records are counted and the damage is reported on the
+    bundle.
     """
     directory = pathlib.Path(directory)
     if not directory.is_dir():
@@ -115,11 +118,13 @@ def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
     result_path = directory / f"{stem}.json"
     if not result_path.exists():
         raise ConfigurationError(f"no result file {result_path}")
+    from ..experiments.persistence import result_from_dict
+
     result = read_json_object(result_path)
-    if result.get("kind") != "simulation_result":
-        raise ConfigurationError(
-            f"{result_path} is not a serialized simulation result"
-        )
+    try:
+        result_from_dict(result)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{result_path}: {exc}") from exc
     bundle = RunBundle(directory=directory, stem=stem, result=result)
     manifest_path = directory / f"{stem}.manifest.json"
     if manifest_path.exists():

@@ -62,7 +62,7 @@ from typing import (
 )
 
 from ..errors import ConfigurationError
-from .jsonl import JsonlWriter, read_jsonl, write_jsonl
+from .jsonl import JsonlWriter, json_fields, read_jsonl, write_jsonl
 
 PathLike = Union[str, pathlib.Path]
 
@@ -139,47 +139,19 @@ def span_now(
 
 
 def span_to_dict(event: SpanEvent) -> Dict[str, Any]:
-    """The JSONL object for one span event (``None`` fields omitted)."""
-    record: Dict[str, Any] = {
-        "kind": event.kind,
-        "source": event.source,
-        "wall": event.wall,
-        "mono": event.mono,
+    """The JSONL object for one span event (``None`` fields and an empty
+    ``extra`` omitted)."""
+    return {
+        name: value
+        for name, value in vars(event).items()
+        if value is not None and value != {}
     }
-    if event.run is not None:
-        record["run"] = event.run
-    if event.cell is not None:
-        record["cell"] = event.cell
-    if event.attempt is not None:
-        record["attempt"] = event.attempt
-    if event.worker is not None:
-        record["worker"] = event.worker
-    if event.extra:
-        record["extra"] = event.extra
-    return record
 
 
-def span_from_dict(data: Dict[str, Any]) -> SpanEvent:
-    """Rebuild a :class:`SpanEvent`; raises on a malformed record."""
-    try:
-        cell = data.get("cell")
-        attempt = data.get("attempt")
-        extra = data.get("extra") or {}
-        if not isinstance(extra, dict):
-            raise TypeError("extra must be an object")
-        return SpanEvent(
-            kind=str(data["kind"]),
-            source=str(data["source"]),
-            wall=float(data["wall"]),
-            mono=float(data["mono"]),
-            run=data.get("run"),
-            cell=int(cell) if cell is not None else None,
-            attempt=int(attempt) if attempt is not None else None,
-            worker=data.get("worker"),
-            extra=extra,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed span record {data!r}") from exc
+def span_from_dict(data: Any) -> SpanEvent:
+    """Rebuild a :class:`SpanEvent`; raises
+    :class:`~repro.errors.ConfigurationError` on a malformed record."""
+    return SpanEvent(**json_fields(SpanEvent, data, "span record", ConfigurationError))
 
 
 class SpanRecorder:

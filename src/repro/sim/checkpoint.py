@@ -38,13 +38,11 @@ import json
 import math
 import pathlib
 import re
-import reprlib
-import sys
-import typing
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import CheckpointError
+from ..obs.jsonl import json_fields
 
 PathLike = Union[str, pathlib.Path]
 
@@ -168,49 +166,6 @@ class Checkpoint:
                 f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
             )
         return cls(**json_fields(cls, data, "checkpoint", CheckpointError))
-
-
-def json_fields(cls: type, data: Dict[str, Any], owner: str, error: type) -> Dict[str, Any]:
-    """The fields of dataclass ``cls`` in the JSON object ``data``.
-
-    Raises ``error`` naming the field when a required field is missing
-    or a value does not fit its annotation. JSON lists become tuples;
-    keys that are not fields are dropped.
-    """
-    hints = typing.get_type_hints(cls)
-    for field in dataclasses.fields(cls):
-        hint = hints[field.name]
-        if field.name not in data:
-            if field.default is dataclasses.MISSING:
-                raise error(f"{owner} field {field.name!r} is missing")
-        elif not _fits_json(data[field.name], hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise error(
-                f"{owner} field {field.name!r} must be {expected.replace('typing.', '')}, "
-                f"got {reprlib.repr(data[field.name])}"
-            )
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k in hints}
-
-
-def _fits_json(value: Any, hint: Any) -> bool:
-    """Whether decoded JSON ``value`` fits the field annotation ``hint``
-    (a ``float`` any finite number, a boolean only ``bool``)."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Union:
-        return value is None or _fits_json(value, args[0])
-    if origin is tuple:
-        return (
-            isinstance(value, (list, tuple))
-            and (args[-1] is Ellipsis or len(value) == len(args))
-            and all(_fits_json(item, args[0]) for item in value)
-        )
-    if origin is dict:
-        return isinstance(value, dict)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, hint)
 
 
 def checkpoint_path(directory: PathLike, sequence: int) -> pathlib.Path:

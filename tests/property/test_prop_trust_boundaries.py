@@ -1,6 +1,7 @@
 """Property tests for the decoders of untrusted input: checkpoint
 files, serialized simulation configs, Prometheus text expositions,
-dispatch frame bodies and cell results on the wire.
+dispatch frame bodies, cell results on the wire, and every JSON record
+type decoded by ``json_fields``.
 
 Whatever the input, each either decodes or raises its typed error —
 :class:`~repro.errors.CheckpointError` for checkpoints,
@@ -16,7 +17,10 @@ import dataclasses
 import json
 import math
 import socket
+import sys
 import threading
+import typing
+from typing import Any, Union
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,11 +28,21 @@ from hypothesis import strategies as st
 from repro.errors import CheckpointError, ConfigurationError, DispatchError, ReproError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.dispatch.protocol import HEADER, recv_message, result_from_wire
+from repro.experiments.figures import FigureResult, Series
 from repro.experiments.metrics import SimulationResult
-from repro.experiments.persistence import config_from_dict, result_to_dict
-from repro.obs.export import metrics_to_prom_text, parse_prom_text
+from repro.experiments.persistence import (
+    config_from_dict,
+    config_to_dict,
+    figure_from_dict,
+    figure_to_dict,
+    result_from_dict,
+    result_to_dict,
+)
+from repro.obs.export import metrics_to_prom_text, parse_prom_text, record_from_dict, record_to_dict
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SpanEvent, span_from_dict, span_to_dict
 from repro.sim.checkpoint import Checkpoint, read_checkpoint, state_digest
+from repro.sim.tracing import TraceRecord
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]),
@@ -172,6 +186,131 @@ def test_arbitrary_json_decodes_as_wire_result_or_raises_typed_error(payload):
         assert isinstance(result_from_wire(payload), SimulationResult)
     except ReproError:
         pass
+
+
+# -- every JSON record type ------------------------------------------------------
+
+
+def _json(record):
+    """``record`` as freshly parsed JSON."""
+    return json.loads(json.dumps(record))
+
+
+#: Per record type: decoder, encoder and a valid encoded record.
+RECORDS = {
+    "result": (result_from_dict, result_to_dict, _json({
+        **VALID_RESULT,
+        "config": config_to_dict(SimulationConfig(duration=600.0)),
+        "metrics": {"dns.resolutions": 3, "util.max": {"kind": "timeseries"}},
+        "utilization_series": [[32.0, [0.4, 0.6]], [64, [0.5, 0.5]]],
+    })),
+    "figure": (figure_from_dict, figure_to_dict, _json(figure_to_dict(FigureResult(
+        "fig3", "t", "x", "y", [Series("A", [20, 50.0], [0.1, 0.2])], notes="n",
+    )))),
+    "span": (span_from_dict, span_to_dict, _json(span_to_dict(SpanEvent(
+        kind="lease", source="coordinator", wall=1.5, mono=0.5, run="r1", cell=2,
+        attempt=0, worker="w1", extra={"label": "RR"},
+    )))),
+    "trace": (record_from_dict, record_to_dict, _json(record_to_dict(
+        TraceRecord(1.0, "dns", {"server": 1, "ttl": 240.0})
+    ))),
+    "config": (config_from_dict, config_to_dict, _json(config_to_dict(SimulationConfig(
+        relative_capacities=(1.0, 0.5), trace_categories=("dns",), trace_path="rates.jsonl",
+    )))),
+    "checkpoint": (Checkpoint.from_dict, Checkpoint.to_dict, _json(VALID_CHECKPOINT)),
+}
+
+#: An edit that deletes its field.
+DELETE = object()
+#: JSON values without NaN, which never equals itself after a round trip.
+finite_json = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]),
+        st.floats(allow_nan=False), st.text(max_size=8),
+    ),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+edited_records = st.one_of([
+    st.tuples(
+        st.just(name),
+        st.lists(st.tuples(st.sampled_from(sorted(valid)), st.just(DELETE) | finite_json),
+                 max_size=3),
+    )
+    for name, (_, _, valid) in sorted(RECORDS.items())
+])
+
+
+def _fits(value, hint):
+    """Whether a decoded ``value`` has the Python type ``hint`` promises
+    (an int counts as a float; a bool only as a bool)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is Any or hint is object:
+        return True
+    if origin is Union:
+        return value is None or _fits(value, args[0])
+    if origin in (list, tuple):
+        if type(value) is not origin:
+            return False
+        if origin is tuple and args and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(_fits, value, args))
+        return all(_fits(item, args[0] if args else Any) for item in value)
+    if origin is dict:
+        return type(value) is dict and all(
+            type(key) is str and _fits(item, args[1] if args else Any)
+            for key, item in value.items()
+        )
+    if dataclasses.is_dataclass(hint):
+        return type(value) is hint and _fits_record(value)
+    if hint is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is hint
+
+
+def _fits_record(record):
+    hints = typing.get_type_hints(type(record))
+    return all(
+        _fits(getattr(record, spec.name), hints[spec.name])
+        for spec in dataclasses.fields(record)
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=edited_records)
+@example(case=("result", [("policy", 5), ("total_hits", "x"), ("max_utilization_samples", ["a"])]))
+@example(case=("figure", [("series", [{"label": "A", "x": "ab", "y": [0.1, 0.2]}])]))
+@example(case=("figure", [("title", DELETE)]))
+@example(case=("figure", [("series", [["A"]])]))
+@example(case=("span", [("kind", 1)]))
+@example(case=("span", [("cell", 2.7)]))
+@example(case=("span", [("attempt", True)]))
+@example(case=("trace", [("category", None)]))
+@example(case=("checkpoint", [("state", [1])]))
+@example(case=("config", [("hits_per_page", [5, "15"])]))
+def test_every_record_decodes_as_its_annotations_say_or_raises_a_typed_error(case):
+    """An edited record either raises a ``repro.errors`` exception or
+    decodes into a record whose every field fits its annotation, whose
+    JSON scalars came through unconverted, and whose re-encoding decodes
+    back to an equal record."""
+    name, edits = case
+    decode, encode, valid = RECORDS[name]
+    data = dict(valid)
+    for key, value in edits:
+        if value is DELETE:
+            data.pop(key, None)
+        else:
+            data[key] = value
+    try:
+        record = decode(data)
+    except ReproError:
+        return
+    assert _fits_record(record)
+    for key, value in data.items():
+        if hasattr(record, key) and not isinstance(value, (dict, list)):
+            assert json.dumps(getattr(record, key)) == json.dumps(value), key
+    assert decode(_json(encode(record))) == record
 
 
 # -- Prometheus text exposition -------------------------------------------------

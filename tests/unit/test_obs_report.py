@@ -80,6 +80,14 @@ class TestLoadBundle:
         assert bundle.trace_damage is not None
         assert sum(bundle.trace_counts.values()) > 0
 
+    def test_damaged_result_is_rejected(self, bundle_dir, tmp_path):
+        damaged = _copy_with_scaled_metric(bundle_dir, tmp_path / "damaged", 1.0)
+        data = json.loads((damaged / "run.json").read_text())
+        data["total_hits"] = "x"
+        (damaged / "run.json").write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="'total_hits' must be int"):
+            load_bundle(damaged)
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_bundle(tmp_path / "nope")
