@@ -93,12 +93,22 @@ outputs. See ``docs/CHECKPOINTING.md``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
+import typing
 from typing import List, Optional, Tuple
 
 from .core.registry import available_policies
-from .experiments.config import SimulationConfig
+from .errors import ConfigurationError, ReproError
+from .experiments.config import (
+    ESTIMATOR_KINDS,
+    GEOGRAPHY_KINDS,
+    POPULATION_KINDS,
+    TRACE_PROFILES,
+    WORKLOAD_SOURCES,
+    SimulationConfig,
+)
 from .experiments.executor import ExecutionStats, ParallelExecutor
 from .experiments.figures import FIGURES, table1, table2
 from .experiments.reporting import (
@@ -125,76 +135,69 @@ def _print_execution(
         print(render_execution(stats, labels=labels))
 
 
+#: The scenario flags as ``(flag, SimulationConfig field, help)``. Each
+#: flag's type and default come from its field, its choices from the
+#: constant the config validates the field against.
+_SCENARIO_FLAGS = (
+    ("--heterogeneity", "heterogeneity",
+     "heterogeneity level %% (Table 2: 0, 20, 35, 50, 65)"),
+    ("--duration", "duration", "simulated seconds (paper: 18000)"),
+    ("--seed", "seed", "master random seed"),
+    ("--domains", "domain_count", "connected client domains K"),
+    ("--clients", "total_clients", "total number of clients"),
+    ("--min-ttl", "min_accepted_ttl",
+     "non-cooperative NS minimum accepted TTL (seconds)"),
+    ("--error", "workload_error",
+     "hidden-load estimation error as a fraction (e.g. 0.3)"),
+    ("--estimator", "estimator", "hidden-load estimator"),
+    ("--geography", "geography",
+     "attach a geographic layout (enables PROXIMITY/GEO-HYBRID and "
+     "network-RTT metrics)"),
+    ("--population", "population",
+     "client-population implementation: 'eager' (one generator process "
+     "per client), 'lazy' (sharded flat-slot population; bounded memory "
+     "at large scale), or 'auto' (lazy at >= 100k clients); all choices "
+     "are bit-identical"),
+    ("--workload-source", "workload_source",
+     "'synthetic' (closed client population, the paper's model) or "
+     "'trace' (open arrival process replaying a rate schedule)"),
+    ("--trace-profile", "trace_profile",
+     "arrival-rate profile of the trace workload source"),
+    ("--trace-rate", "trace_rate",
+     "mean session arrival rate in sessions/s (0 = derive the rate "
+     "matching --clients synthetic clients)"),
+    ("--trace-amplitude", "trace_amplitude",
+     "relative rate swing of the ramp/diurnal profiles, in [0, 1]"),
+    ("--trace-period", "trace_period",
+     "period of the diurnal profile in seconds"),
+    ("--trace-path", "trace_path",
+     "JSONL rate-trace file for --trace-profile replay "
+     "(lines: {\"t\": seconds, \"rate\": sessions/s})"),
+)
+
+_SCENARIO_CHOICES = {
+    "estimator": ESTIMATOR_KINDS,
+    "geography": GEOGRAPHY_KINDS,
+    "population": POPULATION_KINDS,
+    "workload_source": WORKLOAD_SOURCES,
+    "trace_profile": TRACE_PROFILES,
+}
+
+
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--heterogeneity", type=int, default=20,
-        help="heterogeneity level %% (Table 2: 0, 20, 35, 50, 65)",
-    )
-    parser.add_argument(
-        "--duration", type=float, default=3600.0,
-        help="simulated seconds (paper: 18000)",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="master random seed")
-    parser.add_argument(
-        "--domains", type=int, default=20, help="connected client domains K"
-    )
-    parser.add_argument(
-        "--clients", type=int, default=500, help="total number of clients"
-    )
-    parser.add_argument(
-        "--min-ttl", type=float, default=0.0,
-        help="non-cooperative NS minimum accepted TTL (seconds)",
-    )
-    parser.add_argument(
-        "--error", type=float, default=0.0,
-        help="hidden-load estimation error as a fraction (e.g. 0.3)",
-    )
-    parser.add_argument(
-        "--estimator", choices=("oracle", "measured", "window"),
-        default="oracle", help="hidden-load estimator",
-    )
-    parser.add_argument(
-        "--geography", choices=("none", "random", "clustered"),
-        default="none",
-        help="attach a geographic layout (enables PROXIMITY/GEO-HYBRID "
-        "and network-RTT metrics)",
-    )
-    parser.add_argument(
-        "--population", choices=("auto", "eager", "lazy"), default="auto",
-        help="client-population implementation: 'eager' (one generator "
-        "process per client), 'lazy' (sharded flat-slot population; "
-        "bounded memory at large scale), or 'auto' (lazy at >= 100k "
-        "clients); all choices are bit-identical",
-    )
-    parser.add_argument(
-        "--workload-source", choices=("synthetic", "trace"),
-        default="synthetic",
-        help="'synthetic' (closed client population, the paper's model) "
-        "or 'trace' (open arrival process replaying a rate schedule)",
-    )
-    parser.add_argument(
-        "--trace-profile", choices=("constant", "ramp", "diurnal", "replay"),
-        default="constant",
-        help="arrival-rate profile of the trace workload source",
-    )
-    parser.add_argument(
-        "--trace-rate", type=float, default=0.0,
-        help="mean session arrival rate in sessions/s (0 = derive the "
-        "rate matching --clients synthetic clients)",
-    )
-    parser.add_argument(
-        "--trace-amplitude", type=float, default=0.5,
-        help="relative rate swing of the ramp/diurnal profiles, in [0, 1]",
-    )
-    parser.add_argument(
-        "--trace-period", type=float, default=3600.0,
-        help="period of the diurnal profile in seconds",
-    )
-    parser.add_argument(
-        "--trace-path", metavar="PATH", default=None,
-        help="JSONL rate-trace file for --trace-profile replay "
-        "(lines: {\"t\": seconds, \"rate\": sessions/s})",
-    )
+    hints = typing.get_type_hints(SimulationConfig)
+    defaults = {spec.name: spec.default for spec in dataclasses.fields(SimulationConfig)}
+    for flag, name, help_text in _SCENARIO_FLAGS:
+        parser.add_argument(
+            flag,
+            type=hints[name] if hints[name] in (int, float) else None,
+            default=defaults[name],
+            choices=_SCENARIO_CHOICES.get(name),
+            metavar="PATH" if name == "trace_path" else None,
+            help=help_text,
+        )
+    # One simulated hour, not the paper's five: a quick default run.
+    parser.set_defaults(duration=3600.0)
     parser.add_argument(
         "--save", metavar="PATH", default=None,
         help="also write the result as JSON to PATH",
@@ -277,8 +280,7 @@ def _checkpoint_options(
     args: argparse.Namespace,
 ) -> Tuple[Optional[str], float]:
     """Validated ``(--checkpoint-dir, --checkpoint-every)`` pair."""
-    directory = getattr(args, "checkpoint_dir", None)
-    every = getattr(args, "checkpoint_every", 0.0)
+    directory, every = args.checkpoint_dir, args.checkpoint_every
     if directory is not None and every <= 0:
         raise SystemExit(
             "error: --checkpoint-dir requires --checkpoint-every T (> 0 "
@@ -306,19 +308,18 @@ def _listen_hint(address) -> None:
 def _executor(args: argparse.Namespace, progress, workers=None):
     """The executor a simulating command asked for, flags applied."""
     directory, every = _checkpoint_options(args)
-    backend = getattr(args, "backend", "local")
     return ParallelExecutor(
-        workers=getattr(args, "workers", 1) if workers is None else workers,
+        workers=args.workers if workers is None else workers,
         progress=progress,
         checkpoint_dir=directory,
         checkpoint_every=every,
-        engine_mode=getattr(args, "engine_mode", "event"),
-        backend=backend,
-        listen=getattr(args, "listen", None),
-        lease_timeout=getattr(args, "lease_timeout", 30.0),
-        on_listen=_listen_hint if backend == "remote" else None,
-        span_log=getattr(args, "span_log", None),
-        metrics_port=getattr(args, "metrics_port", None),
+        engine_mode=args.engine_mode,
+        backend=args.backend,
+        listen=args.listen,
+        lease_timeout=args.lease_timeout,
+        on_listen=_listen_hint if args.backend == "remote" else None,
+        span_log=args.span_log,
+        metrics_port=args.metrics_port,
     )
 
 
@@ -340,6 +341,16 @@ def _progress_sink(args: argparse.Namespace):
     from .obs.progress import TeeProgressSink
 
     return TeeProgressSink(sinks)
+
+
+def _parse_value(text: str):
+    """A ``--values``/axis token as an int, else a float, else the text."""
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            continue
+    return text
 
 
 def _parse_trace_categories(text: str) -> Optional[Tuple[str, ...]]:
@@ -366,26 +377,11 @@ def _print_observability(result) -> None:
 def _scenario_config(
     args: argparse.Namespace, policy: str, **extra
 ) -> SimulationConfig:
-    return SimulationConfig(
-        policy=policy,
-        heterogeneity=args.heterogeneity,
-        duration=args.duration,
-        seed=args.seed,
-        domain_count=args.domains,
-        total_clients=args.clients,
-        min_accepted_ttl=args.min_ttl,
-        workload_error=args.error,
-        estimator=args.estimator,
-        geography=args.geography,
-        population=getattr(args, "population", "auto"),
-        workload_source=getattr(args, "workload_source", "synthetic"),
-        trace_profile=getattr(args, "trace_profile", "constant"),
-        trace_rate=getattr(args, "trace_rate", 0.0),
-        trace_amplitude=getattr(args, "trace_amplitude", 0.5),
-        trace_period=getattr(args, "trace_period", 3600.0),
-        trace_path=getattr(args, "trace_path", None),
-        **extra,
-    )
+    fields = {
+        name: getattr(args, flag[2:].replace("-", "_"))
+        for flag, name, _ in _SCENARIO_FLAGS
+    }
+    return SimulationConfig(policy=policy, **fields, **extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,6 +697,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     progress = _progress_sink(args)
     try:
         return _run_command(args, progress)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     finally:
         if progress is not None:
             progress.close()
@@ -806,7 +805,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             ),
         )
         checkpoint_dir, checkpoint_every = _checkpoint_options(args)
-        if getattr(args, "backend", "local") == "remote":
+        if args.backend == "remote":
             if args.halt_at is not None:
                 raise SystemExit(
                     "error: --halt-at simulates a local crash; it does "
@@ -899,18 +898,11 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         return 0
 
     if args.command == "resume":
-        from .errors import CheckpointError, ConfigurationError
         from .experiments.checkpointing import resume_run
 
-        try:
-            result = resume_run(
-                args.bundle,
-                halt_at=args.halt_at,
-                engine_mode=args.engine_mode,
-            )
-        except (CheckpointError, ConfigurationError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        result = resume_run(
+            args.bundle, halt_at=args.halt_at, engine_mode=args.engine_mode
+        )
         if result is None:
             print(
                 f"[halted again at the first checkpoint past simulated "
@@ -931,9 +923,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             print(render_trace_counts(category_counts(records), len(records)))
             return 0
         if not args.policy:
-            print("error: a policy name is required (or use --inspect)",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError("a policy name is required (or use --inspect)")
         config = _scenario_config(
             args,
             args.policy,
@@ -982,15 +972,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         return 0
 
     if args.command == "sweep":
-        def parse_value(text: str):
-            for cast in (int, float):
-                try:
-                    return cast(text)
-                except ValueError:
-                    continue
-            return text
-
-        values = [parse_value(v) for v in args.values.split(",") if v]
+        values = [_parse_value(v) for v in args.values.split(",") if v]
         base = _scenario_config(args, args.policy)
         from .experiments.runner import sweep as run_sweep
 
@@ -1043,16 +1025,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             field, _, raw_values = text.partition("=")
             if not raw_values:
                 raise SystemExit(f"bad axis {text!r}: expected FIELD=V1,V2")
-
-            def parse_value(token: str):
-                for cast in (int, float):
-                    try:
-                        return cast(token)
-                    except ValueError:
-                        continue
-                return token
-
-            return field, [parse_value(v) for v in raw_values.split(",") if v]
+            return field, [_parse_value(v) for v in raw_values.split(",") if v]
 
         row_field, row_values = parse_axis(args.rows)
         col_field, col_values = parse_axis(args.cols)
@@ -1089,12 +1062,9 @@ def _run_command(args: argparse.Namespace, progress) -> int:
 
         if args.compare:
             if len(args.bundle) != 2:
-                print(
-                    "error: --compare takes exactly two bundles "
-                    "(baseline candidate)",
-                    file=sys.stderr,
+                raise ConfigurationError(
+                    "--compare takes exactly two bundles (baseline candidate)"
                 )
-                return 2
             comparison = compare_bundles(
                 load_bundle(args.bundle[0], stem=args.stem),
                 load_bundle(args.bundle[1], stem=args.stem),
@@ -1114,12 +1084,9 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                     return 1
             return 0
         if len(args.bundle) != 1:
-            print(
-                "error: expected one bundle directory (use --compare "
-                "for two)",
-                file=sys.stderr,
+            raise ConfigurationError(
+                "expected one bundle directory (use --compare for two)"
             )
-            return 2
         bundle = load_bundle(args.bundle[0], stem=args.stem)
         emit(render_report(bundle, args.format))
         return 0

@@ -56,6 +56,9 @@ WORKLOAD_SOURCES = ("synthetic", "trace")
 #: Arrival-rate profiles of the trace-driven source.
 TRACE_PROFILES = ("constant", "ramp", "diurnal", "replay")
 
+#: Geographic layouts: none (the paper's model), random or clustered.
+GEOGRAPHY_KINDS = ("none", "random", "clustered")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -232,10 +235,9 @@ class SimulationConfig:
             )
         if self.nameservers_per_domain < 1:
             raise ConfigurationError("nameservers_per_domain must be >= 1")
-        if self.geography not in ("none", "random", "clustered"):
+        if self.geography not in GEOGRAPHY_KINDS:
             raise ConfigurationError(
-                f"geography must be 'none', 'random' or 'clustered', "
-                f"got {self.geography!r}"
+                f"geography must be one of {GEOGRAPHY_KINDS}, got {self.geography!r}"
             )
         if self.geo_base_rtt < 0 or self.geo_rtt_per_unit < 0:
             raise ConfigurationError("geo RTT parameters must be >= 0")

@@ -206,14 +206,13 @@ class TestExtendedCommands:
         assert code == 2
         assert "policy name is required" in capsys.readouterr().err
 
-    def test_run_trace_rejects_unknown_category(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(
-                ["run", "RR", "--duration", "300", "--clients", "50",
-                 "--trace", "nonsense"]
-            )
+    def test_run_trace_rejects_unknown_category(self, capsys):
+        code = main(
+            ["run", "RR", "--duration", "300", "--clients", "50",
+             "--trace", "nonsense"]
+        )
+        assert code == 2
+        assert "error: unknown trace categories" in capsys.readouterr().err
 
     def test_run_report(self, capsys):
         code = main(
@@ -250,3 +249,31 @@ class TestResumeDamagedBundle:
         )
         assert main(["resume", str(tmp_path)]) == 2
         assert "error: unknown config key 'bogus'" in capsys.readouterr().err
+
+
+def _figure_json(directory):
+    from repro.experiments.figures import FigureResult, Series
+    from repro.experiments.persistence import save_json
+
+    figure = FigureResult("figX", "t", "x", "y", [Series("A", [0.0], [1.0])])
+    return str(save_json(figure, directory / "figure.json"))
+
+
+class TestReproErrors:
+    """A ``repro.errors`` failure exits 2 with one ``error:`` line on
+    stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda tmp: ["run", "RR", "--clients", "-5"],
+            lambda tmp: ["run", "NOPE"],
+            lambda tmp: ["report", str(tmp / "missing")],
+            lambda tmp: ["trace", "--inspect", _figure_json(tmp)],
+        ],
+        ids=["bad-flag-value", "unknown-policy", "missing-bundle", "inspect-a-figure"],
+    )
+    def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
+        assert main(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

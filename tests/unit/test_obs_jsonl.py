@@ -130,12 +130,12 @@ class TestWholeFileJson:
                 reader(path)
 
     def test_report_on_a_truncated_result_raises_configuration_error(
-        self, tmp_path, traced_result
+        self, tmp_path, traced_result, capsys
     ):
         paths = save_run_artifacts(traced_result, tmp_path, stem="run")
         paths["result"].write_text(paths["result"].read_text()[:100])
-        with pytest.raises(ConfigurationError, match="run.json: not valid JSON"):
-            main(["report", str(tmp_path)])
+        assert main(["report", str(tmp_path)]) == 2
+        assert "run.json: not valid JSON" in capsys.readouterr().err
 
 
 class TestWriters:
