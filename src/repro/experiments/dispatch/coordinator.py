@@ -330,7 +330,10 @@ class Coordinator:
     def _serve_connection(self, connection: socket.socket) -> None:
         worker_id = None
         try:
-            hello = recv_message(connection)
+            try:
+                hello = recv_message(connection)
+            except DispatchError:
+                return  # a stray peer (a port scan, an HTTP probe) never joined
             if hello is None or hello.get("type") != HELLO:
                 return
             if hello.get("protocol") != PROTOCOL_VERSION:

@@ -526,6 +526,24 @@ class TestStalledPeer:
         assert not any(h.is_alive() for h in coordinator._handlers)
 
 
+class TestStrayPeer:
+    def test_undecodable_first_frame_drops_only_that_connection(
+        self, wire_result
+    ):
+        batch = _Batch(lease_timeout=5.0)
+        probe = socket.create_connection(batch.coordinator.address, timeout=10.0)
+        try:
+            # An HTTP probe: read as a frame header, "GET " announces a
+            # frame far over the protocol maximum.
+            probe.sendall(b"GET ")
+            assert probe.recv(1) == b""  # the coordinator hung up on it
+        finally:
+            probe.close()
+        outcome = batch.finish(wire_result)
+        assert [worker for _, _, worker in outcome.completions] == ["good"]
+        assert list(outcome.roster) == ["good"]
+
+
 class TestProtocolVersion:
     def test_version_1_peer_is_refused_and_never_leased(self, wire_result):
         assert PROTOCOL_VERSION == 2
