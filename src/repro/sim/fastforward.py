@@ -96,6 +96,18 @@ class FluidTask:
         the internal array-layout difference can never reorder
         dispatches. Returns when the top entry is foreign, late, or the
         budget is spent.
+
+        A task may instead keep scheduled entries off the heap, behind
+        one heap entry whose ``(time, key)`` is always the earliest of
+        them (the sharded population's client calendar). Its drain then
+        stops at the earliest foreign entry — the smaller child of the
+        heap root, which no fluid wake can change, since none pushes
+        onto the heap — and re-keys its heap entry on exit. Such a task
+        adds the number of entries it holds off the heap to
+        ``env._off_heap`` (a constant: each dispatched entry files its
+        successor), and :attr:`FastForwardEnvironment.dispatched`
+        subtracts them, so dispatch counts and checkpoint positions stay
+        those of the reference engine.
         """
         raise NotImplementedError
 
@@ -127,12 +139,15 @@ class FastForwardEnvironment(Environment):
     environment with no registered tasks *is* the reference engine.
     """
 
-    __slots__ = ("_task_class", "fallback_reasons")
+    __slots__ = ("_task_class", "fallback_reasons", "_off_heap")
 
     def __init__(self, initial_time: float = 0.0):
         super().__init__(initial_time)
         #: The registered fluid-task class (pointer-compared on dispatch).
         self._task_class: Type = _NoTask
+        #: Scheduled entries fluid tasks hold off the heap (see
+        #: :meth:`FluidTask.drain`); :attr:`dispatched` subtracts them.
+        self._off_heap = 0
         #: Counted reasons why model components declined the fast lane
         #: (``reason -> count``). Surfaced via the provenance manifest,
         #: never via the digested metrics registry — digests must be
@@ -166,6 +181,15 @@ class FastForwardEnvironment(Environment):
     def fast_forward_active(self) -> bool:
         """``True`` once a fluid task class has been registered."""
         return self._task_class is not _NoTask
+
+    @property
+    def dispatched(self) -> int:
+        """Number of events dispatched so far.
+
+        As :attr:`Environment.dispatched`, counting the entries fluid
+        tasks hold off the heap as still scheduled.
+        """
+        return self._eid - len(self._queue) - self._off_heap
 
     # -- dispatch ----------------------------------------------------------
 

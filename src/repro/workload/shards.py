@@ -4,11 +4,11 @@
 :class:`~repro.workload.clients.ClientPopulation`: instead of one live
 generator process (frame + :class:`~repro.sim.process.Process` +
 per-yield :class:`~repro.sim.events.Timeout`) per client, every client is
-one reusable :class:`ShardClientWake` heap entry plus a handful of cells
-in flat ``array`` shards on the population. At 10^6 clients that replaces
-gigabytes of frame/process/event objects with a few hundred megabytes of
-packed state, which is what lets million-domain configurations run at all
-(see ``docs/PERFORMANCE.md``).
+one pending wake plus a handful of cells in flat ``array`` shards on the
+population. At 10^6 clients that replaces gigabytes of
+frame/process/event objects with a few hundred megabytes of packed
+state, which is what lets million-domain configurations run at all (see
+``docs/PERFORMANCE.md``).
 
 Bit-identical by construction
 -----------------------------
@@ -34,7 +34,8 @@ equivalence suite (``tests/integration/test_population_equivalence.py``,
 Engine modes
 ------------
 ``event``
-    Each wake re-arms a shared one-element callbacks list on itself; the
+    One reusable :class:`ShardClientWake` heap entry per client. Each
+    wake re-arms a shared one-element callbacks list on itself; the
     reference engine dispatches it like any other event. This is the
     universal mirror described above.
 ``fluid``
@@ -44,15 +45,29 @@ Engine modes
     :meth:`ShardClientWake.drain` batch-steps quiescent windows: session
     starts through the population's
     :class:`~repro.workload.fluid.SessionKernel`, page cycles inline,
-    client state read from the flat shards. Ineligible configurations
-    count their fallback reasons and take the ``event`` path inside the
-    same environment.
+    client state read from the flat shards. The client wakes are not on
+    the engine heap: they are ``(time, key, slot)`` entries on the
+    population's private calendar — time buckets ``BUCKET_WAKES`` wakes
+    wide on average, the current one a small "near" heap — and the engine
+    heap holds one head :class:`ShardClientWake` (slot ``-1``) keyed as
+    the calendar's earliest entry. The t=0 start burst is an ordered
+    phase: the N urgent init eids are reserved at construction and
+    dispatched in slot order, with no entry pushed for them. One heap
+    entry per client would make every reschedule sift through a heap of
+    N cache-cold entries; the near heap stays small at any N. The order
+    is the engine's (bucket indices are monotone in time and equal times
+    share a bucket), and :attr:`FastForwardEnvironment.dispatched
+    <repro.sim.fastforward.FastForwardEnvironment.dispatched>` subtracts
+    the N − 1 wakes held off the heap, so dispatch counts, checkpoint
+    positions and ``run_events`` cuts are exact. Ineligible
+    configurations count their fallback reasons and take the ``event``
+    path inside the same environment.
 """
 
 from __future__ import annotations
 
 from array import array
-from heapq import heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from math import log as _log
 
 from ..errors import ConfigurationError, SimulationError
@@ -76,22 +91,30 @@ _INFINITY = float("inf")
 #: shard table small relative to the population.
 DEFAULT_SHARD_SIZE = 4096
 
+#: Mean client wakes per calendar bucket on the fluid lane. Clients wake
+#: about once per mean think time, so a bucket ``BUCKET_WAKES * mean /
+#: total_clients`` wide holds about this many entries: the near heap the
+#: drain pops from stays small whatever the population size.
+BUCKET_WAKES = 128
+
 
 class ShardClientWake(FluidTask, Event):
-    """One client's reusable heap entry in a sharded population.
+    """A heap entry of a sharded population.
 
     The wake is simultaneously an :class:`~repro.sim.events.Event` (so
     the reference engine dispatches it through its normal callback
     branch) and a :class:`~repro.sim.fastforward.FluidTask` (so the
     fast-forward drain can step it natively). It owns no session state —
     everything lives in the population's flat shards, indexed by
-    :attr:`slot` — which keeps the per-client footprint at two slots
-    plus the event plumbing.
+    :attr:`slot`.
 
-    Construction mirrors :class:`~repro.sim.process._Initialize`: one
-    urgent entry at the current time, consuming the eid a generator
-    client's spawn would consume (``PRIORITY_URGENT`` is 0, so the fused
-    heap key is the bare eid).
+    In event mode there is one wake per client. Construction mirrors
+    :class:`~repro.sim.process._Initialize`: one urgent entry at the
+    current time, consuming the eid a generator client's spawn would
+    consume (``PRIORITY_URGENT`` is 0, so the fused heap key is the bare
+    eid). On the fluid lane the population has one wake, its *head*
+    (slot ``-1``), whose heap key is always its client calendar's
+    earliest entry (see :class:`ShardedClientPopulation`).
     """
 
     __slots__ = ("population", "slot")
@@ -110,59 +133,111 @@ class ShardClientWake(FluidTask, Event):
 
     @classmethod
     def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch consecutive shard-client wakes natively (fluid lane).
+        """Dispatch the head's population's client wakes natively (fluid lane).
 
-        The structural twin of :meth:`FluidClient.drain
+        The heap top is a population's head. Its wakes are dispatched
+        in ``(time, key)`` order from the population's calendar while
+        they are due by ``target``, ``budget`` wakes remain and they
+        precede the earliest foreign entry — the smaller child of the
+        heap root, fixed for the whole call because nothing a fluid wake
+        does pushes onto the engine heap. On exit the head is re-keyed
+        to the calendar's new earliest entry: one engine-heap sift per
+        drain, not per wake.
+
+        Per wake this is the structural twin of :meth:`FluidClient.drain
         <repro.workload.fluid.FluidClient.drain>` — the same kernel
         session start, the same inlined page cycle and
-        ``WebServer.offer``, the same heapreplace rescheduling — except
-        client state is read from and written to the population's flat
-        arrays through ``task.slot``. Only populations with no fallback
-        reasons register this class, so the dynamic-domains / caching /
-        geography / non-standard-model branches of the event-mode
-        handler have no counterpart here.
+        ``WebServer.offer`` — with client state in the population's
+        flat arrays. The start phase first dispatches the urgent init
+        entries in slot order (each draws the stagger); every wake files
+        its next entry under the timeout factory's eid/heap-key
+        arithmetic. Only populations with no fallback reasons register
+        this class, so the dynamic-domains / caching / geography /
+        non-standard-model branches of the event-mode handler have no
+        counterpart here.
         """
-        replace = heapreplace
+        head = queue[0][2]
+        p = head.population
+        # The earliest foreign entry: an entry (now, key) is due iff
+        # now <= target and (now, key) < (bound_time, bound_key).
+        size = len(queue)
+        if size > 2:
+            first = queue[1]
+            second = queue[2]
+            foreign = first if first < second else second
+        else:
+            foreign = queue[1] if size == 2 else (_INFINITY, 0)
+        bound_time = foreign[0]
+        bound_key = foreign[1]
+        limit = bound_time if bound_time < target else target
         log = _log
-        # Kernel fields and the per-slot arrays are hoisted when the
-        # population changes; counters accumulate in locals and flush on
-        # exit (see SessionKernel for the quiescence argument).
-        population = None
+        pop = heappop
+        replace = heapreplace
+        kernel = p._kernel
+        inv_width = p._inv_width
+        buckets = p._buckets
+        pending = p._pending
+        near = p._near
+        cur = p._cur
+        # Counters accumulate in locals and flush on exit (see
+        # SessionKernel for the quiescence argument).
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
-            while queue:
-                item = queue[0]
+            slot = p._next_init
+            n = p.total_clients
+            # The start phase: the urgent init entries, due in slot order
+            # at the construction time (the _Initialize mirror). Each
+            # draws its client's stagger and files the first wake. No
+            # foreign entry falls between two of them, so only the budget
+            # stops this phase: an entry with a smaller key was dispatched
+            # before the head reached the top, and every other entry has
+            # a later time, normal priority or an eid past the reserved
+            # range.
+            now = p._start_time
+            while slot < n:
+                delay = kernel.stagger()
+                env._eid = eid = env._eid + 1
+                t = now + delay
+                entry = (t, _NORMAL_KEY | eid, slot)
+                b = int(t * inv_width)
+                try:
+                    buckets[b].append(entry)
+                except KeyError:
+                    buckets[b] = [entry]
+                    heappush(pending, b)
+                slot += 1
+                p._next_init = slot
+                if slot == n:
+                    cur = pop(pending)
+                    near = buckets.pop(cur)
+                    heapify(near)
+                budget -= 1
+                if budget == 0:
+                    return
+            start = kernel.start
+            servers = kernel.servers
+            think_random = kernel.think_random
+            think_lambd = kernel.think_lambd
+            hits_getrandbits = kernel.hits_getrandbits
+            hits_low = kernel.hits_low
+            hits_width = kernel.hits_width
+            hits_bits = kernel.hits_bits
+            remaining_arr = p._remaining
+            server_arr = p._server
+            resolved_arr = p._resolved
+            home_arr = p._home_domain
+            shard_sessions = p._shard_sessions
+            shard_size = p.shard_size
+            while True:
+                item = near[0]
                 now = item[0]
-                if now > target:
+                if now >= limit and (
+                    now > target
+                    or now > bound_time
+                    or now == bound_time and item[1] > bound_key
+                ):
                     return
-                task = item[2]
-                if type(task) is not cls:
-                    return
-                p = task.population
-                if p is not population:
-                    if population is not None:  # pragma: no cover
-                        population.total_pages += pages_acc
-                        population.total_hits += hits_acc
-                        population.total_sessions += sessions_acc
-                        population.dns_routed_hits += routed_acc
-                        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-                    population = p
-                    kernel = p._kernel
-                    start = kernel.start
-                    servers = kernel.servers
-                    think_random = kernel.think_random
-                    think_lambd = kernel.think_lambd
-                    hits_getrandbits = kernel.hits_getrandbits
-                    hits_low = kernel.hits_low
-                    hits_width = kernel.hits_width
-                    hits_bits = kernel.hits_bits
-                    remaining_arr = p._remaining
-                    server_arr = p._server
-                    resolved_arr = p._resolved
-                    home_arr = p._home_domain
-                    shard_sessions = p._shard_sessions
-                    shard_size = p.shard_size
-                slot = task.slot
+                slot = item[2]
                 remaining = remaining_arr[slot]
                 # The drain runs only under static dynamics, so a
                 # session's domain is the home domain.
@@ -170,7 +245,7 @@ class ShardClientWake(FluidTask, Event):
                 if remaining > 0:
                     server = servers[server_arr[slot]]
                     resolved_by_dns = resolved_arr[slot]
-                elif remaining == 0:
+                else:
                     server_id, remaining, resolved_by_dns = start(
                         now, domain_id, slot
                     )
@@ -179,16 +254,6 @@ class ShardClientWake(FluidTask, Event):
                     shard_sessions[slot // shard_size] += 1
                     server_arr[slot] = server_id
                     resolved_arr[slot] = 1 if resolved_by_dns else 0
-                else:
-                    # First dispatch (the _Initialize mirror).
-                    remaining_arr[slot] = 0
-                    delay = kernel.stagger()
-                    env._eid = eid = env._eid + 1
-                    replace(queue, (now + delay, _NORMAL_KEY | eid, task))
-                    budget -= 1
-                    if budget == 0:
-                        return
-                    continue
                 # One page cycle. Hits: randint(low, high) with the
                 # rejection loop of Random._randbelow_with_getrandbits,
                 # consumption-exact.
@@ -238,21 +303,52 @@ class ShardClientWake(FluidTask, Event):
                     routed_acc += hits
                 remaining_arr[slot] = remaining - 1
                 # Think-sleep: expovariate(lambd) inlined, then the
-                # timeout factory's eid/heap-key arithmetic.
+                # timeout factory's eid/heap-key arithmetic; the entry
+                # goes to its time bucket, or into the near heap when it
+                # falls in the current one.
                 delay = -log(1.0 - think_random()) / think_lambd
+                t = now + delay
                 env._eid = eid = env._eid + 1
-                replace(queue, (now + delay, _NORMAL_KEY | eid, task))
+                entry = (t, _NORMAL_KEY | eid, slot)
+                b = int(t * inv_width)
+                if b == cur:
+                    replace(near, entry)
+                else:
+                    try:
+                        buckets[b].append(entry)
+                    except KeyError:
+                        buckets[b] = [entry]
+                        heappush(pending, b)
+                    pop(near)
+                    if not near:
+                        cur = pop(pending)
+                        near = buckets.pop(cur)
+                        heapify(near)
                 budget -= 1
                 if budget == 0:
                     return
         finally:
-            if population is not None:
-                population.total_pages += pages_acc
-                population.total_hits += hits_acc
-                population.total_sessions += sessions_acc
-                population.dns_routed_hits += routed_acc
+            p.total_pages += pages_acc
+            p.total_hits += hits_acc
+            p.total_sessions += sessions_acc
+            p.dns_routed_hits += routed_acc
+            p._near = near
+            p._cur = cur
+            if p._next_init < p.total_clients:
+                replace(
+                    queue,
+                    (p._start_time, p._first_eid + p._next_init, head),
+                )
+            else:
+                top = near[0]
+                replace(queue, (top[0], top[1], head))
 
     def __repr__(self) -> str:
+        if self.slot < 0:
+            return (
+                f"<ShardClientWake head "
+                f"clients={self.population.total_clients}>"
+            )
         return (
             f"<ShardClientWake slot={self.slot} "
             f"remaining={self.population._remaining[self.slot]}>"
@@ -308,6 +404,15 @@ class ShardedClientPopulation:
         "processes",
         "engine",
         "_kernel",
+        "_head",
+        "_start_time",
+        "_first_eid",
+        "_next_init",
+        "_inv_width",
+        "_buckets",
+        "_pending",
+        "_near",
+        "_cur",
     )
 
     def __init__(
@@ -377,9 +482,6 @@ class ShardedClientPopulation:
         self._shard_sessions = array("q", bytes(8 * self.shard_count))
         # Flat per-client state. ``bytes(8 * n)`` zero-fills an "q"
         # array without building an n-element Python list first.
-        self._remaining = array("q", bytes(8 * total_clients))
-        for slot in range(total_clients):
-            self._remaining[slot] = -1
         self._server = array("q", bytes(8 * total_clients))
         self._resolved = bytearray(total_clients)
         home = array("q")
@@ -395,9 +497,7 @@ class ShardedClientPopulation:
             home if self.dynamics.is_static else array("q", home)
         )
         if self.client_address_caching:
-            self._cached_domain = array("q", bytes(8 * total_clients))
-            for slot in range(total_clients):
-                self._cached_domain[slot] = -1
+            self._cached_domain = array("q", [-1]) * total_clients
             self._cached_records = [None] * total_clients
         else:
             self._cached_domain = None
@@ -411,12 +511,10 @@ class ShardedClientPopulation:
         self._cb = [self._on_wake]
         self._kernel = session_kernel(env, self, ShardClientWake)
         self.engine = "event" if self._kernel is None else "fluid"
-        if self._kernel is not None:
-            self.processes = [
-                ShardClientWake(env, self, slot)
-                for slot in range(total_clients)
-            ]
-        else:
+        if self._kernel is None:
+            # Event mode: one wake per client; -1 marks the pending init
+            # dispatch.
+            self._remaining = array("q", [-1]) * total_clients
             cb = self._cb
             processes = []
             append = processes.append
@@ -425,6 +523,27 @@ class ShardedClientPopulation:
                 wake._callbacks = cb
                 append(wake)
             self.processes = processes
+            return
+        # Fluid lane (see the module docstring): the head stands for
+        # the N contiguous urgent init eids reserved here, then for the
+        # calendar's earliest entry. The calendar is a dict of time
+        # buckets of (time, key, slot) entries, a heap of the filed
+        # bucket indices, and the current bucket as the near heap.
+        self._remaining = array("q", bytes(8 * total_clients))
+        self.processes = []
+        self._first_eid = env._eid + 1
+        self._head = ShardClientWake(env, self, -1)
+        self._start_time = env._now + 0.0
+        self._next_init = 0
+        env._eid += total_clients - 1
+        env._off_heap += total_clients - 1
+        self._inv_width = total_clients / (
+            BUCKET_WAKES * session_model.think_time.mean
+        )
+        self._buckets = {}
+        self._pending = []
+        self._near = []
+        self._cur = None
 
     @property
     def dns_control_fraction(self) -> float:
@@ -565,7 +684,7 @@ class ShardedClientPopulation:
             "total_hits": self.total_hits,
             "dns_routed_hits": self.dns_routed_hits,
             "client_cache_hits": self.client_cache_hits,
-            "alive": sum(1 for process in self.processes if process.is_alive),
+            "alive": self.total_clients,
             "network_rtt_stats": self.network_rtt_stats.snapshot_state(),
         }
 

@@ -214,3 +214,86 @@ class TestTraceSourceEquivalence:
         assert_crash_resume_matches_event_run(
             tmp_path_factory.mktemp("trace-resume"), config, halt_fraction
         )
+
+
+#: Sharded-population sizes for the event-count cuts: one client, a few,
+#: and enough that the client calendar spans many time buckets, both in
+#: the t=0 start phase and over the run.
+SHARDED_SIZES = [1, 3, 40, 1500]
+
+
+def sharded_config(clients: int) -> SimulationConfig:
+    return SimulationConfig(
+        policy="DRR2-TTL/S_K",
+        heterogeneity=35,
+        duration=120.0,
+        total_clients=clients,
+        total_capacity=max(1.0, clients * 1.5),
+        population="lazy",
+        estimator="measured",
+        seed=7,
+    )
+
+
+_sharded_references: dict = {}
+
+
+def sharded_reference(clients: int):
+    """``(event result, fast-forward result, start-phase end, total)``.
+
+    The start phase ends at the dispatch count where the population's
+    last urgent init entry has been dispatched; ``total`` is the run's
+    whole dispatch count.
+    """
+    if clients not in _sharded_references:
+        config = sharded_config(clients)
+        event = run_simulation(config, engine_mode="event")
+        sim = Simulation(config, engine_mode="fastforward")
+        population = sim.population
+        assert population.engine == "fluid"
+        while population._next_init < clients:
+            sim.env.step()
+        boundary = sim.env.dispatched
+        fastforward = sim.run()
+        _sharded_references[clients] = (
+            event, fastforward, boundary, sim.env.dispatched
+        )
+    return _sharded_references[clients]
+
+
+class TestShardedEventCuts:
+    """``run_events`` cuts through the sharded population's fast lane.
+
+    The fast lane keeps all but one of its client wakes off the engine
+    heap, so these pin that ``dispatched`` still counts every wake, and
+    that a cut after any ``k`` dispatches — inside the t=0 start phase,
+    at its end, or mid-run — is the reference engine's state after
+    ``k`` dispatches and finishes on the uninterrupted result.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(clients=st.sampled_from(SHARDED_SIZES), data=st.data())
+    def test_cut_after_k_events_matches_the_uninterrupted_runs(
+        self, clients, data
+    ):
+        event, fastforward, boundary, total = sharded_reference(clients)
+        assert_same_result(event, fastforward)
+        phase = data.draw(st.sampled_from(["start", "boundary", "mid"]))
+        if phase == "start":
+            k = data.draw(st.integers(0, boundary - 1))
+        elif phase == "boundary":
+            k = boundary
+        else:
+            k = data.draw(st.integers(boundary + 1, total))
+        config = sharded_config(clients)
+        sims = []
+        for mode in ("event", "fastforward"):
+            sim = Simulation(config, engine_mode=mode)
+            assert sim.env.run_events(k, until=config.duration) == k
+            assert sim.env.dispatched == k
+            sims.append(sim)
+        event_sim, fastforward_sim = sims
+        assert state_digest(fastforward_sim.snapshot_state()) == state_digest(
+            event_sim.snapshot_state()
+        )
+        assert_same_result(fastforward, fastforward_sim.run())

@@ -1,5 +1,7 @@
 """Unit tests for repro.workload.shards."""
 
+from heapq import heappush
+
 import pytest
 
 from repro.core.round_robin import RoundRobinScheduler
@@ -11,6 +13,8 @@ from repro.dns.resolver import ResolutionChain
 from repro.errors import ConfigurationError
 from repro.sim.distributions import Constant, DiscreteUniform
 from repro.sim.engine import Environment
+from repro.sim.events import Event
+from repro.sim.fastforward import FastForwardEnvironment
 from repro.sim.rng import RandomStreams
 from repro.web.cluster import ServerCluster
 from repro.workload.clients import ClientPopulation
@@ -22,7 +26,9 @@ from repro.workload.shards import (
 )
 
 
-def build_population(env, cls, domain_count=4, clients=8, seed=1, **kwargs):
+def build_population(
+    env, cls, domain_count=4, clients=8, seed=1, model=None, **kwargs
+):
     cluster = ServerCluster.from_heterogeneity(20)
     domains = DomainSet.pure_zipf(domain_count)
     state = SchedulerState(cluster, OracleEstimator(domains.shares))
@@ -30,11 +36,12 @@ def build_population(env, cls, domain_count=4, clients=8, seed=1, **kwargs):
         RoundRobinScheduler(state), ConstantTtlPolicy(100.0)
     )
     chain = ResolutionChain(dns, domain_count)
-    model = SessionModel(
-        pages_per_session=Constant(3.0),
-        hits_per_page=DiscreteUniform(5, 15),
-        think_time=Constant(10.0),
-    )
+    if model is None:
+        model = SessionModel(
+            pages_per_session=Constant(3.0),
+            hits_per_page=DiscreteUniform(5, 15),
+            think_time=Constant(10.0),
+        )
     population = cls(
         env, cluster, chain, domains, model, clients,
         RandomStreams(seed), **kwargs,
@@ -163,3 +170,49 @@ class TestShardStats:
         )
         env.run(until=600.0)
         assert population.shard_stats()["sessions_min"] > 0
+
+
+class TestFastLaneCalendar:
+    """The fluid lane's calendar keeps the engine's ``(time, key)`` order."""
+
+    def started(self, env):
+        """A fluid-eligible population past its t=0 start phase."""
+        population, _, _ = build_population(
+            env, ShardedClientPopulation, clients=8, seed=3,
+            model=SessionModel(),
+        )
+        env.run_events(8)
+        return population
+
+    def observe_tie(self, env, time, key):
+        """Fire a foreign entry at ``(time, key)``; return what the
+        population's counters read when it fires."""
+        population = self.started(env)
+        seen = []
+        foreign = Event(env)
+        foreign._callbacks = [
+            lambda event: seen.append(
+                (population.total_pages, population.total_hits)
+            )
+        ]
+        heappush(env._queue, (time, key, foreign))
+        env.run(until=time + 60.0)
+        return population.engine, seen
+
+    @pytest.mark.parametrize("offset", [-1, 1], ids=["before", "after"])
+    def test_foreign_entry_at_a_wake_time_is_ordered_by_key(self, offset):
+        # The tie is with the second pending wake, so the fast lane meets
+        # it inside a drain, after dispatching the first.
+        probe = Environment()
+        self.started(probe)
+        time, key, _ = sorted(probe._queue)[1]
+        engine, fast = self.observe_tie(
+            FastForwardEnvironment(), time, key + offset
+        )
+        assert engine == "fluid"
+        reference, expected = self.observe_tie(
+            Environment(), time, key + offset
+        )
+        assert reference == "event"
+        assert fast == expected
+        assert expected[0][0] == (1 if offset < 0 else 2)
