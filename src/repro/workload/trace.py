@@ -50,12 +50,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from math import log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
-from ..obs.jsonl import read_jsonl
+from ..obs.jsonl import json_fields, read_jsonl
 from ..sim.events import Event, _NORMAL_KEY
 from ..sim.fastforward import FluidTask
 from ..sim.rng import RandomStreams
@@ -75,14 +76,19 @@ RAMP_SEGMENTS = 32
 DIURNAL_SEGMENTS = 48
 
 
-def _rate_point(data: dict) -> Tuple[float, float]:
-    """One ``{"t": ..., "rate": ...}`` replay line as a breakpoint."""
-    try:
-        return float(data["t"]), float(data["rate"])
-    except (KeyError, TypeError, ValueError, OverflowError) as error:
-        raise ConfigurationError(
-            f"bad trace line {data!r} ({error})"
-        ) from error
+@dataclass(frozen=True)
+class RatePoint:
+    """One replay line: the arrival rate from time ``t`` on."""
+
+    t: float
+    rate: float
+
+
+def _rate_point(data: dict) -> RatePoint:
+    """One ``{"t": ..., "rate": ...}`` replay line, typed."""
+    return RatePoint(
+        **json_fields(RatePoint, data, "replay line", ConfigurationError)
+    )
 
 
 class ArrivalSchedule:
@@ -244,7 +250,7 @@ class ArrivalSchedule:
         points, _ = read_jsonl(path, _rate_point)
         if not points:
             raise ConfigurationError(f"{path}: empty arrival trace")
-        return cls(points, profile="replay")
+        return cls([(p.t, p.rate) for p in points], profile="replay")
 
     def describe(self) -> dict:
         """Schedule summary for provenance manifests."""

@@ -137,6 +137,24 @@ class TestReplay:
         with pytest.raises(ConfigurationError, match=":2"):
             ArrivalSchedule.from_jsonl(str(path))
 
+    @pytest.mark.parametrize(
+        "lines, line_number",
+        [
+            (['{"t": "0", "rate": true}', '{"t": 10, "rate": "2.5"}'], 1),
+            (['{"t": 0, "rate": 1.0}', '{"t": 10, "rate": "2.5"}'], 2),
+        ],
+        ids=["string-time-bool-rate", "string-rate"],
+    )
+    def test_mistyped_field_rejected_naming_the_line(
+        self, tmp_path, lines, line_number
+    ):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ConfigurationError, match=f"trace.jsonl:{line_number}: replay line field"
+        ):
+            ArrivalSchedule.from_jsonl(str(path))
+
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"t": 0.0}\n')
