@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigurationError
 from ..web.cluster import HETEROGENEITY_LEVELS
 from .config import PAPER_DURATION, SimulationConfig
 from .executor import ParallelExecutor
@@ -100,6 +101,13 @@ class Series:
     label: str
     x: List[float]
     y: List[float]
+
+    def __post_init__(self):
+        if len(self.x) != len(self.y):
+            raise ConfigurationError(
+                f"series {self.label!r} has {len(self.x)} x values "
+                f"but {len(self.y)} y values"
+            )
 
     def as_rows(self) -> List[Tuple[float, float]]:
         return list(zip(self.x, self.y))

@@ -107,6 +107,14 @@ class TestFigureRoundTrip:
         with pytest.raises(ConfigurationError):
             figure_from_dict({"kind": "simulation_result"})
 
+    def test_series_of_unequal_lengths_rejected(self):
+        data = figure_to_dict(
+            FigureResult("fig3", "t", "x", "y", [Series("A", [1.0, 2.0], [0.5, 0.6])])
+        )
+        data["series"][0]["y"] = [0.5]
+        with pytest.raises(ConfigurationError, match="series 'A' has 2 x values but 1 y"):
+            figure_from_dict(data)
+
 
 class TestFiles:
     def test_save_and_load_result(self, tmp_path):
