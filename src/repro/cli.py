@@ -282,16 +282,16 @@ def _checkpoint_options(
     """Validated ``(--checkpoint-dir, --checkpoint-every)`` pair."""
     directory, every = args.checkpoint_dir, args.checkpoint_every
     if directory is not None and every <= 0:
-        raise SystemExit(
-            "error: --checkpoint-dir requires --checkpoint-every T (> 0 "
+        raise ConfigurationError(
+            "--checkpoint-dir requires --checkpoint-every T (> 0 "
             "simulated seconds)"
         )
     if directory is None and every > 0:
-        raise SystemExit(
-            "error: --checkpoint-every requires --checkpoint-dir DIR"
+        raise ConfigurationError(
+            "--checkpoint-every requires --checkpoint-dir DIR"
         )
     if directory is None and getattr(args, "halt_at", None) is not None:
-        raise SystemExit("error: --halt-at requires --checkpoint-dir DIR")
+        raise ConfigurationError("--halt-at requires --checkpoint-dir DIR")
     return directory, every
 
 
@@ -807,8 +807,8 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         checkpoint_dir, checkpoint_every = _checkpoint_options(args)
         if args.backend == "remote":
             if args.halt_at is not None:
-                raise SystemExit(
-                    "error: --halt-at simulates a local crash; it does "
+                raise ConfigurationError(
+                    "--halt-at simulates a local crash; it does "
                     "not combine with --backend remote (kill a worker "
                     "instead — the lease protocol recovers)"
                 )
@@ -1024,7 +1024,9 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         def parse_axis(text: str):
             field, _, raw_values = text.partition("=")
             if not raw_values:
-                raise SystemExit(f"bad axis {text!r}: expected FIELD=V1,V2")
+                raise ConfigurationError(
+                    f"bad axis {text!r}: expected FIELD=V1,V2"
+                )
             return field, [_parse_value(v) for v in raw_values.split(",") if v]
 
         row_field, row_values = parse_axis(args.rows)

@@ -137,11 +137,6 @@ class TestExtendedCommands:
         assert "policy\\heterogeneity" in out
         assert "DAL" in out
 
-    def test_grid_bad_axis_exits(self):
-        with pytest.raises(SystemExit):
-            main(["grid", "--rows", "nonsense", "--cols", "heterogeneity=20",
-                  "--duration", "300"])
-
     def test_validate_command(self, capsys):
         code = main(["validate", "--duration", "600"])
         assert code == 0
@@ -270,8 +265,11 @@ class TestReproErrors:
             lambda tmp: ["run", "NOPE"],
             lambda tmp: ["report", str(tmp / "missing")],
             lambda tmp: ["trace", "--inspect", _figure_json(tmp)],
+            lambda tmp: ["run", "RR", "--checkpoint-every", "5"],
+            lambda tmp: ["grid", "--rows", "nonsense", "--cols", "heterogeneity=20"],
         ],
-        ids=["bad-flag-value", "unknown-policy", "missing-bundle", "inspect-a-figure"],
+        ids=["bad-flag-value", "unknown-policy", "missing-bundle", "inspect-a-figure",
+             "checkpoint-every-without-dir", "grid-bad-axis"],
     )
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert main(argv(tmp_path)) == 2
