@@ -50,11 +50,14 @@ through the digested metrics registry, so checkpoint digests and
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from typing import Dict, Optional, Type
 
 from ..errors import SimulationError
 from .engine import EmptySchedule, Environment
 from .events import Timeout
+
+_INFINITY = float("inf")
 
 
 class FluidTask:
@@ -97,19 +100,133 @@ class FluidTask:
         dispatches. Returns when the top entry is foreign, late, or the
         budget is spent.
 
-        A task may instead keep scheduled entries off the heap, behind
-        one heap entry whose ``(time, key)`` is always the earliest of
-        them (the sharded population's client calendar). Its drain then
-        stops at the earliest foreign entry — the smaller child of the
-        heap root, which no fluid wake can change, since none pushes
-        onto the heap — and re-keys its heap entry on exit. Such a task
-        adds the number of entries it holds off the heap to
-        ``env._off_heap`` (a constant: each dispatched entry files its
-        successor), and :attr:`FastForwardEnvironment.dispatched`
-        subtracts them, so dispatch counts and checkpoint positions stay
-        those of the reference engine.
+        A task may instead keep its scheduled entries off the heap, on a
+        :class:`WakeCalendar` behind one head entry whose ``(time, key)``
+        is always the calendar's earliest (the sharded population and
+        the trace source do). Its drain then stops at the earliest
+        foreign entry — the smaller child of the heap root, which no
+        fluid wake can change, since none pushes onto the heap — and
+        re-keys the head on exit. On every exit, budget stops included,
+        ``env._off_heap`` counts the entries held off the heap: all the
+        calendar holds but the one the head stands for. The count is
+        constant when each dispatched entry files one successor, and
+        moves when a wake files none or two.
+        :attr:`FastForwardEnvironment.dispatched` subtracts it, so
+        dispatch counts and checkpoint positions stay those of the
+        reference engine.
         """
         raise NotImplementedError
+
+
+#: Mean wakes per calendar bucket. A bucket ``BUCKET_WAKES / wake_rate``
+#: seconds wide holds about this many entries, so the near run a drain
+#: reads from stays small whatever the number of pending wakes.
+BUCKET_WAKES = 128
+
+
+class WakeCalendar:
+    """Fast-lane wakes held off the engine heap, in time buckets.
+
+    Entries are ``(time, key, slot)`` tuples with the engine's heap-key
+    arithmetic; ``slot`` names the wake to its population. An entry is
+    filed in bucket ``int(time * inv_width)``: :attr:`buckets` maps a
+    bucket index to its unsorted list and :attr:`pending` is a heap of
+    the filed indices. The current bucket :attr:`cur` is the *near run*
+    :attr:`near`, sorted once when it is loaded and read by index from
+    :attr:`pos`; an entry filed into it later is placed by
+    ``bisect.insort`` (always past ``pos``: it is later than the entry
+    being dispatched). Bucket indices are monotone in time and equal
+    times share a bucket, so entries leave in the engine's ``(time,
+    key)`` order.
+
+    The engine heap holds one head entry for the whole calendar, keyed
+    as its earliest entry. A drain hoists the fields into locals, files
+    each wake inline (the ``b == cur`` test, then ``insort`` or the
+    bucket append) and calls :meth:`advance` when the near run is
+    spent; :meth:`bound` and :meth:`rekey` are its entry and exit.
+    :attr:`held` counts the entries the calendar stands for.
+    """
+
+    __slots__ = ("inv_width", "buckets", "pending", "near", "pos", "cur", "held")
+
+    def __init__(self, wake_rate: float):
+        #: Buckets per second: ``BUCKET_WAKES`` expected wakes each.
+        self.inv_width = wake_rate / BUCKET_WAKES
+        self.buckets: Dict[int, list] = {}
+        self.pending: list = []
+        self.near: list = []
+        self.pos = 0
+        self.cur: Optional[int] = None
+        self.held = 0
+
+    def file(self, entry: tuple) -> None:
+        """File one entry (the drains inline this)."""
+        b = int(entry[0] * self.inv_width)
+        if b == self.cur:
+            insort(self.near, entry, self.pos)
+        else:
+            try:
+                self.buckets[b].append(entry)
+            except KeyError:
+                self.buckets[b] = [entry]
+                heapq.heappush(self.pending, b)
+        self.held += 1
+
+    def push_head(self, env, head) -> None:
+        """Load the first bucket and push ``head`` keyed as its earliest entry.
+
+        Adds the :attr:`held` entries but the head's to ``env._off_heap``.
+        """
+        self.cur, self.near = self.advance()
+        self.pos = 0
+        top = self.near[0]
+        heapq.heappush(env._queue, (top[0], top[1], head))
+        env._off_heap += self.held - 1
+
+    def advance(self):
+        """Load the earliest filed bucket; returns ``(cur, near)``.
+
+        The drain calls this when its near run is spent and restarts
+        reading at index 0; :meth:`rekey` stores its position.
+        """
+        cur = heapq.heappop(self.pending)
+        near = self.buckets.pop(cur)
+        near.sort()
+        return cur, near
+
+    @staticmethod
+    def bound(queue) -> tuple:
+        """``(time, key)`` of the earliest foreign entry on ``queue``.
+
+        The head is the heap root, so the next entry is the smaller of
+        its children, and no fluid wake pushes onto the heap to change
+        it during a drain. An entry ``(now, key)`` is due before it iff
+        ``(now, key) < (time, key)``.
+        """
+        size = len(queue)
+        if size > 2:
+            first = queue[1]
+            second = queue[2]
+            foreign = first if first < second else second
+        elif size == 2:
+            foreign = queue[1]
+        else:
+            return _INFINITY, 0
+        return foreign[0], foreign[1]
+
+    def rekey(self, env, queue, head, cur, near, pos, held) -> None:
+        """Store a drain's position and re-key ``head`` as the earliest entry.
+
+        Sets ``env._off_heap`` from the change in :attr:`held`: the
+        calendar stands for ``held`` entries and the head for one.
+        """
+        self.cur = cur
+        self.near = near
+        self.pos = pos
+        env._off_heap += held - self.held
+        self.held = held
+        top = near[pos]
+        heapq.heapreplace(queue, (top[0], top[1], head))
 
 
 class _NoTask:
@@ -187,7 +304,9 @@ class FastForwardEnvironment(Environment):
         """Number of events dispatched so far.
 
         As :attr:`Environment.dispatched`, counting the entries fluid
-        tasks hold off the heap as still scheduled.
+        tasks hold off the heap (``_off_heap``, which each calendar
+        drain updates on exit as its held count rises and falls) as
+        still scheduled.
         """
         return self._eid - len(self._queue) - self._off_heap
 

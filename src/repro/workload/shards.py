@@ -47,16 +47,15 @@ Engine modes
     :class:`~repro.workload.fluid.SessionKernel`, page cycles inline,
     client state read from the flat shards. The client wakes are not on
     the engine heap: they are ``(time, key, slot)`` entries on the
-    population's private calendar — time buckets ``BUCKET_WAKES`` wakes
-    wide on average, the current one a small "near" heap — and the engine
-    heap holds one head :class:`ShardClientWake` (slot ``-1``) keyed as
-    the calendar's earliest entry. The t=0 start burst is an ordered
-    phase: the N urgent init eids are reserved at construction and
-    dispatched in slot order, with no entry pushed for them. One heap
-    entry per client would make every reschedule sift through a heap of
-    N cache-cold entries; the near heap stays small at any N. The order
-    is the engine's (bucket indices are monotone in time and equal times
-    share a bucket), and :attr:`FastForwardEnvironment.dispatched
+    population's :class:`~repro.sim.fastforward.WakeCalendar` (the trace
+    source's fast lane uses one too), and the engine heap holds one head
+    :class:`ShardClientWake` (slot ``-1``) keyed as the calendar's
+    earliest entry. The t=0 start burst is an ordered phase: the N urgent
+    init eids are reserved at construction and dispatched in slot order,
+    with no entry pushed for them. One heap entry per client would make
+    every reschedule sift through a heap of N cache-cold entries; the
+    calendar's near run stays small at any N. The order is the engine's,
+    and :attr:`FastForwardEnvironment.dispatched
     <repro.sim.fastforward.FastForwardEnvironment.dispatched>` subtracts
     the N − 1 wakes held off the heap, so dispatch counts, checkpoint
     positions and ``run_events`` cuts are exact. Ineligible
@@ -67,12 +66,13 @@ Engine modes
 from __future__ import annotations
 
 from array import array
-from heapq import heapify, heappop, heappush, heapreplace
+from bisect import insort
+from heapq import heappush, heapreplace
 from math import log as _log
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FluidTask
+from ..sim.fastforward import FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
@@ -90,12 +90,6 @@ _INFINITY = float("inf")
 #: any hot-path data structure, so the default only needs to keep the
 #: shard table small relative to the population.
 DEFAULT_SHARD_SIZE = 4096
-
-#: Mean client wakes per calendar bucket on the fluid lane. Clients wake
-#: about once per mean think time, so a bucket ``BUCKET_WAKES * mean /
-#: total_clients`` wide holds about this many entries: the near heap the
-#: drain pops from stays small whatever the population size.
-BUCKET_WAKES = 128
 
 
 class ShardClientWake(FluidTask, Event):
@@ -158,27 +152,18 @@ class ShardClientWake(FluidTask, Event):
         """
         head = queue[0][2]
         p = head.population
-        # The earliest foreign entry: an entry (now, key) is due iff
-        # now <= target and (now, key) < (bound_time, bound_key).
-        size = len(queue)
-        if size > 2:
-            first = queue[1]
-            second = queue[2]
-            foreign = first if first < second else second
-        else:
-            foreign = queue[1] if size == 2 else (_INFINITY, 0)
-        bound_time = foreign[0]
-        bound_key = foreign[1]
+        cal = p._calendar
+        bound_time, bound_key = cal.bound(queue)
         limit = bound_time if bound_time < target else target
         log = _log
-        pop = heappop
-        replace = heapreplace
         kernel = p._kernel
-        inv_width = p._inv_width
-        buckets = p._buckets
-        pending = p._pending
-        near = p._near
-        cur = p._cur
+        inv_width = cal.inv_width
+        buckets = cal.buckets
+        pending = cal.pending
+        advance = cal.advance
+        cur = cal.cur
+        near = cal.near
+        pos = cal.pos
         # Counters accumulate in locals and flush on exit (see
         # SessionKernel for the quiescence argument).
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
@@ -208,9 +193,8 @@ class ShardClientWake(FluidTask, Event):
                 slot += 1
                 p._next_init = slot
                 if slot == n:
-                    cur = pop(pending)
-                    near = buckets.pop(cur)
-                    heapify(near)
+                    cur, near = advance()
+                    pos = 0
                 budget -= 1
                 if budget == 0:
                     return
@@ -229,7 +213,7 @@ class ShardClientWake(FluidTask, Event):
             shard_sessions = p._shard_sessions
             shard_size = p.shard_size
             while True:
-                item = near[0]
+                item = near[pos]
                 now = item[0]
                 if now >= limit and (
                     now > target
@@ -304,26 +288,24 @@ class ShardClientWake(FluidTask, Event):
                 remaining_arr[slot] = remaining - 1
                 # Think-sleep: expovariate(lambd) inlined, then the
                 # timeout factory's eid/heap-key arithmetic; the entry
-                # goes to its time bucket, or into the near heap when it
-                # falls in the current one.
+                # is filed on the calendar.
                 delay = -log(1.0 - think_random()) / think_lambd
                 t = now + delay
                 env._eid = eid = env._eid + 1
                 entry = (t, _NORMAL_KEY | eid, slot)
                 b = int(t * inv_width)
                 if b == cur:
-                    replace(near, entry)
+                    insort(near, entry, pos)
                 else:
                     try:
                         buckets[b].append(entry)
                     except KeyError:
                         buckets[b] = [entry]
                         heappush(pending, b)
-                    pop(near)
-                    if not near:
-                        cur = pop(pending)
-                        near = buckets.pop(cur)
-                        heapify(near)
+                pos += 1
+                if pos == len(near):
+                    cur, near = advance()
+                    pos = 0
                 budget -= 1
                 if budget == 0:
                     return
@@ -332,16 +314,13 @@ class ShardClientWake(FluidTask, Event):
             p.total_hits += hits_acc
             p.total_sessions += sessions_acc
             p.dns_routed_hits += routed_acc
-            p._near = near
-            p._cur = cur
             if p._next_init < p.total_clients:
-                replace(
+                heapreplace(
                     queue,
                     (p._start_time, p._first_eid + p._next_init, head),
                 )
             else:
-                top = near[0]
-                replace(queue, (top[0], top[1], head))
+                cal.rekey(env, queue, head, cur, near, pos, cal.held)
 
     def __repr__(self) -> str:
         if self.slot < 0:
@@ -408,11 +387,7 @@ class ShardedClientPopulation:
         "_start_time",
         "_first_eid",
         "_next_init",
-        "_inv_width",
-        "_buckets",
-        "_pending",
-        "_near",
-        "_cur",
+        "_calendar",
     )
 
     def __init__(
@@ -526,9 +501,8 @@ class ShardedClientPopulation:
             return
         # Fluid lane (see the module docstring): the head stands for
         # the N contiguous urgent init eids reserved here, then for the
-        # calendar's earliest entry. The calendar is a dict of time
-        # buckets of (time, key, slot) entries, a heap of the filed
-        # bucket indices, and the current bucket as the near heap.
+        # calendar's earliest entry. Clients wake about once per mean
+        # think time, and the calendar stands for N entries throughout.
         self._remaining = array("q", bytes(8 * total_clients))
         self.processes = []
         self._first_eid = env._eid + 1
@@ -537,13 +511,10 @@ class ShardedClientPopulation:
         self._next_init = 0
         env._eid += total_clients - 1
         env._off_heap += total_clients - 1
-        self._inv_width = total_clients / (
-            BUCKET_WAKES * session_model.think_time.mean
+        self._calendar = WakeCalendar(
+            total_clients / session_model.think_time.mean
         )
-        self._buckets = {}
-        self._pending = []
-        self._near = []
-        self._cur = None
+        self._calendar.held = total_clients
 
     @property
     def dns_control_fraction(self) -> float:

@@ -22,13 +22,15 @@ provides that source:
     identity), issues its geometric page bursts separated by think
     times, and releases its slot.
 :class:`TraceSessionWake`
-    The one heap-entry class of the source: a pooled session's page
-    cycle, or (negative slot ``-1 - shard_id``) one shard's arrival
-    process. In event mode each wake re-arms a callback; under a
-    fast-forward environment the class registers as the fluid task and
-    :meth:`TraceSessionWake.drain` steps arrivals and sessions natively,
-    bit-identical to the event engine (same eids, same draws, same
-    float operations).
+    The source's heap-entry class. In event mode a wake is a pooled
+    session's page cycle, or (negative slot ``-1 - shard_id``) one
+    shard's arrival process, and re-arms a callback. Under a
+    fast-forward environment the class registers as the fluid task: the
+    arrival and session wakes become ``(time, key, slot)`` entries on a
+    :class:`~repro.sim.fastforward.WakeCalendar` (the one the sharded
+    population uses), one head wake stands for them on the engine heap,
+    and :meth:`TraceSessionWake.drain` steps them natively, bit-identical
+    to the event engine (same eids, same draws, same float operations).
 
 Selected with ``SimulationConfig.workload_source = "trace"`` / CLI
 ``--workload-source trace``; the schedule shape comes from the
@@ -49,16 +51,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
+from heapq import heappush
 from math import log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs.jsonl import json_fields, read_jsonl
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FluidTask
+from ..sim.fastforward import FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
@@ -126,6 +128,10 @@ class ArrivalSchedule:
         for t, rate in breakpoints:
             t = float(t)
             rate = float(rate)
+            if not -_INFINITY < t < _INFINITY:
+                raise ConfigurationError(
+                    f"breakpoint times must be finite, got {t!r}"
+                )
             if times and t <= times[-1]:
                 raise ConfigurationError(
                     f"breakpoint times must be strictly increasing "
@@ -147,9 +153,10 @@ class ArrivalSchedule:
         self._rates = array("d", rates)
         self.periodic = bool(periodic)
         if self.periodic:
-            if period is None or period <= times[-1]:
+            if period is None or not times[-1] < period < _INFINITY:
                 raise ConfigurationError(
-                    "a periodic schedule needs period > last breakpoint time"
+                    f"a periodic schedule needs a finite period > last "
+                    f"breakpoint time, got {period!r}"
                 )
             self.period = float(period)
         else:
@@ -270,22 +277,30 @@ class ArrivalSchedule:
 
 
 class TraceSessionWake(FluidTask, Event):
-    """A recyclable heap entry: one session's page cycle or one arrival shard.
+    """A heap entry of the trace source.
 
     Like :class:`~repro.workload.shards.ShardClientWake` — an
     :class:`~repro.sim.events.Event` for the reference engine and a
-    :class:`~repro.sim.fastforward.FluidTask` for the fast-forward lane —
-    but pooled: when its session ends, the wake (and its slot in the
-    population's flat arrays) returns to the free pool for the next
-    arrival. A recycled wake never has a pending heap entry — a
-    session's last page burst does not schedule one — so reuse can never
-    alias two live entries. A negative :attr:`slot` ``-1 - shard_id``
-    marks the permanent wake of one arrival shard.
+    :class:`~repro.sim.fastforward.FluidTask` for the fast-forward lane.
+    It owns no session state; everything lives in the population's flat
+    slot arrays, indexed by :attr:`slot`.
+
+    In event mode a wake with slot ``>= 0`` is one pooled session's page
+    cycle: when its session ends, the wake (and its slot) returns to the
+    free pool for the next arrival. A recycled wake never has a pending
+    heap entry — a session's last page burst does not schedule one — so
+    reuse can never alias two live entries. A negative slot ``-1 -
+    shard_id`` marks the permanent wake of one arrival shard. On the
+    fluid lane the population has one wake, its *head* (slot ``None``),
+    whose heap key is always its calendar's earliest entry (see
+    :class:`TraceDrivenPopulation`).
     """
 
     __slots__ = ("population", "slot")
 
-    def __init__(self, env, population: "TraceDrivenPopulation", slot: int):
+    def __init__(
+        self, env, population: "TraceDrivenPopulation", slot: Optional[int]
+    ):
         self.env = env
         self.population = population
         self.slot = slot
@@ -297,79 +312,86 @@ class TraceSessionWake(FluidTask, Event):
 
     @classmethod
     def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch consecutive trace wakes natively (fluid lane).
+        """Dispatch the head's population's wakes natively (fluid lane).
 
-        Mirrors the event-mode handlers draw for draw: an arrival wake
-        is :meth:`TraceDrivenPopulation._on_arrival` (with
+        The heap top is a population's head. Its calendar entries are
+        dispatched in ``(time, key)`` order while they are due by
+        ``target``, ``budget`` wakes remain and they precede the
+        earliest foreign entry, as in :meth:`ShardClientWake.drain
+        <repro.workload.shards.ShardClientWake.drain>`; on exit the head
+        is re-keyed to the calendar's new earliest entry.
+
+        Per wake it mirrors the event-mode handlers draw for draw: an
+        arrival entry (slot ``-1 - shard_id``) is
+        :meth:`TraceDrivenPopulation._on_arrival` (with
         ``_start_session`` as :meth:`SessionKernel.start
         <repro.workload.fluid.SessionKernel.start>` and the first
-        ``_run_page`` inlined), a session wake is ``_run_page``. The
-        hits/think draws are inlined as in :meth:`ShardClientWake.drain
-        <repro.workload.shards.ShardClientWake.drain>`;
-        ``WebServer.offer`` is called, not inlined. A new session's
-        first think wake takes its eid before the arrival's next wake,
-        as in the event handler. Only populations with no fallback
-        reasons register this class, so geography and dynamic domains
-        have no branch here.
+        ``_run_page`` inlined), a session entry (slot ``>= 0``) is
+        ``_run_page``. The hits/think draws are inlined as in the
+        sharded drain; ``WebServer.offer`` is called, not inlined. A new
+        session's first think wake takes its eid before the arrival's
+        next wake, as in the event handler. The calendar's held count
+        falls when a session's last page files nothing and rises when
+        an accepted arrival files two entries. Only populations with no
+        fallback reasons register this class, so geography and dynamic
+        domains have no branch here.
         """
-        replace = heapreplace
+        head = queue[0][2]
+        p = head.population
+        cal = p._calendar
+        bound_time, bound_key = cal.bound(queue)
+        limit = bound_time if bound_time < target else target
         log = _log
-        # Kernel fields and the pool arrays are hoisted when the
-        # population changes; counters accumulate in locals and flush on
-        # exit (see SessionKernel for the quiescence argument).
-        population = None
+        kernel = p._kernel
+        start = kernel.start
+        servers = kernel.servers
+        think_random = kernel.think_random
+        think_lambd = kernel.think_lambd
+        hits_getrandbits = kernel.hits_getrandbits
+        hits_low = kernel.hits_low
+        hits_width = kernel.hits_width
+        hits_bits = kernel.hits_bits
+        sample_domain = p.domains.sample_domain
+        rate_at = p.schedule.rate_at
+        peak = p._peak_rate
+        arrival_lambd = p._arrival_lambd
+        arrival_random = p._arrival_rng.random
+        claim_slot = p._claim_slot
+        free = p._free
+        remaining_arr = p._remaining
+        server_arr = p._server
+        resolved_arr = p._resolved
+        domain_arr = p._domain
+        started = p._shard_started
+        shard_arrivals = p._shard_arrivals
+        inv_width = cal.inv_width
+        buckets = cal.buckets
+        pending = cal.pending
+        advance = cal.advance
+        cur = cal.cur
+        near = cal.near
+        pos = cal.pos
+        held = cal.held
+        # Counters accumulate in locals and flush on exit (see
+        # SessionKernel for the quiescence argument).
+        arrivals = p.total_arrivals
+        active = p.active_sessions
+        peak_active = p.peak_active_sessions
         pages_acc = hits_acc = sessions_acc = routed_acc = 0
         try:
-            while queue:
-                item = queue[0]
+            while True:
+                item = near[pos]
                 now = item[0]
-                if now > target:
+                if now >= limit and (
+                    now > target
+                    or now > bound_time
+                    or now == bound_time and item[1] > bound_key
+                ):
                     return
-                task = item[2]
-                if type(task) is not cls:
-                    return
-                p = task.population
-                if p is not population:
-                    if population is not None:  # pragma: no cover
-                        population.total_pages += pages_acc
-                        population.total_hits += hits_acc
-                        population.total_sessions += sessions_acc
-                        population.dns_routed_hits += routed_acc
-                        population.total_arrivals = arrivals
-                        population.active_sessions = active
-                        population.peak_active_sessions = peak_active
-                        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-                    population = p
-                    arrivals = p.total_arrivals
-                    active = p.active_sessions
-                    peak_active = p.peak_active_sessions
-                    kernel = p._kernel
-                    start = kernel.start
-                    servers = kernel.servers
-                    think_random = kernel.think_random
-                    think_lambd = kernel.think_lambd
-                    hits_getrandbits = kernel.hits_getrandbits
-                    hits_low = kernel.hits_low
-                    hits_width = kernel.hits_width
-                    hits_bits = kernel.hits_bits
-                    sample_domain = p.domains.sample_domain
-                    rate_at = p.schedule.rate_at
-                    peak = p._peak_rate
-                    arrival_lambd = p._arrival_lambd
-                    arrival_random = p._arrival_rng.random
-                    claim_slot = p._claim_slot
-                    wakes = p._wakes
-                    free = p._free
-                    remaining_arr = p._remaining
-                    server_arr = p._server
-                    resolved_arr = p._resolved
-                    domain_arr = p._domain
-                    started = p._shard_started
-                    shard_arrivals = p._shard_arrivals
-                slot = task.slot
+                slot = item[2]
                 if slot >= 0:
                     # A mid-session page burst (_run_page).
-                    arrival = None
+                    arrival = False
                     remaining = remaining_arr[slot]
                     server_id = server_arr[slot]
                     resolved_by_dns = resolved_arr[slot]
@@ -377,7 +399,7 @@ class TraceSessionWake(FluidTask, Event):
                 else:
                     # An arrival wake (_on_arrival): thin the candidate,
                     # then maybe start a session (_start_session).
-                    arrival = task
+                    arrival = True
                     shard_id = -1 - slot
                     if not started[shard_id]:
                         started[shard_id] = 1
@@ -394,13 +416,13 @@ class TraceSessionWake(FluidTask, Event):
                         )
                         sessions_acc += 1
                         slot = claim_slot()
-                        task = wakes[slot]
                         domain_arr[slot] = domain_id
                         server_arr[slot] = server_id
                         resolved_arr[slot] = 1 if resolved_by_dns else 0
                         active += 1
                         if active > peak_active:
                             peak_active = active
+                        held += 1
                 if slot >= 0:
                     # One page burst. Hits: randint(low, high) with the
                     # rejection loop of Random._randbelow_with_getrandbits,
@@ -425,20 +447,23 @@ class TraceSessionWake(FluidTask, Event):
                                 f"got {delay!r}"
                             )
                         env._eid = eid = env._eid + 1
-                        entry = (now + delay, _NORMAL_KEY | eid, task)
-                        if arrival is None:
-                            replace(queue, entry)
+                        t = now + delay
+                        entry = (t, _NORMAL_KEY | eid, slot)
+                        b = int(t * inv_width)
+                        if b == cur:
+                            insort(near, entry, pos)
                         else:
-                            # The arrival entry stays on top: this one is
-                            # no earlier and carries a larger eid.
-                            heappush(queue, entry)
+                            try:
+                                buckets[b].append(entry)
+                            except KeyError:
+                                buckets[b] = [entry]
+                                heappush(pending, b)
                     else:
                         # Session over: release the slot.
                         active -= 1
                         free.append(slot)
-                        if arrival is None:
-                            heappop(queue)
-                if arrival is not None:
+                        held -= 1
+                if arrival:
                     # The shard's next candidate: expovariate inlined.
                     delay = -log(1.0 - arrival_random()) / arrival_lambd
                     if not 0.0 <= delay < _INFINITY:
@@ -447,21 +472,40 @@ class TraceSessionWake(FluidTask, Event):
                             f"got {delay!r}"
                         )
                     env._eid = eid = env._eid + 1
-                    replace(queue, (now + delay, _NORMAL_KEY | eid, arrival))
+                    t = now + delay
+                    entry = (t, _NORMAL_KEY | eid, item[2])
+                    b = int(t * inv_width)
+                    if b == cur:
+                        insort(near, entry, pos)
+                    else:
+                        try:
+                            buckets[b].append(entry)
+                        except KeyError:
+                            buckets[b] = [entry]
+                            heappush(pending, b)
+                pos += 1
+                if pos == len(near):
+                    cur, near = advance()
+                    pos = 0
                 budget -= 1
                 if budget == 0:
                     return
         finally:
-            if population is not None:
-                population.total_pages += pages_acc
-                population.total_hits += hits_acc
-                population.total_sessions += sessions_acc
-                population.dns_routed_hits += routed_acc
-                population.total_arrivals = arrivals
-                population.active_sessions = active
-                population.peak_active_sessions = peak_active
+            p.total_pages += pages_acc
+            p.total_hits += hits_acc
+            p.total_sessions += sessions_acc
+            p.dns_routed_hits += routed_acc
+            p.total_arrivals = arrivals
+            p.active_sessions = active
+            p.peak_active_sessions = peak_active
+            cal.rekey(env, queue, head, cur, near, pos, held)
 
     def __repr__(self) -> str:
+        if self.slot is None:
+            return (
+                f"<TraceSessionWake head "
+                f"held={self.population._calendar.held}>"
+            )
         return f"<TraceSessionWake slot={self.slot}>"
 
 
@@ -532,6 +576,8 @@ class TraceDrivenPopulation:
         "processes",
         "engine",
         "_kernel",
+        "_head",
+        "_calendar",
     )
 
     def __init__(
@@ -551,6 +597,10 @@ class TraceDrivenPopulation:
         shard_count: Optional[int] = None,
         shard_size: int = 4096,
     ):
+        if shard_size < 1:
+            raise ConfigurationError(
+                f"shard_size must be >= 1, got {shard_size!r}"
+            )
         self.env = env
         self.cluster = cluster
         self.resolution_chain = resolution_chain
@@ -615,6 +665,8 @@ class TraceDrivenPopulation:
         self._resolved = bytearray()
         self._domain = array("q")
         self._page_rtt = array("d") if layout is not None else None
+        #: Event mode's session wakes, one per slot (the fluid lane
+        #: keeps its wakes on the calendar and builds none).
         self._wakes: List[TraceSessionWake] = []
         self._free: List[int] = []
         self._cb = [self._on_wake]
@@ -636,19 +688,35 @@ class TraceDrivenPopulation:
                 "workload.active_sessions", lambda: self.active_sessions
             )
             metrics.register(
-                "workload.session_slots", lambda: len(self._wakes)
+                "workload.session_slots", lambda: len(self._remaining)
             )
-        # One permanent wake per arrival shard. Its urgent entry at the
-        # current time takes the eid a process start would take.
-        processes = []
-        for shard_id in range(shard_count):
-            wake = TraceSessionWake(env, self, -1 - shard_id)
-            if self.engine == "event":
+        if self._kernel is None:
+            # Event mode: one permanent wake per arrival shard. Its
+            # urgent entry at the current time takes the eid a process
+            # start would take.
+            processes = []
+            for shard_id in range(shard_count):
+                wake = TraceSessionWake(env, self, -1 - shard_id)
                 wake._callbacks = self._arrival_cb
+                env._eid = eid = env._eid + 1
+                heappush(env._queue, (env._now + 0.0, eid, wake))
+                processes.append(wake)
+            self.processes = processes
+            return
+        # Fluid lane: the same urgent entries, filed on the calendar as
+        # (time, key, -1 - shard_id), behind one head on the engine heap.
+        # Arrival candidates come at the peak rate, and each session
+        # wakes once per page after the first: peak_rate * (mean_pages
+        # + 1) wakes per second bounds the rate.
+        self.processes = []
+        self._calendar = calendar = WakeCalendar(
+            schedule.peak_rate * (session_model.pages_per_session.mean + 1.0)
+        )
+        for shard_id in range(shard_count):
             env._eid = eid = env._eid + 1
-            heappush(env._queue, (env._now + 0.0, eid, wake))
-            processes.append(wake)
-        self.processes = processes
+            calendar.file((env._now + 0.0, eid, -1 - shard_id))
+        self._head = TraceSessionWake(env, self, None)
+        calendar.push_head(env, self._head)
 
     @property
     def dns_control_fraction(self) -> float:
@@ -687,12 +755,11 @@ class TraceDrivenPopulation:
         wake._processed = False
 
     def _claim_slot(self) -> int:
-        """A free session slot, growing the pool at the high-water mark."""
+        """A free session slot, growing the arrays at the high-water mark."""
         free = self._free
         if free:
             return free.pop()
-        slot = len(self._wakes)
-        self._wakes.append(TraceSessionWake(self.env, self, slot))
+        slot = len(self._remaining)
         self._remaining.append(0)
         self._server.append(0)
         self._resolved.append(0)
@@ -731,6 +798,8 @@ class TraceDrivenPopulation:
         if pages < 1:
             return  # a zero-page session contributes nothing
         slot = self._claim_slot()
+        if slot == len(self._wakes):
+            self._wakes.append(TraceSessionWake(self.env, self, slot))
         self._domain[slot] = domain_id
         self._server[slot] = record.server_id
         self._resolved[slot] = 1 if resolved_by_dns else 0
@@ -787,7 +856,7 @@ class TraceDrivenPopulation:
             "arrivals_min": min(arrivals) if arrivals else 0,
             "arrivals_max": max(arrivals) if arrivals else 0,
             "arrivals_total": sum(arrivals),
-            "session_slots": len(self._wakes),
+            "session_slots": len(self._remaining),
             "peak_active_sessions": self.peak_active_sessions,
             "schedule": self.schedule.describe(),
         }
@@ -804,7 +873,7 @@ class TraceDrivenPopulation:
             "alive": self.active_sessions,
             "network_rtt_stats": self.network_rtt_stats.snapshot_state(),
             "arrivals": self.total_arrivals,
-            "session_slots": len(self._wakes),
+            "session_slots": len(self._remaining),
         }
 
     def __repr__(self) -> str:

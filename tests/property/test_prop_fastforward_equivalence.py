@@ -297,3 +297,104 @@ class TestShardedEventCuts:
             event_sim.snapshot_state()
         )
         assert_same_result(fastforward, fastforward_sim.run())
+
+
+#: Trace-source shapes for the event-count cuts: one arrival shard, and
+#: the 64-shard maximum under a constant and a diurnal rate, whose urgent
+#: init entries make a long first stretch of calendar entries.
+TRACE_CUT_CASES = {
+    "one-shard": dict(trace_profile="constant", trace_rate=1.0),
+    "constant-64-shards": dict(
+        trace_profile="constant", trace_rate=1.0, shard_size=4
+    ),
+    "diurnal-64-shards": dict(
+        trace_profile="diurnal", trace_rate=3.0, shard_size=16
+    ),
+}
+
+
+def trace_cut_config(case: str) -> SimulationConfig:
+    return SimulationConfig(
+        policy="DRR2-TTL/S_K",
+        heterogeneity=35,
+        duration=120.0,
+        workload_source="trace",
+        trace_period=120.0,
+        estimator="measured",
+        seed=11,
+        **TRACE_CUT_CASES[case],
+    )
+
+
+_trace_references: dict = {}
+
+
+def trace_reference(case: str):
+    """``(event result, fast-forward result, cut points, total)``.
+
+    Steps a fast-forward run one dispatch at a time and records where
+    the cuts fall: ``"init"`` holds every count before the last arrival
+    shard's urgent init entry has been dispatched, ``"falls"`` the
+    counts right after a dispatch that lowered the calendar's held
+    count (a session's last page), ``"rises"`` those right after one
+    that raised it (an accepted arrival whose session goes on).
+    """
+    if case not in _trace_references:
+        config = trace_cut_config(case)
+        event = run_simulation(config, engine_mode="event")
+        sim = Simulation(config, engine_mode="fastforward")
+        env = sim.env
+        population = sim.population
+        assert population.engine == "fluid"
+        calendar = population._calendar
+        points = {"init": [], "falls": [], "rises": []}
+        while env.peek() <= config.duration:
+            if not all(population._shard_started):
+                points["init"].append(env.dispatched)
+            held = calendar.held
+            env.step()
+            if calendar.held < held:
+                points["falls"].append(env.dispatched)
+            elif calendar.held > held:
+                points["rises"].append(env.dispatched)
+        fastforward = sim.run()
+        _trace_references[case] = (
+            event, fastforward, points, env.dispatched
+        )
+    return _trace_references[case]
+
+
+class TestTraceEventCuts:
+    """``run_events`` cuts through the trace source's fast lane.
+
+    The fast lane keeps the arrival shards' and sessions' wakes off the
+    engine heap, and the number it holds there changes as sessions end
+    and arrivals start new ones. These pin that ``dispatched`` still
+    counts every wake, and that a cut after ``k`` dispatches — among the
+    shard init entries, right after a session ends or right after an
+    accepted arrival — is the reference engine's state after ``k``
+    dispatches and finishes on the uninterrupted result.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(sorted(TRACE_CUT_CASES)), data=st.data())
+    def test_cut_after_k_events_matches_the_uninterrupted_runs(
+        self, case, data
+    ):
+        event, fastforward, points, total = trace_reference(case)
+        assert_same_result(event, fastforward)
+        phase = data.draw(st.sampled_from(["init", "falls", "rises"]))
+        assert points[phase], f"{case} has no {phase} cut point"
+        k = data.draw(st.sampled_from(points[phase]))
+        config = trace_cut_config(case)
+        sims = []
+        for mode in ("event", "fastforward"):
+            sim = Simulation(config, engine_mode=mode)
+            assert sim.env.run_events(k, until=config.duration) == k
+            assert sim.env.dispatched == k
+            sims.append(sim)
+        event_sim, fastforward_sim = sims
+        assert state_digest(fastforward_sim.snapshot_state()) == state_digest(
+            event_sim.snapshot_state()
+        )
+        assert_same_result(event, fastforward_sim.run())
