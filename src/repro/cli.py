@@ -66,15 +66,6 @@ TCP — multi-host fan-out with lease-based crash tolerance, results
 bit-identical to ``--workers 1`` regardless of worker count or crashes.
 See ``docs/DISTRIBUTED.md``.
 
-Every simulating command also accepts ``--engine-mode fastforward``:
-the hybrid fluid/event engine (:mod:`repro.sim.fastforward`) that
-batch-advances quiescent client wakes natively. Results, trajectories
-and checkpoint digests are bit-identical to the reference ``event``
-mode — the mode only changes wall-clock time — and ineligible
-configurations fall back to reference event-stepping automatically
-(the fallback reasons land in the provenance manifest). See
-``docs/PERFORMANCE.md``.
-
 Every simulating command also accepts ``--progress`` (a live terminal
 progress line: completed/total cells, throughput, ETA, busy workers)
 and ``--progress-log PATH`` (the batch's span events as JSONL, which
@@ -122,7 +113,7 @@ from .experiments.reporting import (
     render_trace_counts,
 )
 from .experiments.runner import compare_policies
-from .experiments.simulation import run_simulation
+from .experiments.simulation import DEFAULT_ENGINE_MODE, run_simulation
 from .sim.tracing import TRACE_CATEGORIES
 
 
@@ -210,13 +201,6 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for multi-cell commands (default 1 = "
         "serial; results are identical for any value)",
-    )
-    parser.add_argument(
-        "--engine-mode", choices=("event", "fastforward"), default="event",
-        help="dispatch engine: 'event' (reference) or 'fastforward' "
-        "(hybrid fluid/event batch-advance; bit-identical results, "
-        "faster on eligible configs, automatic per-config fallback "
-        "otherwise)",
     )
     parser.add_argument(
         "--progress", action=argparse.BooleanOptionalAction, default=False,
@@ -313,7 +297,6 @@ def _executor(args: argparse.Namespace, progress, workers=None):
         progress=progress,
         checkpoint_dir=directory,
         checkpoint_every=every,
-        engine_mode=args.engine_mode,
         backend=args.backend,
         listen=args.listen,
         lease_timeout=args.lease_timeout,
@@ -434,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--halt-at", type=float, default=None, metavar="SIMTIME",
         help="simulate another crash at the first checkpoint boundary "
         "at or past SIMTIME (exit code 3)",
-    )
-    resume_parser.add_argument(
-        "--engine-mode", choices=("event", "fastforward"), default=None,
-        help="dispatch engine for the resumed run (default: the mode "
-        "the checkpoint records; requesting a different mode is "
-        "refused by name)",
     )
 
     trace_parser = sub.add_parser(
@@ -829,7 +806,6 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 every=checkpoint_every,
                 directory=checkpoint_dir,
                 halt_at=args.halt_at,
-                engine_mode=args.engine_mode,
             )
             if result is None:
                 print(
@@ -840,14 +816,12 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 return 3
             print(f"[checkpointed bundle written to {checkpoint_dir}]")
         elif progress is not None:
-            executor = ParallelExecutor(
-                workers=1, progress=progress, engine_mode=args.engine_mode
-            )
+            executor = ParallelExecutor(workers=1, progress=progress)
             result = executor.run_simulations(
                 [config], labels=[args.policy]
             )[0]
         else:
-            result = run_simulation(config, engine_mode=args.engine_mode)
+            result = run_simulation(config)
         if args.report:
             from .analysis import full_report
 
@@ -873,7 +847,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 manifest_path = write_manifest(
                     config,
                     pathlib.Path(f"{base}.manifest.json"),
-                    engine_mode=args.engine_mode,
+                    engine_mode=DEFAULT_ENGINE_MODE,
                 )
                 print(f"[trace saved to {trace_path}]")
                 print(f"[manifest saved to {manifest_path}]")
@@ -900,9 +874,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
     if args.command == "resume":
         from .experiments.checkpointing import resume_run
 
-        result = resume_run(
-            args.bundle, halt_at=args.halt_at, engine_mode=args.engine_mode
-        )
+        result = resume_run(args.bundle, halt_at=args.halt_at)
         if result is None:
             print(
                 f"[halted again at the first checkpoint past simulated "
@@ -943,7 +915,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 "wall_time": executor.last_stats.wall_time,
             },
             workers=1,
-            engine_mode=args.engine_mode,
+            engine_mode=executor.engine_mode,
             dispatch=executor.dispatch_info(),
         )
         print(render_result(result))

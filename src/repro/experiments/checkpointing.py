@@ -52,7 +52,7 @@ from .persistence import (
     load_json,
     save_run_artifacts,
 )
-from .simulation import Simulation
+from .simulation import DEFAULT_ENGINE_MODE, Simulation
 
 PathLike = Union[str, pathlib.Path]
 
@@ -188,7 +188,7 @@ def run_with_checkpoints(
     directory: PathLike,
     halt_at: Optional[float] = None,
     stem: str = DEFAULT_STEM,
-    engine_mode: str = "event",
+    engine_mode: str = DEFAULT_ENGINE_MODE,
 ) -> Optional[SimulationResult]:
     """Run ``config`` with periodic checkpoints into ``directory``.
 
@@ -203,10 +203,10 @@ def run_with_checkpoints(
     at the first checkpoint boundary at or past that simulated time,
     leaving only the checkpoints behind for :func:`resume_run`.
 
-    ``engine_mode`` selects the dispatch engine. Checkpoint cuts and
-    digests are identical in either mode (that is the fast-forward
-    equivalence guarantee); the mode is recorded in each checkpoint so
-    a resume defaults to it.
+    ``engine_mode="event"`` runs the reference engine instead of the
+    fast-forward default. Checkpoint cuts and digests are identical
+    either way (the fast-forward equivalence guarantee); each
+    checkpoint records the mode as provenance.
     """
     if every <= 0:
         raise CheckpointError(
@@ -228,7 +228,6 @@ def resume_run(
     *,
     halt_at: Optional[float] = None,
     stem: str = DEFAULT_STEM,
-    engine_mode: Optional[str] = None,
 ) -> Optional[SimulationResult]:
     """Resume the interrupted run checkpointed under ``directory``.
 
@@ -241,13 +240,10 @@ def resume_run(
     to what the uninterrupted run would have returned — or ``None`` if
     ``halt_at`` interrupted the resumed run again.
 
-    ``engine_mode=None`` (default) resumes in the mode the checkpoint
-    was written under. Requesting a *different* mode explicitly is
-    refused up front with a :class:`~repro.errors.CheckpointMismatchError`
-    naming ``engine_mode`` — not because the trajectories would differ
-    (they are bit-identical), but because a cross-mode resume is almost
-    always an operator mistake, and refusing by name beats letting any
-    real divergence surface later as a digest mystery.
+    The resumed run always takes the default fast-forward engine,
+    whichever mode the checkpoint records: both engines cut and digest
+    bit-identically, so an event-written checkpoint verifies and
+    continues unchanged.
 
     Refuses checkpoints written by a different package version: replay
     equivalence is only guaranteed within one engine build, and a silent
@@ -263,19 +259,13 @@ def resume_run(
             f"checkpoint was written by repro {checkpoint.engine_version}, "
             f"this is repro {version}; re-run instead of resuming"
         )
-    if engine_mode is None:
-        engine_mode = checkpoint.engine_mode
-    elif engine_mode != checkpoint.engine_mode:
-        raise CheckpointMismatchError(
-            "engine_mode", checkpoint.engine_mode, engine_mode
-        )
     recorded_hash = config_digest(checkpoint.config)
     if recorded_hash != checkpoint.config_hash:
         raise CheckpointMismatchError(
             "config_hash", checkpoint.config_hash, recorded_hash
         )
     config = config_from_dict(checkpoint.config)
-    sim = Simulation(config, engine_mode=engine_mode)
+    sim = Simulation(config)
     sim.advance(checkpoint.time)
     verify_checkpoint(sim, checkpoint)
     completed = _drive(
@@ -305,7 +295,7 @@ def make_cell_task(
     config: SimulationConfig,
     directory: PathLike,
     every: float,
-    engine_mode: str = "event",
+    engine_mode: str = DEFAULT_ENGINE_MODE,
 ) -> CellTask:
     """Build the picklable task tuple for one checkpointed cell."""
     return (
@@ -333,12 +323,7 @@ def run_checkpointed_cell(task: CellTask) -> SimulationResult:
     :class:`~repro.errors.CheckpointMismatchError` instead of silently
     returning the wrong cell's numbers.
     """
-    if len(task) == 3:
-        # Task tuples built before the engine_mode slot existed.
-        config_dict, directory, every = task
-        engine_mode = "event"
-    else:
-        config_dict, directory, every, engine_mode = task
+    config_dict, directory, every, engine_mode = task
     config = config_from_dict(config_dict)
     cell_dir = pathlib.Path(directory)
     result_path = cell_dir / f"{DEFAULT_STEM}.json"
@@ -371,10 +356,7 @@ def run_checkpointed_cell(task: CellTask) -> SimulationResult:
                 config_digest(config_dict),
                 config_digest(checkpoint.config),
             )
-        # The requested mode is passed explicitly: an interrupted cell
-        # resumed under a different --engine-mode refuses by name
-        # (CheckpointMismatchError) instead of silently switching.
-        resumed = resume_run(cell_dir, engine_mode=engine_mode)
+        resumed = resume_run(cell_dir)
         assert resumed is not None  # no halt_at in executor cells
         return resumed
     result = run_with_checkpoints(

@@ -48,7 +48,7 @@ from ...obs import spans as span_kinds
 from ...obs.metrics import MetricsRegistry
 from ...obs.spans import DEFAULT_RING_SIZE, SpanRecorder, crash_file_name
 from ..persistence import config_from_dict
-from ..simulation import run_simulation
+from ..simulation import DEFAULT_ENGINE_MODE, run_simulation
 from .context import set_dispatch_context
 from .protocol import (
     ERROR,
@@ -91,7 +91,7 @@ def execute_cell(task: Dict[str, Any]) -> Any:
     processes cannot make CPU-bound cells faster. Pacing is pure
     timing: the result bytes are exactly the unpaced cell's.
     """
-    engine_mode = task.get("engine_mode", "event")
+    engine_mode = task.get("engine_mode", DEFAULT_ENGINE_MODE)
     pace = task.get("pace")
     start = time.perf_counter() if pace is not None else 0.0
     checkpoint = task.get("checkpoint")

@@ -46,7 +46,7 @@ from ..obs import spans
 from ..obs.progress import ProgressSink, drained
 from .config import SimulationConfig
 from .metrics import SimulationResult
-from .simulation import ENGINE_MODES, run_simulation
+from .simulation import DEFAULT_ENGINE_MODE, ENGINE_MODES, run_simulation
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -263,12 +263,11 @@ class ParallelExecutor:
         Checkpoint cadence in simulated seconds; required (> 0) when
         ``checkpoint_dir`` is set.
     engine_mode:
-        Dispatch engine for every cell: ``"event"`` (default, the
-        reference per-event engine) or ``"fastforward"`` (the hybrid
-        fluid/event engine of :mod:`repro.sim.fastforward`). Both modes
-        produce bit-identical results — the purity property the
-        executor is built on is mode-independent — so this only changes
-        wall-clock time, never outputs.
+        Dispatch engine for every cell: ``"fastforward"`` (default, the
+        hybrid fluid/event engine of :mod:`repro.sim.fastforward`) or
+        ``"event"`` (the reference per-event engine, for equivalence
+        checks). Both produce bit-identical results, so this only
+        changes wall-clock time, never outputs.
     backend:
         Where :meth:`run_simulations` batches physically run:
         ``"local"`` (default — the process-pool path above, byte-for-byte
@@ -302,7 +301,7 @@ class ParallelExecutor:
         progress: Optional[ProgressSink] = None,
         checkpoint_dir: Optional[PathLike] = None,
         checkpoint_every: float = 0.0,
-        engine_mode: str = "event",
+        engine_mode: str = DEFAULT_ENGINE_MODE,
         backend=None,
         listen=None,
         lease_timeout: float = 30.0,
@@ -487,13 +486,11 @@ class ParallelExecutor:
     ) -> List[SimulationResult]:
         """The local (serial / process-pool) simulation batch path."""
         if self.checkpoint_dir is None:
-            cell = run_simulation
-            if self.engine_mode != "event":
-                # functools.partial of a module-level function pickles
-                # into worker processes; a lambda would not.
-                cell = functools.partial(
-                    run_simulation, engine_mode=self.engine_mode
-                )
+            # functools.partial of a module-level function pickles into
+            # worker processes; a lambda would not.
+            cell = functools.partial(
+                run_simulation, engine_mode=self.engine_mode
+            )
             return self.map(cell, configs, labels=labels)
         from .checkpointing import make_cell_task, run_checkpointed_cell
 

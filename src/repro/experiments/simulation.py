@@ -40,6 +40,8 @@ from .metrics import MaxUtilizationCollector, SimulationResult
 #: ``"fastforward"`` batch-advances quiescent client wakes natively (see
 #: :mod:`repro.sim.fastforward`) with bit-identical trajectories.
 ENGINE_MODES = ("event", "fastforward")
+#: The engine every entry point runs unless a caller names the reference.
+DEFAULT_ENGINE_MODE = "fastforward"
 
 
 class Simulation:
@@ -48,14 +50,18 @@ class Simulation:
     All components are exposed as attributes after construction so tests
     and notebooks can poke at any layer before/after :meth:`run`.
 
-    ``engine_mode`` selects the dispatch engine — a *run-control*
-    parameter, deliberately not a :class:`SimulationConfig` field: both
-    modes produce bit-identical trajectories, so the mode must not leak
-    into config hashes, checkpoint digests or result comparisons (it is
-    recorded in checkpoints and provenance manifests instead).
+    Runs on the fast-forward engine. ``engine_mode="event"`` selects the
+    reference per-event engine instead, for equivalence tests and
+    benchmarks that compare against it. It is deliberately not a
+    :class:`SimulationConfig` field: both engines produce bit-identical
+    trajectories, so the mode must not leak into config hashes,
+    checkpoint digests or result comparisons (it is recorded in
+    checkpoints and provenance manifests instead).
     """
 
-    def __init__(self, config: SimulationConfig, engine_mode: str = "event"):
+    def __init__(
+        self, config: SimulationConfig, engine_mode: str = DEFAULT_ENGINE_MODE
+    ):
         if engine_mode not in ENGINE_MODES:
             raise ConfigurationError(
                 f"unknown engine mode {engine_mode!r}; "
@@ -451,12 +457,11 @@ class Simulation:
 
 
 def run_simulation(
-    config: SimulationConfig, engine_mode: str = "event"
+    config: SimulationConfig, engine_mode: str = DEFAULT_ENGINE_MODE
 ) -> SimulationResult:
     """Build and run one simulation (the one-call entry point).
 
-    ``engine_mode="fastforward"`` runs the hybrid fluid/event engine
-    (:mod:`repro.sim.fastforward`) — bit-identical results, measurably
-    faster on eligible configurations.
+    Runs on the hybrid fluid/event engine (:mod:`repro.sim.fastforward`);
+    ``engine_mode="event"`` reaches the bit-identical reference engine.
     """
     return Simulation(config, engine_mode=engine_mode).run()

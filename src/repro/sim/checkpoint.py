@@ -137,11 +137,9 @@ class Checkpoint:
     format_version: int = CHECKPOINT_FORMAT_VERSION
     #: Dispatch engine mode the run was started with (``"event"`` or
     #: ``"fastforward"``). Both modes produce bit-identical state
-    #: digests, so this field is provenance, not digested state: resumes
-    #: default to the recorded mode, and an *explicitly requested*
-    #: different mode is refused by name instead of surfacing as a
-    #: digest mystery. Defaulted for checkpoints written before the
-    #: fast-forward engine existed.
+    #: digests, so this field is readable provenance, not digested
+    #: state: a resume always runs the default engine. Defaulted for
+    #: checkpoints written before the fast-forward engine existed.
     engine_mode: str = "event"
 
     def to_dict(self) -> Dict[str, Any]:

@@ -352,7 +352,12 @@ class FastForwardEnvironment(Environment):
         dispatched through the reference branches below, verbatim from
         :meth:`Environment.run`. Dispatch order, eid allocation and all
         float arithmetic are bit-identical to the reference engine.
+        With no task class registered (a configuration that fell back)
+        the run is :meth:`Environment.run` itself, without the per-entry
+        task check.
         """
+        if self._task_class is _NoTask:
+            return super().run(until)
         if until is None:
             target = float("inf")
         else:

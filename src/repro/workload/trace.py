@@ -50,6 +50,7 @@ session start the synthetic populations' drains call.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from bisect import bisect_right, insort
 from dataclasses import dataclass
@@ -93,6 +94,14 @@ def _rate_point(data: dict) -> RatePoint:
     )
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; :class:`ConfigurationError` unless it is a real
+    number (``bool`` and numeric strings are refused, not coerced)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 class ArrivalSchedule:
     """A piecewise-constant session arrival-rate schedule.
 
@@ -126,8 +135,8 @@ class ArrivalSchedule:
         times: List[float] = []
         rates: List[float] = []
         for t, rate in breakpoints:
-            t = float(t)
-            rate = float(rate)
+            t = _real(t, "a breakpoint time")
+            rate = _real(rate, "an arrival rate")
             if not -_INFINITY < t < _INFINITY:
                 raise ConfigurationError(
                     f"breakpoint times must be finite, got {t!r}"
@@ -152,6 +161,8 @@ class ArrivalSchedule:
         self._times = array("d", times)
         self._rates = array("d", rates)
         self.periodic = bool(periodic)
+        if period is not None:
+            period = _real(period, "the period")
         if self.periodic:
             if period is None or not times[-1] < period < _INFINITY:
                 raise ConfigurationError(

@@ -114,8 +114,10 @@ def fingerprint_result(result) -> dict:
 
 
 def compute_fingerprint() -> dict:
-    """Run the golden config and fingerprint the result."""
-    return fingerprint_result(run_simulation(SimulationConfig(**GOLDEN_CONFIG)))
+    """Run the golden config on the reference engine and fingerprint it."""
+    return fingerprint_result(
+        run_simulation(SimulationConfig(**GOLDEN_CONFIG), engine_mode="event")
+    )
 
 
 REGENERATE_HINT = (

@@ -6,23 +6,23 @@ Hypothesis equivalence harness
 covers the machinery around them: task-class registration, the fallback
 gate and its counters, reference behaviour with no tasks registered,
 ``step()``/``run()`` agreement, engine provenance, and the run-control
-plumbing (executor validation, manifests, cross-mode resume refusal).
+plumbing (fast-forward defaults, executor validation, manifests, resume
+of checkpoints written by either engine).
 """
 
+import json
 from heapq import heapreplace
 
 import pytest
 
-from repro.errors import (
-    CheckpointMismatchError,
-    ConfigurationError,
-    SimulationError,
-)
+from repro.cli import main
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.checkpointing import resume_run, run_with_checkpoints
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import ParallelExecutor
 from repro.experiments.simulation import Simulation, run_simulation
 from repro.obs.provenance import build_manifest
+from repro.sim.checkpoint import latest_checkpoint
 from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import _NORMAL_KEY
 from repro.sim.fastforward import FastForwardEnvironment, FluidTask
@@ -251,7 +251,7 @@ class TestFallbackGate:
         config = SimulationConfig(
             policy="RR", duration=60.0, total_clients=30, seed=5
         )
-        sim = Simulation(config)
+        sim = Simulation(config, engine_mode="event")
         sim.run()
         info = sim.engine_info
         assert info == {
@@ -281,7 +281,10 @@ class TestRunControlPlumbing:
         config = SimulationConfig(policy="RR", duration=60.0)
         assert "engine_mode" not in build_manifest(config)
 
-    def test_cross_mode_resume_refuses_by_name(self, tmp_path):
+    @pytest.mark.parametrize("written_by", ["event", "fastforward"])
+    def test_halted_run_resumes_to_the_event_result(self, tmp_path, written_by):
+        # A resume runs the default engine whichever mode the checkpoint
+        # records; the recorded mode is provenance only.
         config = SimulationConfig(
             policy="RR", duration=120.0, total_clients=30, seed=5
         )
@@ -290,24 +293,30 @@ class TestRunControlPlumbing:
             every=30.0,
             directory=tmp_path,
             halt_at=60.0,
-            engine_mode="fastforward",
+            engine_mode=written_by,
         )
         assert halted is None
-        with pytest.raises(CheckpointMismatchError, match="engine_mode"):
-            resume_run(tmp_path, engine_mode="event")
-
-    def test_resume_defaults_to_the_recorded_mode(self, tmp_path):
-        config = SimulationConfig(
-            policy="RR", duration=120.0, total_clients=30, seed=5
-        )
-        run_with_checkpoints(
-            config,
-            every=30.0,
-            directory=tmp_path,
-            halt_at=60.0,
-            engine_mode="fastforward",
-        )
         resumed = resume_run(tmp_path)
         reference = run_simulation(config, engine_mode="event")
         assert resumed.total_hits == reference.total_hits
         assert resumed.metrics == reference.metrics
+        assert resumed.utilization_series == reference.utilization_series
+
+    def test_every_default_entry_point_runs_fastforward(self, tmp_path):
+        config = SimulationConfig(
+            policy="RR", duration=60.0, total_clients=30, seed=5
+        )
+        assert Simulation(config).engine_info["engine_mode"] == "fastforward"
+        assert ParallelExecutor().engine_mode == "fastforward"
+        run_with_checkpoints(config, every=30.0, directory=tmp_path / "ckpt")
+        checkpoint = latest_checkpoint(tmp_path / "ckpt")
+        assert checkpoint.engine_mode == "fastforward"
+        saved = tmp_path / "run.json"
+        argv = ["run", "RR", "--duration", "60", "--clients", "30",
+                "--trace", "all", "--save", str(saved)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["engine_mode"] == "fastforward"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "RR", "--engine-mode", "event"])
+        assert exit_info.value.code == 2

@@ -83,6 +83,26 @@ class TestScheduleConstruction:
                 [(0.0, 1.0), (5.0, 2.0)], periodic=True, period=period
             )
 
+    @pytest.mark.parametrize(
+        "breakpoints",
+        [[("0", "1")], [(0.0, 1.0), ("5", 2.0)], [(0.0, 1.0), (5.0, True)],
+         [(False, 1.0)], [(0.0, None)]],
+        ids=["strings", "string-time", "bool-rate", "bool-time", "none-rate"],
+    )
+    def test_non_real_breakpoint_rejected(self, breakpoints):
+        # Numeric strings and bools must not pass as a valid schedule.
+        with pytest.raises(ConfigurationError, match="must be a real number"):
+            ArrivalSchedule(breakpoints)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("period", ["x", "10", True, [10.0]])
+    def test_non_real_period_rejected(self, period, periodic):
+        # Checked even when unused, and typed: never a bare TypeError.
+        with pytest.raises(ConfigurationError, match="period must be"):
+            ArrivalSchedule(
+                [(0.0, 1.0), (5.0, 2.0)], periodic=periodic, period=period
+            )
+
     def test_periodic_needs_period_past_last_breakpoint(self):
         with pytest.raises(ConfigurationError):
             ArrivalSchedule([(0.0, 1.0), (10.0, 2.0)], periodic=True)
