@@ -19,6 +19,8 @@ from typing import Callable, List, Sequence
 
 from ..errors import ConfigurationError
 
+_INFINITY = float("inf")
+
 
 class Distribution:
     """Base class for scalar random-variate distributions."""
@@ -68,8 +70,10 @@ class Exponential(Distribution):
     """Exponential distribution with the given ``mean`` (not rate)."""
 
     def __init__(self, mean: float):
-        if mean <= 0:
-            raise ConfigurationError(f"exponential mean must be > 0, got {mean!r}")
+        if not 0 < mean < _INFINITY:
+            raise ConfigurationError(
+                f"exponential mean must be finite and > 0, got {mean!r}"
+            )
         self._mean = float(mean)
 
     def sample(self, rng: random.Random) -> float:
@@ -95,6 +99,10 @@ class Uniform(Distribution):
     def __init__(self, low: float, high: float):
         if high < low:
             raise ConfigurationError(f"uniform bounds reversed: [{low!r}, {high!r}]")
+        if not -_INFINITY < low <= high < _INFINITY:
+            raise ConfigurationError(
+                f"uniform bounds must be finite: [{low!r}, {high!r}]"
+            )
         self.low = float(low)
         self.high = float(high)
 
@@ -125,6 +133,10 @@ class DiscreteUniform(Distribution):
     def __init__(self, low: int, high: int):
         if high < low:
             raise ConfigurationError(f"bounds reversed: [{low!r}, {high!r}]")
+        if not -_INFINITY < low <= high < _INFINITY:
+            raise ConfigurationError(
+                f"bounds must be finite: [{low!r}, {high!r}]"
+            )
         self.low = int(low)
         self.high = int(high)
 
@@ -154,8 +166,10 @@ class Geometric(Distribution):
     """
 
     def __init__(self, mean: float):
-        if mean < 1:
-            raise ConfigurationError(f"geometric mean must be >= 1, got {mean!r}")
+        if not 1 <= mean < _INFINITY:
+            raise ConfigurationError(
+                f"geometric mean must be finite and >= 1, got {mean!r}"
+            )
         self._mean = float(mean)
         self._p = 1.0 / self._mean
 

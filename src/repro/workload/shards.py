@@ -41,21 +41,23 @@ Engine modes
 ``fluid``
     Under a :class:`~repro.sim.fastforward.FastForwardEnvironment`, when
     the gate :func:`~repro.workload.fluid.session_kernel` finds no
-    fallback reason, the wake class registers as the fluid task and
-    :meth:`ShardClientWake.drain` batch-steps quiescent windows: session
-    starts through the population's
-    :class:`~repro.workload.fluid.SessionKernel`, page cycles inline,
-    client state read from the flat shards. The client wakes are not on
-    the engine heap: they are ``(time, key, slot)`` entries on the
-    population's :class:`~repro.sim.fastforward.WakeCalendar` (the trace
-    source's fast lane uses one too), and the engine heap holds one head
-    :class:`ShardClientWake` (slot ``-1``) keyed as the calendar's
-    earliest entry. The t=0 start burst is an ordered phase: the N urgent
-    init eids are reserved at construction and dispatched in slot order,
-    with no entry pushed for them. One heap entry per client would make
-    every reschedule sift through a heap of N cache-cold entries; the
-    calendar's near run stays small at any N. The order is the engine's,
-    and :attr:`FastForwardEnvironment.dispatched
+    fallback reason, the wake class registers as the fluid task and its
+    drain, :func:`~repro.workload.fluid.calendar_drain` (the trace
+    source's drain too), batch-steps quiescent windows: session starts
+    through the population's :class:`~repro.workload.fluid.SessionKernel`,
+    page bursts through :meth:`WebServer.offer
+    <repro.web.server.WebServer.offer>`, client state read from the flat
+    shards. The client wakes are not on the engine heap: they are
+    ``(time, key, slot)`` entries on the population's
+    :class:`~repro.sim.fastforward.WakeCalendar`, and the engine heap
+    holds one head :class:`ShardClientWake` (slot ``-1``) keyed as the
+    calendar's earliest entry. The t=0 start burst is an ordered phase:
+    the N urgent init eids are reserved at construction and dispatched
+    in slot order, with no entry pushed for them. One heap entry per
+    client would make every reschedule sift through a heap of N
+    cache-cold entries; the calendar's near run stays small at any N.
+    The order is the engine's, and
+    :attr:`FastForwardEnvironment.dispatched
     <repro.sim.fastforward.FastForwardEnvironment.dispatched>` subtracts
     the N − 1 wakes held off the heap, so dispatch counts, checkpoint
     positions and ``run_events`` cuts are exact. Ineligible
@@ -66,9 +68,7 @@ Engine modes
 from __future__ import annotations
 
 from array import array
-from bisect import insort
-from heapq import heappush, heapreplace
-from math import log as _log
+from heapq import heappush
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.events import Event, _NORMAL_KEY
@@ -78,7 +78,7 @@ from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
-from .fluid import session_kernel
+from .fluid import calendar_drain, session_kernel
 from .sessions import SessionModel
 
 __all__ = ["ShardClientWake", "ShardedClientPopulation", "DEFAULT_SHARD_SIZE"]
@@ -108,7 +108,9 @@ class ShardClientWake(FluidTask, Event):
     consume (``PRIORITY_URGENT`` is 0, so the fused heap key is the bare
     eid). On the fluid lane the population has one wake, its *head*
     (slot ``-1``), whose heap key is always its client calendar's
-    earliest entry (see :class:`ShardedClientPopulation`).
+    earliest entry (see :class:`ShardedClientPopulation`), and
+    :attr:`drain` is :func:`~repro.workload.fluid.calendar_drain` on its
+    closed-loop path.
     """
 
     __slots__ = ("population", "slot")
@@ -125,202 +127,7 @@ class ShardClientWake(FluidTask, Event):
         env._eid = eid = env._eid + 1
         heappush(env._queue, (env._now + 0.0, eid, self))
 
-    @classmethod
-    def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch the head's population's client wakes natively (fluid lane).
-
-        The heap top is a population's head. Its wakes are dispatched
-        in ``(time, key)`` order from the population's calendar while
-        they are due by ``target``, ``budget`` wakes remain and they
-        precede the earliest foreign entry — the smaller child of the
-        heap root, fixed for the whole call because nothing a fluid wake
-        does pushes onto the engine heap. On exit the head is re-keyed
-        to the calendar's new earliest entry: one engine-heap sift per
-        drain, not per wake.
-
-        Per wake this is the structural twin of :meth:`FluidClient.drain
-        <repro.workload.fluid.FluidClient.drain>` — the same kernel
-        session start, the same inlined page cycle and
-        ``WebServer.offer`` — with client state in the population's
-        flat arrays. The start phase first dispatches the urgent init
-        entries in slot order (each draws the stagger); every wake files
-        its next entry under the timeout factory's eid/heap-key
-        arithmetic. Only populations with no fallback reasons register
-        this class, so the dynamic-domains / caching / geography /
-        non-standard-model branches of the event-mode handler have no
-        counterpart here.
-        """
-        head = queue[0][2]
-        p = head.population
-        cal = p._calendar
-        bound_time, bound_key = cal.bound(queue)
-        limit = bound_time if bound_time < target else target
-        log = _log
-        kernel = p._kernel
-        inv_width = cal.inv_width
-        buckets = cal.buckets
-        pending = cal.pending
-        advance = cal.advance
-        cur = cal.cur
-        near = cal.near
-        pos = cal.pos
-        # Counters accumulate in locals and flush on exit (see
-        # SessionKernel for the quiescence argument).
-        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-        try:
-            slot = p._next_init
-            n = p.total_clients
-            # The start phase: the urgent init entries, due in slot order
-            # at the construction time (the _Initialize mirror). Each
-            # draws its client's stagger and files the first wake. No
-            # foreign entry falls between two of them, so only the budget
-            # stops this phase: an entry with a smaller key was dispatched
-            # before the head reached the top, and every other entry has
-            # a later time, normal priority or an eid past the reserved
-            # range.
-            now = p._start_time
-            while slot < n:
-                delay = kernel.stagger()
-                env._eid = eid = env._eid + 1
-                t = now + delay
-                entry = (t, _NORMAL_KEY | eid, slot)
-                b = int(t * inv_width)
-                try:
-                    buckets[b].append(entry)
-                except KeyError:
-                    buckets[b] = [entry]
-                    heappush(pending, b)
-                slot += 1
-                p._next_init = slot
-                if slot == n:
-                    cur, near = advance()
-                    pos = 0
-                budget -= 1
-                if budget == 0:
-                    return
-            start = kernel.start
-            servers = kernel.servers
-            think_random = kernel.think_random
-            think_lambd = kernel.think_lambd
-            hits_getrandbits = kernel.hits_getrandbits
-            hits_low = kernel.hits_low
-            hits_width = kernel.hits_width
-            hits_bits = kernel.hits_bits
-            remaining_arr = p._remaining
-            server_arr = p._server
-            resolved_arr = p._resolved
-            home_arr = p._home_domain
-            shard_sessions = p._shard_sessions
-            shard_size = p.shard_size
-            while True:
-                item = near[pos]
-                now = item[0]
-                if now >= limit and (
-                    now > target
-                    or now > bound_time
-                    or now == bound_time and item[1] > bound_key
-                ):
-                    return
-                slot = item[2]
-                remaining = remaining_arr[slot]
-                # The drain runs only under static dynamics, so a
-                # session's domain is the home domain.
-                domain_id = home_arr[slot]
-                if remaining > 0:
-                    server = servers[server_arr[slot]]
-                    resolved_by_dns = resolved_arr[slot]
-                else:
-                    server_id, remaining, resolved_by_dns = start(
-                        now, domain_id, slot
-                    )
-                    server = servers[server_id]
-                    sessions_acc += 1
-                    shard_sessions[slot // shard_size] += 1
-                    server_arr[slot] = server_id
-                    resolved_arr[slot] = 1 if resolved_by_dns else 0
-                # One page cycle. Hits: randint(low, high) with the
-                # rejection loop of Random._randbelow_with_getrandbits,
-                # consumption-exact.
-                r = hits_getrandbits(hits_bits)
-                while r >= hits_width:
-                    r = hits_getrandbits(hits_bits)
-                hits = hits_low + r
-                # WebServer.offer, inlined (same checks, same op order).
-                if hits <= 0:
-                    raise SimulationError(
-                        f"a page burst must have >= 1 hit, got {hits!r}"
-                    )
-                last = server._last_update
-                if now < last:
-                    raise SimulationError(
-                        f"time went backwards: {now!r} < {last!r}"
-                    )
-                backlog = server._backlog
-                elapsed = now - last
-                busy = backlog if backlog <= elapsed else elapsed
-                backlog -= busy
-                server._busy_in_window += busy
-                server._last_update = now
-                service = hits / server.capacity
-                stats = server.response_times
-                sojourn = backlog + service
-                stats.count = count = stats.count + 1
-                delta = sojourn - stats._mean
-                stats._mean = mean = stats._mean + delta / count
-                stats._m2 += delta * (sojourn - mean)
-                if sojourn < stats.minimum:
-                    stats.minimum = sojourn
-                if sojourn > stats.maximum:
-                    stats.maximum = sojourn
-                server._backlog = backlog + service
-                server._hits_in_window += hits
-                server.total_hits += hits
-                server.total_pages += 1
-                domain_hits = server.domain_hits
-                try:
-                    domain_hits[domain_id] += hits
-                except KeyError:
-                    domain_hits[domain_id] = hits
-                pages_acc += 1
-                hits_acc += hits
-                if resolved_by_dns:
-                    routed_acc += hits
-                remaining_arr[slot] = remaining - 1
-                # Think-sleep: expovariate(lambd) inlined, then the
-                # timeout factory's eid/heap-key arithmetic; the entry
-                # is filed on the calendar.
-                delay = -log(1.0 - think_random()) / think_lambd
-                t = now + delay
-                env._eid = eid = env._eid + 1
-                entry = (t, _NORMAL_KEY | eid, slot)
-                b = int(t * inv_width)
-                if b == cur:
-                    insort(near, entry, pos)
-                else:
-                    try:
-                        buckets[b].append(entry)
-                    except KeyError:
-                        buckets[b] = [entry]
-                        heappush(pending, b)
-                pos += 1
-                if pos == len(near):
-                    cur, near = advance()
-                    pos = 0
-                budget -= 1
-                if budget == 0:
-                    return
-        finally:
-            p.total_pages += pages_acc
-            p.total_hits += hits_acc
-            p.total_sessions += sessions_acc
-            p.dns_routed_hits += routed_acc
-            if p._next_init < p.total_clients:
-                heapreplace(
-                    queue,
-                    (p._start_time, p._first_eid + p._next_init, head),
-                )
-            else:
-                cal.rekey(env, queue, head, cur, near, pos, cal.held)
+    drain = classmethod(calendar_drain)
 
     def __repr__(self) -> str:
         if self.slot < 0:

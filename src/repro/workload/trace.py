@@ -27,10 +27,11 @@ provides that source:
     shard's arrival process, and re-arms a callback. Under a
     fast-forward environment the class registers as the fluid task: the
     arrival and session wakes become ``(time, key, slot)`` entries on a
-    :class:`~repro.sim.fastforward.WakeCalendar` (the one the sharded
-    population uses), one head wake stands for them on the engine heap,
-    and :meth:`TraceSessionWake.drain` steps them natively, bit-identical
-    to the event engine (same eids, same draws, same float operations).
+    :class:`~repro.sim.fastforward.WakeCalendar`, one head wake stands
+    for them on the engine heap, and the sharded population's drain,
+    :func:`~repro.workload.fluid.calendar_drain`, steps them natively on
+    its open-loop path, bit-identical to the event engine (same eids,
+    same draws, same float operations).
 
 Selected with ``SimulationConfig.workload_source = "trace"`` / CLI
 ``--workload-source trace``; the schedule shape comes from the
@@ -52,10 +53,9 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappush
-from math import log as _log
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
@@ -67,7 +67,7 @@ from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
-from .fluid import session_kernel
+from .fluid import calendar_drain, session_kernel
 from .sessions import SessionModel
 
 __all__ = ["ArrivalSchedule", "TraceDrivenPopulation", "TraceSessionWake"]
@@ -304,7 +304,10 @@ class TraceSessionWake(FluidTask, Event):
     shard_id`` marks the permanent wake of one arrival shard. On the
     fluid lane the population has one wake, its *head* (slot ``None``),
     whose heap key is always its calendar's earliest entry (see
-    :class:`TraceDrivenPopulation`).
+    :class:`TraceDrivenPopulation`), and :attr:`drain` is
+    :func:`~repro.workload.fluid.calendar_drain` on its open-loop path:
+    arrival entries, and sessions that free their slot after the last
+    page.
     """
 
     __slots__ = ("population", "slot")
@@ -321,195 +324,7 @@ class TraceSessionWake(FluidTask, Event):
         self._ok = True
         self._processed = False
 
-    @classmethod
-    def drain(cls, env, queue, target: float, budget: int = -1) -> None:
-        """Dispatch the head's population's wakes natively (fluid lane).
-
-        The heap top is a population's head. Its calendar entries are
-        dispatched in ``(time, key)`` order while they are due by
-        ``target``, ``budget`` wakes remain and they precede the
-        earliest foreign entry, as in :meth:`ShardClientWake.drain
-        <repro.workload.shards.ShardClientWake.drain>`; on exit the head
-        is re-keyed to the calendar's new earliest entry.
-
-        Per wake it mirrors the event-mode handlers draw for draw: an
-        arrival entry (slot ``-1 - shard_id``) is
-        :meth:`TraceDrivenPopulation._on_arrival` (with
-        ``_start_session`` as :meth:`SessionKernel.start
-        <repro.workload.fluid.SessionKernel.start>` and the first
-        ``_run_page`` inlined), a session entry (slot ``>= 0``) is
-        ``_run_page``. The hits/think draws are inlined as in the
-        sharded drain; ``WebServer.offer`` is called, not inlined. A new
-        session's first think wake takes its eid before the arrival's
-        next wake, as in the event handler. The calendar's held count
-        falls when a session's last page files nothing and rises when
-        an accepted arrival files two entries. Only populations with no
-        fallback reasons register this class, so geography and dynamic
-        domains have no branch here.
-        """
-        head = queue[0][2]
-        p = head.population
-        cal = p._calendar
-        bound_time, bound_key = cal.bound(queue)
-        limit = bound_time if bound_time < target else target
-        log = _log
-        kernel = p._kernel
-        start = kernel.start
-        servers = kernel.servers
-        think_random = kernel.think_random
-        think_lambd = kernel.think_lambd
-        hits_getrandbits = kernel.hits_getrandbits
-        hits_low = kernel.hits_low
-        hits_width = kernel.hits_width
-        hits_bits = kernel.hits_bits
-        sample_domain = p.domains.sample_domain
-        rate_at = p.schedule.rate_at
-        peak = p._peak_rate
-        arrival_lambd = p._arrival_lambd
-        arrival_random = p._arrival_rng.random
-        claim_slot = p._claim_slot
-        free = p._free
-        remaining_arr = p._remaining
-        server_arr = p._server
-        resolved_arr = p._resolved
-        domain_arr = p._domain
-        started = p._shard_started
-        shard_arrivals = p._shard_arrivals
-        inv_width = cal.inv_width
-        buckets = cal.buckets
-        pending = cal.pending
-        advance = cal.advance
-        cur = cal.cur
-        near = cal.near
-        pos = cal.pos
-        held = cal.held
-        # Counters accumulate in locals and flush on exit (see
-        # SessionKernel for the quiescence argument).
-        arrivals = p.total_arrivals
-        active = p.active_sessions
-        peak_active = p.peak_active_sessions
-        pages_acc = hits_acc = sessions_acc = routed_acc = 0
-        try:
-            while True:
-                item = near[pos]
-                now = item[0]
-                if now >= limit and (
-                    now > target
-                    or now > bound_time
-                    or now == bound_time and item[1] > bound_key
-                ):
-                    return
-                slot = item[2]
-                if slot >= 0:
-                    # A mid-session page burst (_run_page).
-                    arrival = False
-                    remaining = remaining_arr[slot]
-                    server_id = server_arr[slot]
-                    resolved_by_dns = resolved_arr[slot]
-                    domain_id = domain_arr[slot]
-                else:
-                    # An arrival wake (_on_arrival): thin the candidate,
-                    # then maybe start a session (_start_session).
-                    arrival = True
-                    shard_id = -1 - slot
-                    if not started[shard_id]:
-                        started[shard_id] = 1
-                        accepted = False
-                    else:
-                        accepted = arrival_random() * peak <= rate_at(now)
-                    if accepted:
-                        shard_arrivals[shard_id] += 1
-                        session_id = arrivals
-                        arrivals += 1
-                        domain_id = sample_domain(arrival_random())
-                        server_id, remaining, resolved_by_dns = start(
-                            now, domain_id, session_id
-                        )
-                        sessions_acc += 1
-                        slot = claim_slot()
-                        domain_arr[slot] = domain_id
-                        server_arr[slot] = server_id
-                        resolved_arr[slot] = 1 if resolved_by_dns else 0
-                        active += 1
-                        if active > peak_active:
-                            peak_active = active
-                        held += 1
-                if slot >= 0:
-                    # One page burst. Hits: randint(low, high) with the
-                    # rejection loop of Random._randbelow_with_getrandbits,
-                    # consumption-exact.
-                    r = hits_getrandbits(hits_bits)
-                    while r >= hits_width:
-                        r = hits_getrandbits(hits_bits)
-                    hits = hits_low + r
-                    servers[server_id].offer(now, hits, domain_id)
-                    pages_acc += 1
-                    hits_acc += hits
-                    if resolved_by_dns:
-                        routed_acc += hits
-                    remaining -= 1
-                    remaining_arr[slot] = remaining
-                    if remaining > 0:
-                        # Think-sleep: expovariate(lambd) inlined.
-                        delay = -log(1.0 - think_random()) / think_lambd
-                        if not 0.0 <= delay < _INFINITY:
-                            raise SimulationError(
-                                f"timeout delay must be finite and >= 0, "
-                                f"got {delay!r}"
-                            )
-                        env._eid = eid = env._eid + 1
-                        t = now + delay
-                        entry = (t, _NORMAL_KEY | eid, slot)
-                        b = int(t * inv_width)
-                        if b == cur:
-                            insort(near, entry, pos)
-                        else:
-                            try:
-                                buckets[b].append(entry)
-                            except KeyError:
-                                buckets[b] = [entry]
-                                heappush(pending, b)
-                    else:
-                        # Session over: release the slot.
-                        active -= 1
-                        free.append(slot)
-                        held -= 1
-                if arrival:
-                    # The shard's next candidate: expovariate inlined.
-                    delay = -log(1.0 - arrival_random()) / arrival_lambd
-                    if not 0.0 <= delay < _INFINITY:
-                        raise SimulationError(
-                            f"timeout delay must be finite and >= 0, "
-                            f"got {delay!r}"
-                        )
-                    env._eid = eid = env._eid + 1
-                    t = now + delay
-                    entry = (t, _NORMAL_KEY | eid, item[2])
-                    b = int(t * inv_width)
-                    if b == cur:
-                        insort(near, entry, pos)
-                    else:
-                        try:
-                            buckets[b].append(entry)
-                        except KeyError:
-                            buckets[b] = [entry]
-                            heappush(pending, b)
-                pos += 1
-                if pos == len(near):
-                    cur, near = advance()
-                    pos = 0
-                budget -= 1
-                if budget == 0:
-                    return
-        finally:
-            p.total_pages += pages_acc
-            p.total_hits += hits_acc
-            p.total_sessions += sessions_acc
-            p.dns_routed_hits += routed_acc
-            p.total_arrivals = arrivals
-            p.active_sessions = active
-            p.peak_active_sessions = peak_active
-            cal.rekey(env, queue, head, cur, near, pos, held)
+    drain = classmethod(calendar_drain)
 
     def __repr__(self) -> str:
         if self.slot is None:
@@ -578,7 +393,7 @@ class TraceDrivenPopulation:
         "_remaining",
         "_server",
         "_resolved",
-        "_domain",
+        "_session_domain",
         "_page_rtt",
         "_wakes",
         "_free",
@@ -674,7 +489,7 @@ class TraceDrivenPopulation:
         self._remaining = array("q")
         self._server = array("q")
         self._resolved = bytearray()
-        self._domain = array("q")
+        self._session_domain = array("q")
         self._page_rtt = array("d") if layout is not None else None
         #: Event mode's session wakes, one per slot (the fluid lane
         #: keeps its wakes on the calendar and builds none).
@@ -774,7 +589,7 @@ class TraceDrivenPopulation:
         self._remaining.append(0)
         self._server.append(0)
         self._resolved.append(0)
-        self._domain.append(0)
+        self._session_domain.append(0)
         if self._page_rtt is not None:
             self._page_rtt.append(0.0)
         return slot
@@ -811,7 +626,7 @@ class TraceDrivenPopulation:
         slot = self._claim_slot()
         if slot == len(self._wakes):
             self._wakes.append(TraceSessionWake(self.env, self, slot))
-        self._domain[slot] = domain_id
+        self._session_domain[slot] = domain_id
         self._server[slot] = record.server_id
         self._resolved[slot] = 1 if resolved_by_dns else 0
         self._remaining[slot] = pages
@@ -825,7 +640,7 @@ class TraceDrivenPopulation:
     def _run_page(self, wake: TraceSessionWake, now: float) -> None:
         """Issue one page burst; schedule the next or end the session."""
         slot = wake.slot
-        domain_id = self._domain[slot]
+        domain_id = self._session_domain[slot]
         hits = int(self._hits_sample())
         self.cluster.servers[self._server[slot]].offer(now, hits, domain_id)
         self.total_pages += 1

@@ -36,6 +36,11 @@ class TestExponential:
         with pytest.raises(ConfigurationError):
             Exponential(0)
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ConfigurationError):
+            Exponential(mean)
+
     def test_sample_mean_approximates_mean(self, rng):
         dist = Exponential(15.0)
         samples = [dist.sample(rng) for _ in range(20000)]
@@ -54,6 +59,13 @@ class TestUniform:
         with pytest.raises(ConfigurationError):
             Uniform(2.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "low, high", [(0.0, math.nan), (math.nan, 1.0), (-math.inf, 0.0)]
+    )
+    def test_non_finite_bounds_rejected(self, low, high):
+        with pytest.raises(ConfigurationError):
+            Uniform(low, high)
+
     def test_samples_within_bounds(self, rng):
         dist = Uniform(3.0, 7.0)
         assert all(3.0 <= dist.sample(rng) <= 7.0 for _ in range(1000))
@@ -66,6 +78,13 @@ class TestDiscreteUniform:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             DiscreteUniform(15, 5)
+
+    @pytest.mark.parametrize(
+        "low, high", [(1, math.inf), (1, math.nan), (-math.inf, 1)]
+    )
+    def test_non_finite_bounds_rejected(self, low, high):
+        with pytest.raises(ConfigurationError):
+            DiscreteUniform(low, high)
 
     def test_samples_are_integers_in_range(self, rng):
         dist = DiscreteUniform(5, 15)
@@ -87,6 +106,11 @@ class TestGeometric:
     def test_mean_below_one_rejected(self):
         with pytest.raises(ConfigurationError):
             Geometric(0.5)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ConfigurationError):
+            Geometric(mean)
 
     def test_samples_at_least_one(self, rng):
         dist = Geometric(20.0)

@@ -10,8 +10,8 @@ from repro.core.state import SchedulerState
 from repro.core.ttl.constant import ConstantTtlPolicy
 from repro.dns.authoritative import AuthoritativeDns
 from repro.dns.resolver import ResolutionChain
-from repro.errors import ConfigurationError
-from repro.sim.distributions import Constant, DiscreteUniform
+from repro.errors import ConfigurationError, SimulationError
+from repro.sim.distributions import Constant, DiscreteUniform, Exponential
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.sim.fastforward import FastForwardEnvironment
@@ -216,3 +216,21 @@ class TestFastLaneCalendar:
         assert reference == "event"
         assert fast == expected
         assert expected[0][0] == (1 if offset < 0 else 2)
+
+
+@pytest.mark.parametrize(
+    "env_class, engine",
+    [(Environment, "event"), (FastForwardEnvironment, "fluid")],
+    ids=["event", "fastforward"],
+)
+def test_infinite_think_delay_is_a_simulation_error(env_class, engine):
+    # A mean of 1e308 makes most exponential think draws overflow to inf;
+    # both engines refuse the first one with the same typed error.
+    env = env_class()
+    population, _, _ = build_population(
+        env, ShardedClientPopulation,
+        model=SessionModel(think_time=Exponential(1e308)),
+    )
+    assert population.engine == engine
+    with pytest.raises(SimulationError, match="must be finite"):
+        env.run_events(400)
