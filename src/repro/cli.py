@@ -113,7 +113,7 @@ from .experiments.reporting import (
     render_trace_counts,
 )
 from .experiments.runner import compare_policies
-from .experiments.simulation import DEFAULT_ENGINE_MODE, run_simulation
+from .experiments.simulation import Simulation, engine_manifest
 from .sim.tracing import TRACE_CATEGORIES
 
 
@@ -304,6 +304,19 @@ def _executor(args: argparse.Namespace, progress, workers=None):
         span_log=args.span_log,
         metrics_port=args.metrics_port,
     )
+
+
+def _engine_manifest(config, sim: Optional[Simulation] = None):
+    """A manifest's engine fields for ``config``'s run (see
+    :func:`~repro.experiments.simulation.engine_manifest`).
+
+    ``sim`` is the run's own simulation when this process ran it; a run
+    an executor ran elsewhere is described by a fresh, unrun build of
+    the same config, since the engine in effect is fixed at build time.
+    """
+    if sim is None:
+        sim = Simulation(config)
+    return engine_manifest(sim.engine_info)
 
 
 def _progress_sink(args: argparse.Namespace):
@@ -782,6 +795,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             ),
         )
         checkpoint_dir, checkpoint_every = _checkpoint_options(args)
+        sim = None
         if args.backend == "remote":
             if args.halt_at is not None:
                 raise ConfigurationError(
@@ -821,7 +835,8 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 [config], labels=[args.policy]
             )[0]
         else:
-            result = run_simulation(config)
+            sim = Simulation(config)
+            result = sim.run()
         if args.report:
             from .analysis import full_report
 
@@ -844,10 +859,12 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 trace_path = write_jsonl(
                     f"{base}.trace.jsonl", map(record_to_dict, result.trace)
                 )
+                engine_mode, engine_extra = _engine_manifest(config, sim)
                 manifest_path = write_manifest(
                     config,
                     pathlib.Path(f"{base}.manifest.json"),
-                    engine_mode=DEFAULT_ENGINE_MODE,
+                    extra=engine_extra,
+                    engine_mode=engine_mode,
                 )
                 print(f"[trace saved to {trace_path}]")
                 print(f"[manifest saved to {manifest_path}]")
@@ -906,6 +923,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         result = executor.run_simulations([config], labels=[args.policy])[0]
         from .experiments.persistence import save_run_artifacts
 
+        engine_mode, engine_extra = _engine_manifest(config)
         paths = save_run_artifacts(
             result,
             args.out,
@@ -913,9 +931,10 @@ def _run_command(args: argparse.Namespace, progress) -> int:
                 "command": "trace",
                 "categories": args.categories,
                 "wall_time": executor.last_stats.wall_time,
+                **engine_extra,
             },
             workers=1,
-            engine_mode=executor.engine_mode,
+            engine_mode=engine_mode,
             dispatch=executor.dispatch_info(),
         )
         print(render_result(result))

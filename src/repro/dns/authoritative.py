@@ -91,6 +91,9 @@ class AuthoritativeDns:
     ):
         self.scheduler = scheduler
         self.ttl_policy = ttl_policy
+        # Load-accumulating disciplines (DAL, MRL) learn each granted
+        # TTL through this hook; bound once, not looked up per request.
+        self._notify = getattr(scheduler, "notify_assignment", None)
         self.stats = DnsStats()
         self.tracer = tracer if tracer is not None else NullTracer()
         self.domain_weight = domain_weight
@@ -111,10 +114,8 @@ class AuthoritativeDns:
         """Handle one address-mapping request from ``domain_id``."""
         server_id = self.scheduler.select(domain_id, now)
         ttl = self.ttl_policy.ttl_for(domain_id, server_id, now)
-        notify = getattr(self.scheduler, "notify_assignment", None)
+        notify = self._notify
         if notify is not None:
-            # Load-accumulating disciplines (DAL, MRL) learn the granted
-            # TTL through this hook.
             notify(domain_id, server_id, ttl, now)
         self.stats.record(domain_id, server_id, ttl)
         if self._ttl_series is not None:

@@ -52,7 +52,7 @@ from .persistence import (
     load_json,
     save_run_artifacts,
 )
-from .simulation import DEFAULT_ENGINE_MODE, Simulation
+from .simulation import DEFAULT_ENGINE_MODE, Simulation, engine_manifest
 
 PathLike = Union[str, pathlib.Path]
 
@@ -162,9 +162,8 @@ def _finalize(
         "checkpoints_written": len(list_checkpoints(directory)),
         "resumed": resumed,
     }
-    engine_info = sim.engine_info
-    if engine_info["fallbacks"]:
-        extra["engine_fallbacks"] = engine_info["fallbacks"]
+    engine_mode, engine_extra = engine_manifest(sim.engine_info)
+    extra.update(engine_extra)
     extra["workload"] = sim.workload_info
     # When this cell runs inside a dispatch worker, stamp the worker's
     # identity into the manifest — provenance only, never the result.
@@ -175,7 +174,7 @@ def _finalize(
         directory,
         stem=stem,
         extra=extra,
-        engine_mode=engine_info["effective_mode"],
+        engine_mode=engine_mode,
         dispatch=dispatch_context(),
     )
     return result

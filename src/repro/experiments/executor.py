@@ -17,6 +17,10 @@ many worker processes run them or in which order they complete.
   :class:`concurrent.futures.ProcessPoolExecutor`, submitting *chunks*
   of cells to amortize inter-process overhead, and reassembles results
   in submission order so outputs are independent of completion order;
+* cells that draw the same client workload (a *cohort*, see
+  :func:`cohorts`) run as one unit that draws it once and replays it
+  under each cell's policy (:mod:`repro.workload.tape`), with results
+  bit-identical to running each cell alone;
 * every cell's wall-clock time is captured (inside the worker, around
   the cell alone) and summarized in an :class:`ExecutionStats`, whose
   ``speedup`` compares the sum of per-cell times against the observed
@@ -44,9 +48,17 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 from ..errors import ConfigurationError
 from ..obs import spans
 from ..obs.progress import ProgressSink, drained
+from ..workload.tape import WorkloadTape
 from .config import SimulationConfig
 from .metrics import SimulationResult
-from .simulation import DEFAULT_ENGINE_MODE, ENGINE_MODES, run_simulation
+from .simulation import (
+    DEFAULT_ENGINE_MODE,
+    ENGINE_MODES,
+    TAPE_FIELDS,
+    Simulation,
+    record_tape,
+    run_simulation,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -156,40 +168,122 @@ class ExecutionStats:
         ]
 
 
-def _timed_call(fn: Callable[[T], R], item: T) -> Tuple[R, float]:
-    """Run one cell and capture its wall time (runs inside the worker)."""
-    start = time.perf_counter()
-    result = fn(item)
-    return result, time.perf_counter() - start
+def _run_cells(fn: Callable[[T], R], unit, notices=None) -> List[tuple]:
+    """Run one unit's ``(index, item)`` cells in order, timing each.
 
-
-def _run_chunk(
-    fn: Callable[[T], R],
-    chunk: Sequence[T],
-    notices=None,
-    base_index: int = 0,
-) -> List[Tuple[R, float]]:
-    """Worker entry point: run one chunk of cells, timing each.
-
-    With ``notices`` (a :class:`_BatchEvents`, or a picklable
-    ``multiprocessing.Manager`` queue drained into one), a
-    ``(kind, cell, worker, elapsed)`` notice is put before and after
-    each cell, carrying its submission-order index (``base_index`` +
-    position) and this process's pid. The notices are pure observation
-    — they never touch the cell's work — so results are bit-identical
+    Returns ``(index, result, elapsed)`` per cell, ``elapsed`` measured
+    around the cell function alone. With ``notices`` (a
+    :class:`_BatchEvents`, or a picklable ``multiprocessing.Manager``
+    queue drained into one), a ``(kind, cell, worker, elapsed)`` notice
+    is put before and after each cell, carrying its submission-order
+    index and this process's pid. The notices are pure observation —
+    they never touch the cell's work — so results are bit-identical
     with or without them.
     """
-    if notices is None:
-        return [_timed_call(fn, item) for item in chunk]
-    worker = str(os.getpid())
-    outcomes: List[Tuple[R, float]] = []
-    for position, item in enumerate(chunk):
-        index = base_index + position
-        notices.put((spans.LEASE, index, worker, None))
-        outcome = _timed_call(fn, item)
-        outcomes.append(outcome)
-        notices.put((spans.COMPLETE, index, worker, outcome[1]))
+    worker = str(os.getpid()) if notices is not None else None
+    outcomes = []
+    for index, item in unit:
+        if notices is not None:
+            notices.put((spans.LEASE, index, worker, None))
+        start = time.perf_counter()
+        result = fn(item)
+        elapsed = time.perf_counter() - start
+        if notices is not None:
+            notices.put((spans.COMPLETE, index, worker, elapsed))
+        outcomes.append((index, result, elapsed))
     return outcomes
+
+
+def _run_chunk(run_unit, chunk, notices=None) -> List[tuple]:
+    """Worker entry point: run one chunk of units (see :func:`_run_cells`)."""
+    return [outcome for unit in chunk for outcome in run_unit(unit, notices)]
+
+
+def _run_cohort(engine_mode: str, unit, notices=None) -> List[tuple]:
+    """Run one unit of simulation cells: a lone cell or a cohort.
+
+    A cohort's first member pays for the workload pass (its cell time
+    includes it); every member then replays the one tape (see
+    :mod:`repro.workload.tape`).
+    """
+    if len(unit) == 1:
+        cell = functools.partial(run_simulation, engine_mode=engine_mode)
+        return _run_cells(cell, unit, notices)
+    tape: Optional[WorkloadTape] = None
+
+    def member(config: SimulationConfig) -> SimulationResult:
+        nonlocal tape
+        if tape is None:
+            tape = record_tape(config)
+        return Simulation(config, engine_mode, _tape=tape).run()
+
+    return _run_cells(member, unit, notices)
+
+
+#: Expected wakes (clients x duration / mean think time) above which a
+#: cell runs alone: a tape costs 16 bytes per wake, so this caps it near
+#: 64 MiB (a 3600 s fig1 cell's tape holds 120 240 wakes).
+MAX_TAPE_WAKES = 1 << 22
+
+
+def cohort_key(config: SimulationConfig, engine_mode: str) -> Optional[tuple]:
+    """The values of :data:`TAPE_FIELDS`, or ``None`` when a cell runs alone.
+
+    A cell runs alone when it is traced, uses the trace source, runs on
+    the event engine, has a fast-lane fallback reason (the
+    configurations :func:`~repro.workload.fluid.fluid_fallback_reasons`
+    names: rotating hot domains, client address caching, geography) or
+    would need a tape of more than :data:`MAX_TAPE_WAKES` wakes.
+    """
+    if (
+        engine_mode != "fastforward"
+        or config.trace
+        or config.workload_source != "synthetic"
+        or config.hot_rotation_interval > 0
+        or config.client_address_caching
+        or config.geography != "none"
+        or config.total_clients * config.duration / config.mean_think_time
+        > MAX_TAPE_WAKES
+    ):
+        return None
+    # A list-valued hits_per_page (a config built by hand) must group
+    # with its tuple twin, and must hash.
+    return tuple(
+        tuple(value) if isinstance(value, list) else value
+        for value in (getattr(config, name) for name in TAPE_FIELDS)
+    )
+
+
+def cohorts(
+    configs: Sequence[SimulationConfig], engine_mode: str, parts: int = 1
+) -> List[List[Tuple[int, SimulationConfig]]]:
+    """Group a batch's ``(index, config)`` cells into units.
+
+    Cells with equal :func:`cohort_key` form one cohort; every other
+    cell is a unit of its own. A cohort is split into at most ``parts``
+    contiguous units (one per worker), so a pool still spreads it.
+    Units are ordered by their first cell's index.
+    """
+    groups: dict = {}
+    units: List[List[Tuple[int, SimulationConfig]]] = []
+    for index, config in enumerate(configs):
+        key = cohort_key(config, engine_mode)
+        if key is None:
+            units.append([(index, config)])
+        elif key in groups:
+            groups[key].append((index, config))
+        else:
+            groups[key] = group = [(index, config)]
+            units.append(group)
+    split = []
+    for unit in units:
+        count = min(parts, len(unit))
+        split.extend(
+            unit[len(unit) * part // count : len(unit) * (part + 1) // count]
+            for part in range(count)
+        )
+    split.sort(key=lambda unit: unit[0][0])
+    return split
 
 
 #: ``source`` of the span events a local batch emits.
@@ -382,9 +476,28 @@ class ParallelExecutor:
                 f"batches can be dispatched remotely"
             )
         items = list(items)
-        if labels is not None and len(labels) != len(items):
+        units = [[(index, item)] for index, item in enumerate(items)]
+        return self._run_units(
+            functools.partial(_run_cells, fn), units, len(items), labels
+        )
+
+    def _run_units(
+        self,
+        run_unit: Callable,
+        units: List[list],
+        cells: int,
+        labels: Optional[Sequence[Optional[str]]],
+    ) -> list:
+        """Run ``units`` of ``(index, item)`` cells; results in index order.
+
+        A unit is what one serial step or one pool task carries:
+        ``run_unit(unit, notices)`` runs its cells and returns
+        ``(index, result, elapsed)`` per cell. Span events and
+        :attr:`last_stats` stay per cell.
+        """
+        if labels is not None and len(labels) != cells:
             raise ConfigurationError(
-                f"got {len(labels)} labels for {len(items)} items"
+                f"got {len(labels)} labels for {cells} items"
             )
         events = (
             _BatchEvents(self.progress, labels)
@@ -392,38 +505,39 @@ class ParallelExecutor:
         )
         start = time.perf_counter()
         if events is not None:
-            events.emit(spans.BATCH_BEGIN, cells=len(items), workers=self.workers)
-            for index in range(len(items)):
+            events.emit(spans.BATCH_BEGIN, cells=cells, workers=self.workers)
+            for index in range(cells):
                 events.emit(spans.SUBMIT, cell=index, label=events.label(index))
         try:
-            if self.workers == 1 or len(items) <= 1:
-                outcomes = _run_chunk(fn, items, events)
+            if self.workers == 1 or len(units) <= 1:
+                outcomes = _run_chunk(run_unit, units, events)
             else:
-                outcomes = self._map_pool(fn, items, events)
+                outcomes = self._map_pool(run_unit, units, events)
         except BaseException:
             if events is not None:
                 events.emit(spans.BATCH_END, error=True)
             raise
+        outcomes.sort(key=lambda outcome: outcome[0])
         stats = self.last_stats = ExecutionStats(
             workers=self.workers,
             wall_time=time.perf_counter() - start,
-            cell_times=[elapsed for _, elapsed in outcomes],
+            cell_times=[elapsed for _, _, elapsed in outcomes],
         )
         if events is not None:
             events.emit(
                 spans.BATCH_END, cells=stats.cell_count,
                 wall_time=stats.wall_time,
             )
-        return [result for result, _ in outcomes]
+        return [result for _, result, _ in outcomes]
 
     def _map_pool(
         self,
-        fn: Callable[[T], R],
-        items: List[T],
+        run_unit: Callable,
+        units: List[list],
         events: Optional[_BatchEvents],
-    ) -> List[Tuple[R, float]]:
-        """Fan chunks out over a process pool; outcomes in input order."""
-        chunks = self._chunks(items)
+    ) -> List[tuple]:
+        """Fan chunks of units out over a process pool."""
+        chunks = self._chunks(units)
         with contextlib.ExitStack() as stack:
             notices = None
             if events is not None:
@@ -438,15 +552,10 @@ class ParallelExecutor:
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=min(self.workers, len(chunks)))
             )
-            futures = []
-            base_index = 0
-            for chunk in chunks:
-                futures.append(
-                    pool.submit(_run_chunk, fn, chunk, notices, base_index)
-                )
-                base_index += len(chunk)
-            # Collect in submission order: results are positionally
-            # stable regardless of which worker finishes first.
+            futures = [
+                pool.submit(_run_chunk, run_unit, chunk, notices)
+                for chunk in chunks
+            ]
             return [
                 outcome for future in futures for outcome in future.result()
             ]
@@ -484,14 +593,20 @@ class ParallelExecutor:
         configs: Sequence[SimulationConfig],
         labels: Optional[Sequence[Optional[str]]] = None,
     ) -> List[SimulationResult]:
-        """The local (serial / process-pool) simulation batch path."""
+        """The local (serial / process-pool) simulation batch path.
+
+        Without checkpointing, the cells of each :func:`cohorts` group
+        run as one unit that draws their shared client workload once.
+        """
         if self.checkpoint_dir is None:
             # functools.partial of a module-level function pickles into
-            # worker processes; a lambda would not.
-            cell = functools.partial(
-                run_simulation, engine_mode=self.engine_mode
+            # worker processes; a closure would not.
+            return self._run_units(
+                functools.partial(_run_cohort, self.engine_mode),
+                cohorts(configs, self.engine_mode, self.workers),
+                len(configs),
+                labels,
             )
-            return self.map(cell, configs, labels=labels)
         from .checkpointing import make_cell_task, run_checkpointed_cell
 
         tasks = [

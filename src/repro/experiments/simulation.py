@@ -9,7 +9,7 @@ alarms, and client population, runs the clock, and returns a
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..core.estimator import (
     MeasuredEstimator,
@@ -20,7 +20,7 @@ from ..core.registry import build_policy, parse_policy_name
 from ..core.state import SchedulerState
 from ..dns.authoritative import AuthoritativeDns
 from ..dns.resolver import ResolutionChain
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Environment
 from ..sim.fastforward import FastForwardEnvironment
@@ -31,6 +31,7 @@ from ..workload.clients import ClientPopulation
 from ..workload.domains import DomainSet
 from ..workload.dynamics import RotatingHotDomains
 from ..workload.shards import ShardedClientPopulation
+from ..workload.tape import WorkloadTape
 from ..workload.trace import TraceDrivenPopulation
 from .config import SimulationConfig
 from .metrics import MaxUtilizationCollector, SimulationResult
@@ -42,6 +43,17 @@ from .metrics import MaxUtilizationCollector, SimulationResult
 ENGINE_MODES = ("event", "fastforward")
 #: The engine every entry point runs unless a caller names the reference.
 DEFAULT_ENGINE_MODE = "fastforward"
+
+#: The config fields a :class:`~repro.workload.tape.WorkloadTape` reads:
+#: cells equal in all of them draw the same client workload.
+TAPE_FIELDS = (
+    "seed",
+    "total_clients",
+    "mean_think_time",
+    "mean_pages_per_session",
+    "hits_per_page",
+    "duration",
+)
 
 
 class Simulation:
@@ -60,7 +72,11 @@ class Simulation:
     """
 
     def __init__(
-        self, config: SimulationConfig, engine_mode: str = DEFAULT_ENGINE_MODE
+        self,
+        config: SimulationConfig,
+        engine_mode: str = DEFAULT_ENGINE_MODE,
+        *,
+        _tape: Optional[WorkloadTape] = None,
     ):
         if engine_mode not in ENGINE_MODES:
             raise ConfigurationError(
@@ -215,13 +231,28 @@ class Simulation:
             )
         else:
             dynamics = None
+        model = config.build_session_model()
+        if _tape is not None:
+            # A cohort member (see repro.workload.tape): the population
+            # replays the cohort's shared workload instead of drawing it.
+            if config.workload_source != "synthetic":
+                raise SimulationError(
+                    "only the synthetic population replays a workload tape"
+                )
+            _tape.check(
+                seed=config.seed,
+                total_clients=config.total_clients,
+                session_model=model,
+                start_time=self.env.now,
+                duration=config.duration,
+            )
         if config.workload_source == "trace":
             self.population = TraceDrivenPopulation(
                 self.env,
                 self.cluster,
                 self.resolution_chain,
                 actual,
-                config.build_session_model(),
+                model,
                 config.build_arrival_schedule(),
                 self.streams,
                 total_clients=config.total_clients,
@@ -231,13 +262,13 @@ class Simulation:
                 metrics=self.metrics,
                 shard_size=config.shard_size,
             )
-        elif config.effective_population() == "lazy":
+        elif _tape is not None or config.effective_population() == "lazy":
             self.population = ShardedClientPopulation(
                 self.env,
                 self.cluster,
                 self.resolution_chain,
                 actual,
-                config.build_session_model(),
+                model,
                 config.total_clients,
                 self.streams,
                 tracer=self.tracer,
@@ -246,6 +277,7 @@ class Simulation:
                 layout=self.layout,
                 metrics=self.metrics,
                 shard_size=config.shard_size,
+                tape=_tape,
             )
         else:
             self.population = ClientPopulation(
@@ -253,7 +285,7 @@ class Simulation:
                 self.cluster,
                 self.resolution_chain,
                 actual,
-                config.build_session_model(),
+                model,
                 config.total_clients,
                 self.streams,
                 tracer=self.tracer,
@@ -454,6 +486,31 @@ class Simulation:
             metrics=self.metrics.snapshot(),
             utilization_series=self.collector.series,
         )
+
+
+def engine_manifest(info: dict) -> Tuple[str, Dict[str, dict]]:
+    """A manifest's engine fields, built from :attr:`Simulation.engine_info`.
+
+    Returns the engine in effect (the manifest's ``engine_mode``: the
+    reference engine when the configuration fell back) and the entries
+    to merge into its ``extra`` block (``engine_fallbacks``, the counted
+    fallback reasons, when there are any). Every manifest writer builds
+    these fields here, so that bundles of one configuration agree.
+    """
+    extra = {}
+    if info["fallbacks"]:
+        extra["engine_fallbacks"] = dict(info["fallbacks"])
+    return info["effective_mode"], extra
+
+
+def record_tape(config: SimulationConfig) -> WorkloadTape:
+    """The workload pass of ``config``'s cohort (see :mod:`repro.workload.tape`)."""
+    return WorkloadTape.record(
+        config.build_session_model(),
+        config.total_clients,
+        config.seed,
+        config.duration,
+    )
 
 
 def run_simulation(

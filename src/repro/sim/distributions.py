@@ -51,6 +51,10 @@ class Constant(Distribution):
     """A degenerate distribution returning ``value`` every time."""
 
     def __init__(self, value: float):
+        if not -_INFINITY < value < _INFINITY:
+            raise ConfigurationError(
+                f"constant value must be finite, got {value!r}"
+            )
         self.value = float(value)
 
     def sample(self, rng: random.Random) -> float:

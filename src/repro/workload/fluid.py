@@ -140,7 +140,7 @@ class SessionKernel:
         "servers",
         "tracing",
         "trace_record",
-        "stagger_uniform",
+        "stagger_random",
         "closed",
         "think_mean",
         "think_random",
@@ -165,7 +165,7 @@ class SessionKernel:
         # The open trace source has no stagger stream: its sessions
         # start at arrivals, not after a per-client stagger.
         stagger = getattr(population, "_stagger_rng", None)
-        self.stagger_uniform = None if stagger is None else stagger.uniform
+        self.stagger_random = None if stagger is None else stagger.random
         #: A closed loop of endless clients (a client's next session
         #: follows its last page), not an open stream of arrivals.
         self.closed = stagger is not None
@@ -183,8 +183,12 @@ class SessionKernel:
         self.pages_log_q = 0.0 if self.pages_degenerate else _log(1.0 - p)
 
     def stagger(self) -> float:
-        """A client's first delay: uniform over one mean think time."""
-        return self.stagger_uniform(0.0, self.think_mean)
+        """A client's first delay: uniform over one mean think time.
+
+        The body of ``Random.uniform(0.0, think_mean)``, ``a + (b - a) *
+        random()``, on the bound ``random``: the same float, one call.
+        """
+        return 0.0 + (self.think_mean - 0.0) * self.stagger_random()
 
     def start(self, now: float, domain_id: int, client: int):
         """Start one session; returns ``(server_id, pages, resolved_by_dns)``.

@@ -26,6 +26,8 @@ DEFAULT_MIN_HITS_PER_PAGE = 5
 DEFAULT_MAX_HITS_PER_PAGE = 15
 DEFAULT_MEAN_THINK_TIME = 15.0
 
+_INFINITY = float("inf")
+
 
 @dataclass
 class SessionModel:
@@ -44,12 +46,23 @@ class SessionModel:
     )
 
     def __post_init__(self):
-        if self.think_time.mean <= 0:
-            raise ConfigurationError("mean think time must be > 0")
-        if self.pages_per_session.mean < 1:
-            raise ConfigurationError("mean pages per session must be >= 1")
-        if self.hits_per_page.mean < 1:
-            raise ConfigurationError("mean hits per page must be >= 1")
+        # Written so that NaN fails every check (each comparison with
+        # NaN is false) and infinity fails the upper bound.
+        if not 0 < self.think_time.mean < _INFINITY:
+            raise ConfigurationError(
+                f"mean think time must be finite and > 0, "
+                f"got {self.think_time.mean!r}"
+            )
+        if not 1 <= self.pages_per_session.mean < _INFINITY:
+            raise ConfigurationError(
+                f"mean pages per session must be finite and >= 1, "
+                f"got {self.pages_per_session.mean!r}"
+            )
+        if not 1 <= self.hits_per_page.mean < _INFINITY:
+            raise ConfigurationError(
+                f"mean hits per page must be finite and >= 1, "
+                f"got {self.hits_per_page.mean!r}"
+            )
 
     @property
     def hit_rate_per_client(self) -> float:

@@ -63,23 +63,32 @@ Engine modes
     positions and ``run_events`` cuts are exact. Ineligible
     configurations count their fallback reasons and take the ``event``
     path inside the same environment.
+``replay``
+    Given a :class:`~repro.workload.tape.WorkloadTape` (``tape=``), the
+    population draws nothing: its head is a
+    :class:`~repro.workload.tape.TapeWake` whose drain replays the
+    cohort's recorded wakes through this population's resolution chain
+    and servers (see :mod:`repro.workload.tape`). ``engine`` still reads
+    ``"fluid"``.
 """
 
 from __future__ import annotations
 
 from array import array
 from heapq import heappush
+from typing import Optional
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.events import Event, _NORMAL_KEY
-from ..sim.fastforward import FluidTask, WakeCalendar
+from ..sim.fastforward import FastForwardEnvironment, FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
 from ..sim.stats import RunningStats as _RttStats
 from ..sim.tracing import NullTracer
 from .domains import DomainSet
 from .dynamics import StaticDomains
-from .fluid import calendar_drain, session_kernel
+from .fluid import calendar_drain, fluid_fallback_reasons, session_kernel
 from .sessions import SessionModel
+from .tape import TapeWake, WorkloadTape
 
 __all__ = ["ShardClientWake", "ShardedClientPopulation", "DEFAULT_SHARD_SIZE"]
 
@@ -195,6 +204,11 @@ class ShardedClientPopulation:
         "_first_eid",
         "_next_init",
         "_calendar",
+        "_tape",
+        "_entry",
+        "_entries",
+        "_eids",
+        "_offers",
     )
 
     def __init__(
@@ -212,6 +226,7 @@ class ShardedClientPopulation:
         layout=None,
         metrics=None,
         shard_size: int = DEFAULT_SHARD_SIZE,
+        tape: Optional[WorkloadTape] = None,
     ):
         if total_clients < 1:
             raise ConfigurationError(
@@ -291,6 +306,10 @@ class ShardedClientPopulation:
         # wake after dispatch. Safe because the engine iterates its
         # *local* reference after nulling the attribute.
         self._cb = [self._on_wake]
+        self._tape = tape
+        if tape is not None:
+            self._replay(env, tape)
+            return
         self._kernel = session_kernel(env, self, ShardClientWake)
         self.engine = "event" if self._kernel is None else "fluid"
         if self._kernel is None:
@@ -322,6 +341,42 @@ class ShardedClientPopulation:
             total_clients / session_model.think_time.mean
         )
         self._calendar.held = total_clients
+
+    def _replay(self, env, tape: WorkloadTape) -> None:
+        """Feed the fluid lane from ``tape`` (see :mod:`repro.workload.tape`).
+
+        The caller has checked the tape's header against its config.
+        The head stands for the N reserved init eids, then for the next
+        taped wake, exactly as on the calendar lane; a replayed wake
+        draws nothing, so no kernel, calendar or remaining-pages array
+        is built.
+        """
+        reasons = fluid_fallback_reasons(self)
+        if self.tracer.enabled:
+            reasons.append("tracing")
+        if not isinstance(env, FastForwardEnvironment):
+            reasons.append("event-engine")
+        if reasons:
+            raise SimulationError(
+                f"cannot replay a workload tape here: {reasons}"
+            )
+        env.register_task_class(TapeWake)
+        self._kernel = None
+        self.engine = "fluid"
+        self._remaining = None
+        self._calendar = None
+        self.processes = []
+        total_clients = self.total_clients
+        self._eids = array("q", bytes(8 * total_clients))
+        self._offers = [None] * total_clients
+        self._entries = entries = tape.entries()
+        self._entry = next(entries)
+        self._first_eid = env._eid + 1
+        self._head = TapeWake(env, self)
+        self._start_time = env._now + 0.0
+        self._next_init = 0
+        env._eid += total_clients - 1
+        env._off_heap += total_clients - 1
 
     @property
     def dns_control_fraction(self) -> float:

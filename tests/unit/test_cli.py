@@ -182,6 +182,36 @@ class TestExtendedCommands:
         out = capsys.readouterr().out
         assert "trace category" in out
 
+    def test_manifest_writers_agree_on_engine_fields(self, capsys, tmp_path):
+        # A geography config falls back to the event engine: every
+        # manifest writer must record that fact, not the engine asked for.
+        from repro.obs import read_manifest
+
+        args = ["run", "RR", "--duration", "300", "--geography",
+                "clustered", "--trace", "dns"]
+        assert main(args + ["--save", str(tmp_path / "r.json")]) == 0
+        assert main(
+            args + ["--checkpoint-dir", str(tmp_path / "ckpt"),
+                    "--checkpoint-every", "150"]
+        ) == 0
+        assert main(
+            ["trace", "RR", "--duration", "300", "--geography", "clustered",
+             "--categories", "dns", "--out", str(tmp_path / "bundle")]
+        ) == 0
+        manifests = [
+            read_manifest(path)
+            for path in (
+                tmp_path / "r.manifest.json",
+                tmp_path / "ckpt" / "run.manifest.json",
+                tmp_path / "bundle" / "run.manifest.json",
+            )
+        ]
+        fields = [
+            (m["engine_mode"], m.get("extra", {}).get("engine_fallbacks"))
+            for m in manifests
+        ]
+        assert fields == [("event", {"geography": 1})] * 3
+
     def test_trace_inspect_summarizes_existing_file(self, capsys, tmp_path):
         out_dir = tmp_path / "bundle"
         assert main(

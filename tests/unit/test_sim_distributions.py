@@ -30,6 +30,11 @@ class TestConstant:
     def test_mean(self):
         assert Constant(4.5).mean == 4.5
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ConfigurationError):
+            Constant(value)
+
 
 class TestExponential:
     def test_positive_mean_required(self):

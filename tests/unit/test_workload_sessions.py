@@ -1,5 +1,7 @@
 """Unit tests for repro.workload.sessions."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -45,6 +47,20 @@ class TestCustomization:
     def test_invalid_pages_mean_rejected(self):
         with pytest.raises(ConfigurationError):
             SessionModel(pages_per_session=Constant(0.5))
+
+    @pytest.mark.parametrize(
+        "field", ["pages_per_session", "hits_per_page", "think_time"]
+    )
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, field, mean):
+        # A distribution whose mean is not finite; Constant itself
+        # refuses such values, so the model must check any other.
+        class Degenerate(Constant):
+            def __init__(self, value):
+                self.value = value
+
+        with pytest.raises(ConfigurationError):
+            SessionModel(**{field: Degenerate(mean)})
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
