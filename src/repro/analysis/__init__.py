@@ -16,7 +16,6 @@ from .comparison import (
     paired_comparison,
     stochastically_dominates,
 )
-from .dossier import full_report
 from .fairness import (
     coefficient_of_variation,
     imbalance_spread,
@@ -37,7 +36,6 @@ __all__ = [
     "PairedComparison",
     "coefficient_of_variation",
     "fairness_over_time",
-    "full_report",
     "imbalance_spread",
     "jain_fairness_index",
     "load_balance_report",

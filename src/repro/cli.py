@@ -3,10 +3,11 @@
 Subcommands
 -----------
 ``run``
-    Run one simulation and print its summary (``--sparkline`` adds a
-    max-utilization timeline and overload episodes; ``--trace CATS``
-    records the selected trace categories and prints the per-category
-    record counts plus the metrics-registry block). With
+    Run one simulation and print its summary (``--report`` prints the
+    run report of ``repro report`` instead; ``--trace CATS`` records
+    the selected trace categories and prints the per-category record
+    counts plus the metrics-registry block; ``--save PATH`` writes the
+    run's bundle next to PATH). With
     ``--checkpoint-dir DIR --checkpoint-every T`` the run snapshots its
     full model state into DIR every T simulated seconds and writes its
     artifact bundle there; ``--halt-at SIMTIME`` simulates a crash at a
@@ -87,6 +88,7 @@ import argparse
 import dataclasses
 import pathlib
 import sys
+import time
 import typing
 from typing import List, Optional, Tuple
 
@@ -108,12 +110,12 @@ from .experiments.reporting import (
     render_comparison,
     render_execution,
     render_figure,
-    render_metrics,
     render_result,
     render_trace_counts,
 )
 from .experiments.runner import compare_policies
 from .experiments.simulation import Simulation, engine_manifest
+from .obs.report import metrics_rows
 from .sim.tracing import TRACE_CATEGORIES
 
 
@@ -191,7 +193,9 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(duration=3600.0)
     parser.add_argument(
         "--save", metavar="PATH", default=None,
-        help="also write the result as JSON to PATH",
+        help="also write the result as JSON to PATH ('repro run' writes "
+        "its .manifest.json and .metrics.prom, and when traced its "
+        ".trace.jsonl, next to it)",
     )
     _add_workers_argument(parser)
 
@@ -306,17 +310,23 @@ def _executor(args: argparse.Namespace, progress, workers=None):
     )
 
 
-def _engine_manifest(config, sim: Optional[Simulation] = None):
-    """A manifest's engine fields for ``config``'s run (see
-    :func:`~repro.experiments.simulation.engine_manifest`).
+def _bundle_fields(config, wall_time: float, dispatch, **extra):
+    """The manifest keywords of a one-run bundle, as
+    :func:`~repro.experiments.persistence.save_run_artifacts` and
+    :func:`~repro.obs.provenance.build_manifest` take them.
 
-    ``sim`` is the run's own simulation when this process ran it; a run
-    an executor ran elsewhere is described by a fresh, unrun build of
-    the same config, since the engine in effect is fixed at build time.
+    The engine fields (see
+    :func:`~repro.experiments.simulation.engine_manifest`) come from a
+    fresh, unrun build of ``config``: the run itself may have executed
+    elsewhere, and the engine in effect is fixed at build time.
     """
-    if sim is None:
-        sim = Simulation(config)
-    return engine_manifest(sim.engine_info)
+    engine_mode, engine_extra = engine_manifest(Simulation(config).engine_info)
+    return dict(
+        extra={**extra, "wall_time": wall_time, **engine_extra},
+        workers=1,
+        engine_mode=engine_mode,
+        dispatch=dispatch,
+    )
 
 
 def _progress_sink(args: argparse.Namespace):
@@ -367,7 +377,7 @@ def _print_observability(result) -> None:
         )
     if result.metrics:
         print()
-        print(render_metrics(result.metrics))
+        print(format_table(["metric", "value"], metrics_rows(result.metrics)))
 
 
 def _scenario_config(
@@ -393,19 +403,17 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = sub.add_parser("run", help="run one simulation")
     run_parser.add_argument("policy", help="policy name, e.g. DRR2-TTL/S_K")
     run_parser.add_argument(
-        "--sparkline", action="store_true",
-        help="print a max-utilization timeline and overload episodes",
-    )
-    run_parser.add_argument(
         "--report", action="store_true",
-        help="print the full analysis dossier instead of the summary",
+        help="print the run report (as 'repro report' renders the saved "
+        "bundle: balance, warm-up, max-utilization timeline and overload "
+        "episodes, metrics) instead of the summary",
     )
     run_parser.add_argument(
         "--trace", metavar="CATEGORIES", default=None,
         help="record a trace: comma-separated categories "
         f"({', '.join(TRACE_CATEGORIES)}) or 'all'; prints the "
         "per-category counts and the metrics block, and --save then also "
-        "writes a .trace.jsonl and .manifest.json next to the result",
+        "writes a .trace.jsonl next to the result",
     )
     run_parser.add_argument(
         "--halt-at", type=float, default=None, metavar="SIMTIME",
@@ -788,15 +796,40 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         config = _scenario_config(
             args,
             args.policy,
-            keep_utilization_series=args.sparkline or args.report,
+            keep_utilization_series=args.report,
             trace=traced,
             trace_categories=(
                 _parse_trace_categories(args.trace) if traced else None
             ),
         )
         checkpoint_dir, checkpoint_every = _checkpoint_options(args)
-        sim = None
-        if args.backend == "remote":
+
+        def notice(text: str) -> None:
+            # With --report, stdout carries the report alone.
+            print(text, file=sys.stderr if args.report else sys.stdout)
+
+        dispatch = None
+        if checkpoint_dir is not None and args.backend == "local":
+            # The checkpointed run owns --halt-at and its exit code 3.
+            from .experiments.checkpointing import run_with_checkpoints
+
+            started = time.perf_counter()
+            result = run_with_checkpoints(
+                config,
+                every=checkpoint_every,
+                directory=checkpoint_dir,
+                halt_at=args.halt_at,
+            )
+            wall_time = time.perf_counter() - started
+            if result is None:
+                notice(
+                    f"[halted at the first checkpoint past simulated "
+                    f"t={args.halt_at:g}s; continue with: "
+                    f"repro resume {checkpoint_dir}]"
+                )
+                return 3
+            notice(f"[checkpointed bundle written to {checkpoint_dir}]")
+        else:
             if args.halt_at is not None:
                 raise ConfigurationError(
                     "--halt-at simulates a local crash; it does "
@@ -807,85 +840,43 @@ def _run_command(args: argparse.Namespace, progress) -> int:
             result = executor.run_simulations(
                 [config], labels=[args.policy]
             )[0]
+            wall_time = executor.last_stats.wall_time
+            dispatch = executor.dispatch_info()
             if checkpoint_dir is not None:
-                print(
+                notice(
                     f"[checkpointed bundle written to "
                     f"{checkpoint_dir}/cell-0000]"
                 )
-        elif checkpoint_dir is not None:
-            from .experiments.checkpointing import run_with_checkpoints
-
-            result = run_with_checkpoints(
-                config,
-                every=checkpoint_every,
-                directory=checkpoint_dir,
-                halt_at=args.halt_at,
+        if args.save or args.report:
+            bundle_fields = _bundle_fields(
+                config, wall_time, dispatch, command="run"
             )
-            if result is None:
-                print(
-                    f"[halted at the first checkpoint past simulated "
-                    f"t={args.halt_at:g}s; continue with: "
-                    f"repro resume {checkpoint_dir}]"
-                )
-                return 3
-            print(f"[checkpointed bundle written to {checkpoint_dir}]")
-        elif progress is not None:
-            executor = ParallelExecutor(workers=1, progress=progress)
-            result = executor.run_simulations(
-                [config], labels=[args.policy]
-            )[0]
-        else:
-            sim = Simulation(config)
-            result = sim.run()
-        if args.report:
-            from .analysis import full_report
+        paths = {}
+        if args.save:
+            from .experiments.persistence import save_run_artifacts
 
-            print(full_report(result))
+            path = pathlib.Path(args.save)
+            stem = path.stem if path.suffix == ".json" else path.name
+            paths = save_run_artifacts(
+                result, path.parent, stem=stem, **bundle_fields
+            )
+        if args.report:
+            from .obs import build_manifest
+            from .obs.report import bundle_from_result, load_bundle, render_report
+
+            if args.save:  # render what 'repro report' reads back
+                bundle = load_bundle(path.parent, stem=stem)
+            else:
+                bundle = bundle_from_result(
+                    result, build_manifest(config, **bundle_fields)
+                )
+            print(render_report(bundle))
         else:
             print(render_result(result))
-        if traced:
-            _print_observability(result)
-        if args.save:
-            from .experiments.persistence import save_json
-
-            path = save_json(result, args.save)
-            print(f"[result saved to {path}]")
             if traced:
-                from .obs import record_to_dict, write_jsonl, write_manifest
-
-                base = (
-                    path.with_suffix("") if path.suffix == ".json" else path
-                )
-                trace_path = write_jsonl(
-                    f"{base}.trace.jsonl", map(record_to_dict, result.trace)
-                )
-                engine_mode, engine_extra = _engine_manifest(config, sim)
-                manifest_path = write_manifest(
-                    config,
-                    pathlib.Path(f"{base}.manifest.json"),
-                    extra=engine_extra,
-                    engine_mode=engine_mode,
-                )
-                print(f"[trace saved to {trace_path}]")
-                print(f"[manifest saved to {manifest_path}]")
-        if args.sparkline:
-            from .analysis import max_series, overload_episodes, sparkline
-
-            values = [value for _, value in max_series(result)]
-            print()
-            print(f"max utilization over time: {sparkline(values)}")
-            episodes = overload_episodes(result, threshold=0.98)
-            if episodes:
-                print(f"overload episodes (>= 0.98): {len(episodes)}")
-                for start, end, intervals in episodes[:10]:
-                    print(
-                        f"  t={start:8.0f}s .. {end:8.0f}s "
-                        f"({intervals} intervals)"
-                    )
-                if len(episodes) > 10:
-                    print(f"  ... and {len(episodes) - 10} more")
-            else:
-                print("no overload episodes (>= 0.98)")
+                _print_observability(result)
+        for artifact, saved in sorted(paths.items()):
+            notice(f"[{artifact} saved to {saved}]")
         return 0
 
     if args.command == "resume":
@@ -923,19 +914,16 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         result = executor.run_simulations([config], labels=[args.policy])[0]
         from .experiments.persistence import save_run_artifacts
 
-        engine_mode, engine_extra = _engine_manifest(config)
         paths = save_run_artifacts(
             result,
             args.out,
-            extra={
-                "command": "trace",
-                "categories": args.categories,
-                "wall_time": executor.last_stats.wall_time,
-                **engine_extra,
-            },
-            workers=1,
-            engine_mode=engine_mode,
-            dispatch=executor.dispatch_info(),
+            **_bundle_fields(
+                config,
+                executor.last_stats.wall_time,
+                executor.dispatch_info(),
+                command="trace",
+                categories=args.categories,
+            ),
         )
         print(render_result(result))
         _print_observability(result)

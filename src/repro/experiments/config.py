@@ -257,6 +257,8 @@ class SimulationConfig:
                     "hot_rotation_count must be in [2, domain_count] when "
                     "rotation is enabled"
                 )
+        # Normalize (JSON round-trips lists) so equal configs hash equal.
+        object.__setattr__(self, "hits_per_page", tuple(self.hits_per_page))
         if self.hits_per_page[0] < 1 or self.hits_per_page[1] < self.hits_per_page[0]:
             raise ConfigurationError(f"bad hits_per_page {self.hits_per_page!r}")
         if self.population not in POPULATION_KINDS:

@@ -246,12 +246,7 @@ def cohort_key(config: SimulationConfig, engine_mode: str) -> Optional[tuple]:
         > MAX_TAPE_WAKES
     ):
         return None
-    # A list-valued hits_per_page (a config built by hand) must group
-    # with its tuple twin, and must hash.
-    return tuple(
-        tuple(value) if isinstance(value, list) else value
-        for value in (getattr(config, name) for name in TAPE_FIELDS)
-    )
+    return tuple(getattr(config, name) for name in TAPE_FIELDS)
 
 
 def cohorts(

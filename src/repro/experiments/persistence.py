@@ -98,7 +98,8 @@ def figure_from_dict(data: Any) -> FigureResult:
 
 
 def save_json(obj, path: PathLike) -> pathlib.Path:
-    """Serialize a result/figure/config to ``path`` (by type dispatch)."""
+    """Serialize a result/figure/config to ``path`` (by type dispatch),
+    creating missing parent directories."""
     if isinstance(obj, SimulationResult):
         payload = result_to_dict(obj)
     elif isinstance(obj, FigureResult):
@@ -112,6 +113,7 @@ def save_json(obj, path: PathLike) -> pathlib.Path:
     else:
         raise ConfigurationError(f"cannot serialize {type(obj).__name__}")
     path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 
@@ -140,7 +142,6 @@ def save_run_artifacts(
     Returns the written paths keyed by artifact name.
     """
     directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     paths = {"result": save_json(result, directory / f"{stem}.json")}
     if isinstance(result.config, SimulationConfig):
         paths["manifest"] = write_manifest(

@@ -111,40 +111,6 @@ def render_comparison(results: Dict[str, SimulationResult]) -> str:
     )
 
 
-def render_metrics(metrics: Dict[str, object]) -> str:
-    """The metrics-registry summary block of one run.
-
-    ``metrics`` is a :meth:`repro.obs.MetricsRegistry.snapshot` dict (as
-    carried by ``SimulationResult.metrics``): flat values plus histogram
-    sub-dicts, rendered one row per metric.
-    """
-    rows = []
-    for name, value in sorted(metrics.items()):
-        if isinstance(value, dict) and value.get("kind") == "timeseries":
-            if value["samples"]:
-                last_time, last_value = value["samples"][-1]
-                rendered = (
-                    f"n={value['observations']} "
-                    f"last={last_value:.4f}@{last_time:.0f}s"
-                )
-            else:
-                rendered = "no observations"
-        elif isinstance(value, dict):  # time-weighted histogram snapshot
-            if value.get("max") is None:
-                rendered = "no observations"
-            else:
-                rendered = (
-                    f"mean={value['mean']:.4f} max={value['max']:.4f} "
-                    f"windows={value['observations']}"
-                )
-        elif isinstance(value, float):
-            rendered = f"{value:.4f}"
-        else:
-            rendered = str(value)
-        rows.append((name, rendered))
-    return format_table(["metric", "value"], rows)
-
-
 def render_trace_counts(counts: Dict[str, int], total: int) -> str:
     """The per-category record-count block of one traced run."""
     rows = [(category, str(count)) for category, count in sorted(counts.items())]

@@ -80,6 +80,7 @@ from .report import (
     BundleComparison,
     MetricDelta,
     RunBundle,
+    bundle_from_result,
     compare_bundles,
     load_bundle,
     render_report,
@@ -120,6 +121,7 @@ __all__ = [
     "TimeWeightedHistogram",
     "UTILIZATION_BINS",
     "build_manifest",
+    "bundle_from_result",
     "category_counts",
     "compare_bundles",
     "crash_file_name",

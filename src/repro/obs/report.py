@@ -6,11 +6,15 @@ turns it back into something a human — or a CI gate — can read:
 
 * :func:`load_bundle` re-reads a bundle directory (salvaging a
   truncated trace rather than failing on it);
+* :func:`bundle_from_result` wraps a run still in memory, so
+  ``repro run --report`` renders it without a round trip to disk;
 * :func:`render_report` produces a self-contained markdown or HTML
-  report: provenance, headline metrics, the metrics-registry table,
-  trace category counts, and sparkline timelines of the run's
-  :class:`~repro.obs.metrics.TimeSeries` instruments (max utilization,
-  assigned TTL, DNS-controlled fraction);
+  report: provenance, headline metrics, per-server balance, the MSER-5
+  warm-up cutoff, the max-utilization sparkline with its overload
+  episodes (when the run kept a utilization series), sparkline
+  timelines of the run's :class:`~repro.obs.metrics.TimeSeries`
+  instruments (max utilization, assigned TTL, DNS-controlled
+  fraction), the metrics-registry table and trace category counts;
 * :func:`compare_bundles` diffs two bundles on the metrics that define
   a regression here (max utilization, DNS control fraction, wall time)
   and flags environment drift between the two manifests, so a CI job
@@ -27,12 +31,15 @@ import html as _html
 import math
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
 from .export import category_counts, record_from_dict
 from .jsonl import JsonlDamage, read_json_object, read_jsonl
 from .provenance import read_manifest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.metrics import SimulationResult
 
 PathLike = Union[str, pathlib.Path]
 
@@ -44,10 +51,13 @@ _OVERLOAD = 0.98
 class RunBundle:
     """One loaded ``save_run_artifacts`` bundle."""
 
-    directory: pathlib.Path
+    #: Where the bundle was read from (``None`` for an unsaved run).
+    directory: Optional[pathlib.Path]
     stem: str
-    #: The ``<stem>.json`` result dict (checked to decode).
+    #: The ``<stem>.json`` result dict.
     result: Dict[str, Any]
+    #: The same result, decoded; every report section reads this.
+    decoded: "SimulationResult"
     #: The provenance manifest (``None`` when the bundle has none).
     manifest: Optional[Dict[str, Any]] = None
     #: Per-category record counts of the trace sidecar (``None`` when
@@ -58,28 +68,32 @@ class RunBundle:
 
     @property
     def label(self) -> str:
+        if self.directory is None:
+            return "(unsaved run)"
         return str(self.directory)
 
     @property
     def metrics(self) -> Dict[str, Any]:
         """The metrics-registry snapshot carried by the result."""
-        return self.result.get("metrics") or {}
+        return self.decoded.metrics or {}
 
     def scalars(self) -> Dict[str, Optional[float]]:
         """The scalar metrics a comparison gates on."""
-        samples = self.result.get("max_utilization_samples") or []
+        result = self.decoded
+        # summary() needs samples and servers; a hand-built result may
+        # carry neither.
+        summary: Dict[str, Any] = (
+            result.summary()
+            if result.max_utilization_samples
+            and result.mean_utilization_per_server
+            else {}
+        )
         extra = (self.manifest or {}).get("extra") or {}
         wall_time = extra.get("wall_time")
         return {
-            "mean_max_utilization": (
-                sum(samples) / len(samples) if samples else None
-            ),
-            "prob_max_below_098": (
-                sum(1 for s in samples if s < _OVERLOAD) / len(samples)
-                if samples
-                else None
-            ),
-            "dns_control_fraction": self.result.get("dns_control_fraction"),
+            "mean_max_utilization": summary.get("mean_max_utilization"),
+            "prob_max_below_098": summary.get("prob_max_below_098"),
+            "dns_control_fraction": result.dns_control_fraction,
             "wall_time": float(wall_time) if wall_time is not None else None,
         }
 
@@ -122,10 +136,12 @@ def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
 
     result = read_json_object(result_path)
     try:
-        result_from_dict(result)
+        decoded = result_from_dict(result)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{result_path}: {exc}") from exc
-    bundle = RunBundle(directory=directory, stem=stem, result=result)
+    bundle = RunBundle(
+        directory=directory, stem=stem, result=result, decoded=decoded
+    )
     manifest_path = directory / f"{stem}.manifest.json"
     if manifest_path.exists():
         bundle.manifest = read_manifest(manifest_path)
@@ -137,6 +153,25 @@ def load_bundle(directory: PathLike, stem: Optional[str] = None) -> RunBundle:
         bundle.trace_counts = category_counts(records)
         bundle.trace_damage = damage[0] if damage else None
     return bundle
+
+
+def bundle_from_result(
+    result: "SimulationResult", manifest: Optional[Dict[str, Any]] = None
+) -> RunBundle:
+    """The bundle of a run still in memory, as :func:`load_bundle`
+    would read it back had it been saved with this ``manifest``."""
+    from ..experiments.persistence import result_to_dict
+
+    return RunBundle(
+        directory=None,
+        stem="run",
+        result=result_to_dict(result),
+        decoded=result,
+        manifest=manifest,
+        trace_counts=(
+            category_counts(result.trace) if result.trace is not None else None
+        ),
+    )
 
 
 # -- report content ---------------------------------------------------------
@@ -160,7 +195,8 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
-def _metrics_rows(metrics: Dict[str, Any]) -> List[List[str]]:
+def metrics_rows(metrics: Dict[str, Any]) -> List[List[str]]:
+    """``[name, rendered value]`` per metric of a registry snapshot."""
     rows = []
     for name, value in sorted(metrics.items()):
         if isinstance(value, dict) and value.get("kind") == "timeseries":
@@ -214,13 +250,67 @@ def _timeline_lines(metrics: Dict[str, Any]) -> List[str]:
     return lines
 
 
-def build_report(bundle: RunBundle) -> List[ReportSection]:
-    """The report's content, independent of output format."""
+def _balance_section(result: "SimulationResult") -> ReportSection:
+    from ..analysis.fairness import load_balance_report
+
+    per_server = result.mean_utilization_per_server
+    balance = load_balance_report(per_server)
+    section = ReportSection("Server balance", headers=["index", "value"])
+    section.rows = [
+        ["Jain index", f"{balance['jain_index']:.3f}"],
+        ["CoV", f"{balance['coefficient_of_variation']:.3f}"],
+        ["peak/mean", f"{balance['max_mean_ratio']:.3f}"],
+        ["spread", f"{balance['spread']:.3f}"],
+    ]
+    section.lines.append(
+        "mean utilization per server: "
+        + "  ".join(f"S{i + 1}={u:.3f}" for i, u in enumerate(per_server))
+    )
+    return section
+
+
+def _episodes_section(
+    result: "SimulationResult", threshold: float
+) -> ReportSection:
+    from ..analysis.timeseries import max_series, overload_episodes, sparkline
+
+    section = ReportSection("Max utilization and overload episodes")
+    values = [value for _, value in max_series(result)]
+    section.lines.append(f"max utilization over time: {sparkline(values)}")
+    episodes = overload_episodes(result, threshold=threshold)
+    if not episodes:
+        section.lines.append(f"no overload episodes (>= {threshold:g})")
+        return section
+    total = sum(count for _, _, count in episodes)
+    section.lines.append(
+        f"overload episodes (>= {threshold:g}): "
+        f"{len(episodes)} episode(s), {total} interval(s)"
+    )
+    for start, end, count in episodes[:8]:
+        section.lines.append(
+            f"  t={start:8.0f}s .. {end:8.0f}s ({count} intervals)"
+        )
+    if len(episodes) > 8:
+        section.lines.append(f"  ... and {len(episodes) - 8} more")
+    return section
+
+
+def build_report(
+    bundle: RunBundle, overload_threshold: float = _OVERLOAD
+) -> List[ReportSection]:
+    """The report's content, independent of output format.
+
+    The overload-episode section appears only when the result carries
+    a utilization series (``keep_utilization_series=True``).
+    """
+    from ..analysis.warmup import mser_cutoff
+
+    result = bundle.decoded
     sections: List[ReportSection] = []
 
     provenance = ReportSection("Provenance", headers=["field", "value"])
     provenance.rows.append(["bundle", bundle.label])
-    provenance.rows.append(["policy", str(bundle.result.get("policy"))])
+    provenance.rows.append(["policy", str(result.policy)])
     manifest = bundle.manifest
     if manifest is not None:
         package = manifest.get("package", {})
@@ -256,9 +346,25 @@ def build_report(bundle: RunBundle) -> List[ReportSection]:
         )
     for name in ("dns_resolutions", "mean_granted_ttl", "alarm_signals",
                  "total_hits", "total_sessions", "duration"):
-        if name in bundle.result:
-            headline.rows.append([name, _format_value(bundle.result[name])])
+        headline.rows.append([name, _format_value(getattr(result, name))])
+    if result.mean_network_rtt:
+        headline.rows.append(
+            ["mean_network_rtt", f"{result.mean_network_rtt * 1000:.1f} ms"]
+        )
     sections.append(headline)
+
+    if result.mean_utilization_per_server:
+        sections.append(_balance_section(result))
+
+    samples = result.max_utilization_samples
+    warmup = ReportSection("Warm-up (MSER-5)")
+    warmup.lines.append(
+        f"discard first {mser_cutoff(samples)} of {len(samples)} samples"
+    )
+    sections.append(warmup)
+
+    if result.utilization_series is not None:
+        sections.append(_episodes_section(result, overload_threshold))
 
     timelines = _timeline_lines(bundle.metrics)
     if timelines:
@@ -270,7 +376,7 @@ def build_report(bundle: RunBundle) -> List[ReportSection]:
         section = ReportSection(
             "Metrics registry", headers=["metric", "value"]
         )
-        section.rows = _metrics_rows(bundle.metrics)
+        section.rows = metrics_rows(bundle.metrics)
         sections.append(section)
 
     if bundle.trace_counts is not None:
@@ -365,7 +471,7 @@ def render_report(bundle: RunBundle, fmt: str = "markdown") -> str:
     if fmt not in ("markdown", "html"):
         raise ConfigurationError(f"unknown report format {fmt!r}")
     title = (
-        f"Run report: {bundle.result.get('policy')} "
+        f"Run report: {bundle.decoded.policy} "
         f"(seed {(bundle.manifest or {}).get('seed')})"
     )
     sections = build_report(bundle)

@@ -54,7 +54,7 @@ from bisect import insort
 from typing import Dict, Optional, Type
 
 from ..errors import SimulationError
-from .engine import EmptySchedule, Environment
+from .engine import Environment
 from .events import Timeout
 
 _INFINITY = float("inf")
@@ -322,25 +322,11 @@ class FastForwardEnvironment(Environment):
         have performed.
         """
         queue = self._queue
-        if not queue:
-            raise EmptySchedule("no scheduled events left")
-        item = queue[0]
-        event = item[2]
-        if type(event) is self._task_class:
-            self._now = item[0]
-            self._task_class.drain(self, queue, item[0], 1)
+        if queue and type(queue[0][2]) is self._task_class:
+            self._now = queue[0][0]
+            self._task_class.drain(self, queue, self._now, 1)
             return
-        self._now, _, event = heapq.heappop(queue)
-        event._processed = True
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            waiter._resume(event)
-        callbacks = event._callbacks
-        if callbacks is not None:
-            event._callbacks = None
-            for callback in callbacks:
-                callback(event)
+        Environment.step(self)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation (see :meth:`Environment.run`).

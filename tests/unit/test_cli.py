@@ -64,12 +64,13 @@ class TestExtendedCommands:
     def test_run_with_sparkline(self, capsys):
         code = main(
             ["run", "RR", "--duration", "300", "--clients", "50",
-             "--sparkline"]
+             "--report"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "max utilization over time:" in out
-        assert "overload episodes" in out or "no overload episodes" in out
+        assert "## Max utilization and overload episodes" in out
+        assert "max utilization over time: " in out
+        assert "overload episodes (>= 0.98)" in out
 
     def test_sweep_command(self, capsys):
         code = main(
@@ -246,8 +247,49 @@ class TestExtendedCommands:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "headline metrics" in out
-        assert "Jain index" in out
+        assert out.startswith("# Run report: RR (seed 1)")
+        for heading in (
+            "## Provenance",
+            "## Headline metrics",
+            "## Server balance",
+            "## Warm-up (MSER-5)",
+            "## Max utilization and overload episodes",
+            "## Timelines",
+            "## Metrics registry",
+        ):
+            assert heading in out
+        assert "| Jain index |" in out
+
+    def test_run_report_save_prints_what_report_prints(
+        self, capsys, tmp_path
+    ):
+        bundle = tmp_path / "D"
+        code = main(
+            ["run", "RR", "--duration", "300", "--clients", "50",
+             "--trace", "dns,util", "--report",
+             "--save", str(bundle / "run.json")]
+        )
+        assert code == 0
+        printed = capsys.readouterr()
+        assert "[result saved to" in printed.err
+        assert main(["report", str(bundle)]) == 0
+        assert printed.out == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "RR", "--duration", "300", "--clients", "50"],
+            ["figure", "fig1", "--duration", "300"],
+        ],
+        ids=["run", "figure"],
+    )
+    def test_save_creates_missing_directories(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "deeper" / "out.json"
+        assert main(argv + ["--save", str(path)]) == 0
+        from repro.experiments.persistence import load_json
+
+        assert load_json(path) is not None
+        assert f"saved to {path}]" in capsys.readouterr().out
 
 
 class TestResumeDamagedBundle:

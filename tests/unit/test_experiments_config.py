@@ -1,6 +1,7 @@
 """Unit tests for repro.experiments.config."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -20,6 +21,17 @@ class TestDefaults:
         assert config.duration == PAPER_DURATION == 5 * 3600.0
         assert config.heterogeneity == 20
         assert config.total_capacity == 500.0
+
+    def test_list_hits_per_page_normalizes_to_a_tuple(self):
+        # A JSON round trip hands back a list; the config must still
+        # equal and hash like its tuple twin, and serialize the same.
+        config = SimulationConfig(hits_per_page=[5, 15])
+        assert config.hits_per_page == (5, 15)
+        assert config == SimulationConfig()
+        assert hash(config) == hash(SimulationConfig())
+        assert json.dumps(dataclasses.asdict(config)) == json.dumps(
+            dataclasses.asdict(SimulationConfig())
+        )
 
     def test_offered_utilization_is_two_thirds(self):
         assert SimulationConfig().offered_utilization == pytest.approx(2 / 3)

@@ -8,8 +8,15 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.executor import ParallelExecutor
 from repro.experiments.persistence import save_run_artifacts
-from repro.obs import compare_bundles, load_bundle, render_report
+from repro.obs import (
+    bundle_from_result,
+    compare_bundles,
+    load_bundle,
+    render_report,
+)
 from repro.obs.report import build_report
+
+from .test_experiments_metrics import make_result
 
 CONFIG = SimulationConfig(
     policy="RR",
@@ -133,6 +140,85 @@ class TestRenderReport:
         lines = sections["Timelines"].lines
         assert any("max utilization" in line for line in lines)
         assert any("assigned TTL" in line for line in lines)
+
+
+def _sections(result, **kwargs):
+    """Report sections of an in-memory result, keyed by title."""
+    return {
+        section.title: section
+        for section in build_report(bundle_from_result(result), **kwargs)
+    }
+
+
+class TestRunViews:
+    """The one-run views: balance, warm-up, overload episodes, RTT."""
+
+    def test_headline_sections_present(self):
+        sections = _sections(make_result([0.5, 0.9, 1.0]))
+        assert ["policy", "RR"] in sections["Provenance"].rows
+        rows = dict(map(tuple, sections["Headline metrics"].rows))
+        assert rows["prob_max_below_098"] == "0.6667"
+        balance = dict(map(tuple, sections["Server balance"].rows))
+        assert set(balance) == {"Jain index", "CoV", "peak/mean", "spread"}
+        assert balance["spread"] == "0.100"
+        assert sections["Server balance"].lines == [
+            "mean utilization per server: S1=0.600  S2=0.700"
+        ]
+        assert sections["Warm-up (MSER-5)"].lines == [
+            "discard first 0 of 3 samples"
+        ]
+
+    def test_timeseries_sections_only_with_series(self):
+        result = make_result([0.5, 0.9])
+        title = "Max utilization and overload episodes"
+        assert title not in _sections(result)
+        result.utilization_series = [(32.0, [0.5, 0.4]), (64.0, [0.9, 0.3])]
+        lines = _sections(result)[title].lines
+        assert lines[0].startswith("max utilization over time: ")
+        assert lines[1] == "no overload episodes (>= 0.98)"
+
+    def test_overload_episode_listing(self):
+        result = make_result([0.5, 0.99, 0.99, 0.4])
+        result.utilization_series = [
+            (32.0, [0.5]),
+            (64.0, [0.99]),
+            (96.0, [0.99]),
+            (128.0, [0.4]),
+        ]
+        lines = _sections(result)["Max utilization and overload episodes"].lines
+        assert lines[1] == (
+            "overload episodes (>= 0.98): 1 episode(s), 2 interval(s)"
+        )
+        assert lines[2] == "  t=      64s ..       96s (2 intervals)"
+
+    def test_network_rtt_shown_when_present(self):
+        result = make_result([0.5])
+        assert "mean_network_rtt" not in render_report(bundle_from_result(result))
+        result.mean_network_rtt = 0.025
+        rows = dict(map(tuple, _sections(result)["Headline metrics"].rows))
+        assert rows["mean_network_rtt"] == "25.0 ms"
+
+    def test_custom_overload_threshold(self):
+        result = make_result([0.5, 0.92])
+        result.utilization_series = [(32.0, [0.5]), (64.0, [0.92])]
+        lines = _sections(result, overload_threshold=0.9)[
+            "Max utilization and overload episodes"
+        ].lines
+        assert lines[1] == (
+            "overload episodes (>= 0.9): 1 episode(s), 1 interval(s)"
+        )
+
+    def test_unsaved_run_renders_like_its_saved_bundle(self, tmp_path):
+        result = make_result([0.5, 0.99, 0.4])
+        result.utilization_series = [
+            (32.0, [0.5]), (64.0, [0.99]), (96.0, [0.4])
+        ]
+        save_run_artifacts(result, tmp_path)
+        saved = build_report(load_bundle(tmp_path))
+        unsaved = build_report(bundle_from_result(result))
+        assert saved[0].rows[0] == ["bundle", str(tmp_path)]
+        assert unsaved[0].rows[0] == ["bundle", "(unsaved run)"]
+        assert saved[1:] == unsaved[1:]
 
 
 class TestCompareBundles:
