@@ -111,11 +111,10 @@ from .experiments.reporting import (
     render_execution,
     render_figure,
     render_result,
-    render_trace_counts,
 )
 from .experiments.runner import compare_policies
 from .experiments.simulation import Simulation, engine_manifest
-from .obs.report import metrics_rows
+from .obs.report import metrics_rows, trace_count_rows
 from .sim.tracing import TRACE_CATEGORIES
 
 
@@ -366,15 +365,16 @@ def _parse_trace_categories(text: str) -> Optional[Tuple[str, ...]]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
+def _trace_counts_table(counts) -> str:
+    """The per-category record-count block of one trace."""
+    return format_table(["trace category", "records"], trace_count_rows(counts))
+
+
 def _print_observability(result) -> None:
     """Print the trace-count and metrics blocks of a traced run."""
     if result.trace is not None:
         print()
-        print(
-            render_trace_counts(
-                result.trace_category_counts(), len(result.trace)
-            )
-        )
+        print(_trace_counts_table(result.trace_category_counts()))
     if result.metrics:
         print()
         print(format_table(["metric", "value"], metrics_rows(result.metrics)))
@@ -900,7 +900,7 @@ def _run_command(args: argparse.Namespace, progress) -> int:
 
         if args.inspect:
             records, _ = read_jsonl(args.inspect, record_from_dict)
-            print(render_trace_counts(category_counts(records), len(records)))
+            print(_trace_counts_table(category_counts(records)))
             return 0
         if not args.policy:
             raise ConfigurationError("a policy name is required (or use --inspect)")
@@ -977,7 +977,6 @@ def _run_command(args: argparse.Namespace, progress) -> int:
         figure = FIGURES[args.figure_id](
             duration=args.duration,
             seed=args.seed,
-            workers=args.workers,
             executor=_executor(args, progress),
         )
         print(figure_to_csv(figure) if args.csv else render_figure(figure))

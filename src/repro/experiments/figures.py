@@ -15,7 +15,7 @@ environment variable (any non-empty value restores full 5-hour runs).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -24,7 +24,6 @@ from .config import PAPER_DURATION, SimulationConfig
 from .executor import ParallelExecutor
 from .metrics import OVERLOAD_THRESHOLD
 from .runner import compare_policies, sweep
-from .simulation import run_simulation
 
 #: Benchmark-friendly default duration (one simulated hour).
 QUICK_DURATION = 3600.0

@@ -8,7 +8,7 @@ any plotting tool). No plotting dependency is required.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .executor import ExecutionStats
 from .figures import FigureResult
@@ -109,13 +109,6 @@ def render_comparison(results: Dict[str, SimulationResult]) -> str:
         ],
         rows,
     )
-
-
-def render_trace_counts(counts: Dict[str, int], total: int) -> str:
-    """The per-category record-count block of one traced run."""
-    rows = [(category, str(count)) for category, count in sorted(counts.items())]
-    rows.append(("(total)", str(total)))
-    return format_table(["trace category", "records"], rows)
 
 
 #: Per-cell timing lines are listed individually up to this many cells;

@@ -195,6 +195,13 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+def trace_count_rows(counts: Dict[str, int]) -> List[List[str]]:
+    """``[category, records]`` per trace category, then the total row."""
+    rows = [[category, str(count)] for category, count in counts.items()]
+    rows.append(["(total)", str(sum(counts.values()))])
+    return rows
+
+
 def metrics_rows(metrics: Dict[str, Any]) -> List[List[str]]:
     """``[name, rendered value]`` per metric of a registry snapshot."""
     rows = []
@@ -383,13 +390,7 @@ def build_report(
         section = ReportSection(
             "Trace", headers=["category", "records"]
         )
-        section.rows = [
-            [category, str(count)]
-            for category, count in bundle.trace_counts.items()
-        ]
-        section.rows.append(
-            ["(total)", str(sum(bundle.trace_counts.values()))]
-        )
+        section.rows = trace_count_rows(bundle.trace_counts)
         if bundle.trace_damage is not None:
             section.lines.append(
                 f"warning: trace truncated at {bundle.trace_damage} — "

@@ -8,6 +8,10 @@ trace source). Each is a :class:`~repro.sim.fastforward.FluidTask` whose
 population's event-mode handlers. All three pass the one gate,
 :func:`session_kernel`, and share one :class:`SessionKernel` per
 population: its constants, its session start and its drain contract.
+The populations themselves share
+:class:`~repro.workload.sessions.SessionPopulation`, whose ``closed``
+class attribute tells the kernel and the drain a closed loop of
+endless clients from an open stream of arrivals.
 The two calendar populations share one drain as well,
 :func:`calendar_drain`, bound in each wake class as ``drain =
 classmethod(calendar_drain)``.
@@ -108,8 +112,8 @@ class SessionKernel:
     and read by its task class's drain (:meth:`FluidClient.drain` or
     :func:`calendar_drain`). It binds what every client of the
     population shares — the chain and its bound ``resolve``, the
-    servers, the tracer switch, the stagger draw, whether the loop is
-    :attr:`closed` — and builds the inlined-RNG constants once:
+    servers, the tracer switch, the stagger draw of a closed population
+    — and builds the inlined-RNG constants once:
     ``think_lambd = 1.0 / mean`` (the ``lambd``
     :meth:`Exponential.sampler
     <repro.sim.distributions.Exponential.sampler>` binds), the hits
@@ -141,7 +145,6 @@ class SessionKernel:
         "tracing",
         "trace_record",
         "stagger_random",
-        "closed",
         "think_mean",
         "think_random",
         "think_lambd",
@@ -162,13 +165,11 @@ class SessionKernel:
         self.tracing = tracer.enabled
         self.trace_record = tracer.record
         model = population.session_model
-        # The open trace source has no stagger stream: its sessions
-        # start at arrivals, not after a per-client stagger.
-        stagger = getattr(population, "_stagger_rng", None)
-        self.stagger_random = None if stagger is None else stagger.random
-        #: A closed loop of endless clients (a client's next session
-        #: follows its last page), not an open stream of arrivals.
-        self.closed = stagger is not None
+        # An open population has no stagger stream: its sessions start
+        # at arrivals, not after a per-client stagger.
+        self.stagger_random = (
+            population._stagger_rng.random if population.closed else None
+        )
         self.think_mean = think_mean = model.think_time.mean
         self.think_random = population._think_rng.random
         self.think_lambd = 1.0 / think_mean
@@ -270,8 +271,9 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
     the kernel's session start, the inlined hits draw, a
     :meth:`WebServer.offer <repro.web.server.WebServer.offer>` call, the
     inlined think draw and the filing of the next entry under the
-    timeout factory's eid/heap-key arithmetic. :attr:`SessionKernel.closed`
-    covers the three ways the two populations differ:
+    timeout factory's eid/heap-key arithmetic. The population's
+    :attr:`~repro.workload.sessions.SessionPopulation.closed` covers the
+    three ways the two populations differ:
 
     * **Start phase** (closed only). The sharded population's urgent
       init entries are dispatched first, in slot order, without being
@@ -300,7 +302,7 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
     limit = bound_time if bound_time < target else target
     log = _log
     kernel = p._kernel
-    closed = kernel.closed
+    closed = p.closed
     inv_width = cal.inv_width
     buckets = cal.buckets
     pending = cal.pending
@@ -492,10 +494,7 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
             if budget == 0:
                 return
     finally:
-        p.total_pages += pages_acc
-        p.total_hits += hits_acc
-        p.total_sessions += sessions_acc
-        p.dns_routed_hits += routed_acc
+        p._add_totals(pages_acc, hits_acc, sessions_acc, routed_acc)
         if not closed:
             p.total_arrivals = arrivals
             p.active_sessions = active
@@ -577,10 +576,9 @@ class FluidClient(FluidTask):
                     if population is not None:  # pragma: no cover
                         # A second population mid-drain: flush the first
                         # one's counters before re-hoisting.
-                        population.total_pages += pages_acc
-                        population.total_hits += hits_acc
-                        population.total_sessions += sessions_acc
-                        population.dns_routed_hits += routed_acc
+                        population._add_totals(
+                            pages_acc, hits_acc, sessions_acc, routed_acc
+                        )
                         pages_acc = hits_acc = sessions_acc = routed_acc = 0
                     population = p
                     kernel = p._kernel
@@ -679,10 +677,9 @@ class FluidClient(FluidTask):
                     return
         finally:
             if population is not None:
-                population.total_pages += pages_acc
-                population.total_hits += hits_acc
-                population.total_sessions += sessions_acc
-                population.dns_routed_hits += routed_acc
+                population._add_totals(
+                    pages_acc, hits_acc, sessions_acc, routed_acc
+                )
 
     def __repr__(self) -> str:
         return (

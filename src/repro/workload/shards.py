@@ -18,8 +18,10 @@ The population mirrors the eager one draw for draw:
   the same client order (exactly as ``env.process`` spawning does);
 * every wake draws from the *same* population-shared RNG streams through
   the *same* sampler partials, in the same order the generator body
-  would — session start (resolve → pages draw → trace → layout RTT) and
-  page cycle (hits draw → offer → counters → think draw);
+  would: the session head (resolve → pages draw → trace) is the one
+  :class:`~repro.workload.sessions.SessionPopulation` gives all three
+  populations, and the page cycle (hits draw → offer → counters → think
+  draw) the one it gives this population and the trace source;
 * rescheduling uses the byte-exact eid/heap-key arithmetic of
   :func:`~repro.sim.events.timeout_factory`.
 
@@ -79,20 +81,15 @@ from heapq import heappush
 from typing import Optional
 
 from ..errors import ConfigurationError, SimulationError
-from ..sim.events import Event, _NORMAL_KEY
+from ..sim.events import Event
 from ..sim.fastforward import FastForwardEnvironment, FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
-from ..sim.stats import RunningStats as _RttStats
-from ..sim.tracing import NullTracer
 from .domains import DomainSet
-from .dynamics import StaticDomains
 from .fluid import calendar_drain, fluid_fallback_reasons, session_kernel
-from .sessions import SessionModel
+from .sessions import SessionModel, SessionPopulation
 from .tape import TapeWake, WorkloadTape
 
 __all__ = ["ShardClientWake", "ShardedClientPopulation", "DEFAULT_SHARD_SIZE"]
-
-_INFINITY = float("inf")
 
 #: Clients per accounting shard. Shards are *logical* slot ranges — they
 #: bound the granularity of per-shard counters (sessions started), not
@@ -150,66 +147,32 @@ class ShardClientWake(FluidTask, Event):
         )
 
 
-class ShardedClientPopulation:
+class ShardedClientPopulation(SessionPopulation):
     """All clients as flat-slot shards driven by reusable heap wakes.
 
     Drop-in for :class:`~repro.workload.clients.ClientPopulation` (same
-    constructor signature plus ``shard_size``, same attribute surface,
-    same metrics, same ``snapshot_state``), selected via
-    ``SimulationConfig.population = "lazy"``. See the module docstring
-    for the equivalence argument.
+    constructor signature plus ``shard_size`` and the cohort's ``tape``,
+    same :class:`~repro.workload.sessions.SessionPopulation` surface),
+    selected via ``SimulationConfig.population = "lazy"``. See the
+    module docstring for the equivalence argument.
     """
 
     __slots__ = (
-        "env",
-        "cluster",
-        "resolution_chain",
-        "domains",
-        "session_model",
-        "total_clients",
-        "tracer",
-        "dynamics",
-        "client_address_caching",
-        "client_cache_hits",
-        "layout",
-        "network_rtt_stats",
-        "_think_rng",
-        "_pages_rng",
-        "_hits_rng",
-        "_stagger_rng",
-        "_think_sample",
-        "_pages_sample",
-        "_hits_sample",
-        "dns_routed_hits",
-        "total_hits",
-        "total_pages",
-        "total_sessions",
         "shard_size",
         "shard_count",
         "_shard_sessions",
-        "_remaining",
-        "_server",
-        "_resolved",
         "_home_domain",
-        "_session_domain",
-        "_cached_domain",
-        "_cached_records",
-        "_page_rtt",
-        "_cb",
-        "processes",
-        "engine",
-        "_kernel",
-        "_head",
         "_start_time",
         "_first_eid",
         "_next_init",
-        "_calendar",
         "_tape",
         "_entry",
         "_entries",
         "_eids",
         "_offers",
     )
+
+    closed = True
 
     def __init__(
         self,
@@ -236,44 +199,10 @@ class ShardedClientPopulation:
             raise ConfigurationError(
                 f"shard_size must be >= 1, got {shard_size!r}"
             )
-        self.env = env
-        self.cluster = cluster
-        self.resolution_chain = resolution_chain
-        self.domains = domains
-        self.session_model = session_model
-        self.total_clients = total_clients
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.dynamics = dynamics if dynamics is not None else StaticDomains()
-        self.client_address_caching = bool(client_address_caching)
-        self.client_cache_hits = 0
-        self.layout = layout
-        self.network_rtt_stats = _RttStats()
-        self._think_rng = streams.stream("workload.think")
-        self._pages_rng = streams.stream("workload.pages")
-        self._hits_rng = streams.stream("workload.hits")
-        self._stagger_rng = streams.stream("workload.stagger")
-        # The same sampler partials the eager generator binds — the
-        # event-mode wake handler draws through these, which is what
-        # makes the mirror exact for arbitrary session models.
-        self._think_sample = session_model.think_time.sampler(self._think_rng)
-        self._pages_sample = session_model.pages_per_session.sampler(
-            self._pages_rng
+        super().__init__(
+            env, cluster, resolution_chain, domains, session_model, total_clients,
+            streams, tracer, dynamics, client_address_caching, layout, metrics,
         )
-        self._hits_sample = session_model.hits_per_page.sampler(self._hits_rng)
-        self.dns_routed_hits = 0
-        self.total_hits = 0
-        self.total_pages = 0
-        self.total_sessions = 0
-        if metrics is not None:
-            metrics.register("workload.sessions", lambda: self.total_sessions)
-            metrics.register("workload.pages", lambda: self.total_pages)
-            metrics.register("workload.hits", lambda: self.total_hits)
-            metrics.register(
-                "workload.dns_routed_hits", lambda: self.dns_routed_hits
-            )
-            metrics.register(
-                "workload.client_cache_hits", lambda: self.client_cache_hits
-            )
         self.shard_size = shard_size
         self.shard_count = (total_clients + shard_size - 1) // shard_size
         self._shard_sessions = array("q", bytes(8 * self.shard_count))
@@ -293,12 +222,6 @@ class ShardedClientPopulation:
         self._session_domain = (
             home if self.dynamics.is_static else array("q", home)
         )
-        if self.client_address_caching:
-            self._cached_domain = array("q", [-1]) * total_clients
-            self._cached_records = [None] * total_clients
-        else:
-            self._cached_domain = None
-            self._cached_records = None
         self._page_rtt = (
             array("d", bytes(8 * total_clients)) if layout is not None else None
         )
@@ -378,22 +301,14 @@ class ShardedClientPopulation:
         env._eid += total_clients - 1
         env._off_heap += total_clients - 1
 
-    @property
-    def dns_control_fraction(self) -> float:
-        """Fraction of hits in sessions the DNS directly routed."""
-        return self.dns_routed_hits / self.total_hits if self.total_hits else 0.0
-
     def _on_wake(self, wake: ShardClientWake) -> None:
         """Run one client wake (event-mode universal mirror).
 
         Transcribes one resume of ``ClientPopulation._client`` — same
         stream draws through the same sampler partials, same call order,
-        same reschedule arithmetic — then re-arms the wake. The engine
-        nulled ``wake._callbacks`` and set ``_processed`` before
-        invoking this, so re-arming is two attribute stores.
+        same reschedule arithmetic — then re-arms the wake.
         """
-        env = self.env
-        now = env._now
+        now = self.env._now
         slot = wake.slot
         remaining = self._remaining[slot]
         if remaining < 0:
@@ -403,89 +318,20 @@ class ShardedClientPopulation:
             delay = self._stagger_rng.uniform(
                 0.0, self.session_model.think_time.mean
             )
-            env._eid = eid = env._eid + 1
-            heappush(env._queue, (now + delay, _NORMAL_KEY | eid, wake))
-            wake._callbacks = self._cb
-            wake._processed = False
+            self._rearm(wake, now, delay, self._cb)
             return
-        session_domain = self._session_domain
-        if remaining > 0:
-            domain_id = session_domain[slot]
-            resolved_by_dns = self._resolved[slot]
-        else:
-            while True:
-                # Session start. The loop mirrors the generator's
-                # `while True` head: a model drawing zero pages starts
-                # the next session in the same wake, as `range(0)` would.
-                home = self._home_domain[slot]
-                dynamics = self.dynamics
-                domain_id = (
-                    home
-                    if dynamics.is_static
-                    else dynamics.current_domain(home, now)
-                )
-                chain = self.resolution_chain
-                if (
-                    self.client_address_caching
-                    and self._cached_records[slot] is not None
-                    and self._cached_domain[slot] == domain_id
-                    and self._cached_records[slot].is_valid(now)
-                ):
-                    record = self._cached_records[slot]
-                    resolved_by_dns = False
-                    self.client_cache_hits += 1
-                else:
-                    before = chain.authoritative_answers
-                    record = chain.resolve(domain_id, now, slot)
-                    resolved_by_dns = chain.authoritative_answers > before
-                    if self.client_address_caching:
-                        self._cached_records[slot] = record
-                        self._cached_domain[slot] = domain_id
-                pages = int(self._pages_sample())
-                self.total_sessions += 1
-                self._shard_sessions[slot // self.shard_size] += 1
-                tracer = self.tracer
-                if tracer.enabled:
-                    tracer.record(
-                        now,
-                        "session",
-                        {
-                            "client": slot,
-                            "domain": domain_id,
-                            "server": record.server_id,
-                            "pages": pages,
-                            "dns": resolved_by_dns,
-                        },
-                    )
-                if self.layout is not None:
-                    self._page_rtt[slot] = self.layout.rtt(
-                        domain_id, record.server_id
-                    )
-                self._server[slot] = record.server_id
-                self._resolved[slot] = 1 if resolved_by_dns else 0
-                session_domain[slot] = domain_id
-                if pages > 0:
-                    remaining = pages
-                    break
-        # One page cycle (the generator's for-loop body).
-        hits = int(self._hits_sample())
-        self.cluster.servers[self._server[slot]].offer(now, hits, domain_id)
-        self.total_pages += 1
-        self.total_hits += hits
-        if resolved_by_dns:
-            self.dns_routed_hits += hits
-        if self.layout is not None:
-            self.network_rtt_stats.add(self._page_rtt[slot])
-        self._remaining[slot] = remaining - 1
-        delay = self._think_sample()
-        if not 0.0 <= delay < _INFINITY:
-            raise SimulationError(
-                f"timeout delay must be finite and >= 0, got {delay!r}"
+        while remaining <= 0:
+            # Session start. The loop mirrors the generator's `while
+            # True` head: a model drawing zero pages starts the next
+            # session in the same wake, as `range(0)` would.
+            domain_id, server_id, remaining, resolved_by_dns = (
+                self._session_head(slot, self._home_domain[slot], now)
             )
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (now + delay, _NORMAL_KEY | eid, wake))
-        wake._callbacks = self._cb
-        wake._processed = False
+            self._shard_sessions[slot // self.shard_size] += 1
+            self._store_session(
+                slot, domain_id, server_id, resolved_by_dns, remaining
+            )
+        self._page(wake, now)
 
     def shard_stats(self) -> dict:
         """Per-shard accounting for provenance / workload info.
@@ -500,25 +346,6 @@ class ShardedClientPopulation:
             "sessions_min": min(sessions) if sessions else 0,
             "sessions_max": max(sessions) if sessions else 0,
             "sessions_total": sum(sessions),
-        }
-
-    def snapshot_state(self) -> dict:
-        """Workload counters and liveness census (for checkpoints).
-
-        Key-for-key and value-for-value identical to the eager
-        population's snapshot at any trajectory cut (wakes model endless
-        clients, so the census always equals ``total_clients`` — exactly
-        as the eager generators report).
-        """
-        return {
-            "total_clients": self.total_clients,
-            "total_sessions": self.total_sessions,
-            "total_pages": self.total_pages,
-            "total_hits": self.total_hits,
-            "dns_routed_hits": self.dns_routed_hits,
-            "client_cache_hits": self.client_cache_hits,
-            "alive": self.total_clients,
-            "network_rtt_stats": self.network_rtt_stats.snapshot_state(),
         }
 
     def __repr__(self) -> str:

@@ -348,10 +348,7 @@ def replay_drain(cls, env, queue, target: float, budget: int = -1) -> None:
     finally:
         env._eid = eid
         p._entry = entry
-        p.total_pages += eid - first
-        p.total_hits += hits_acc
-        p.total_sessions += sessions_acc
-        p.dns_routed_hits += routed_acc
+        p._add_totals(eid - first, hits_acc, sessions_acc, routed_acc)
         if p._next_init < n:
             heapreplace(
                 queue, (p._start_time, p._first_eid + p._next_init, head)

@@ -45,7 +45,11 @@ finds a fallback reason (geography, dynamic domains, a non-standard
 session model); those reasons are counted and the source event-steps.
 On the fluid lane each accepted arrival starts its session through the
 population's :class:`~repro.workload.fluid.SessionKernel`, the same
-session start the synthetic populations' drains call.
+session start the synthetic populations' drains call. In event mode it
+runs the session head and page cycle of
+:class:`~repro.workload.sessions.SessionPopulation`, the ones the
+sharded population's wakes run, with the loop open: a session's last
+page frees its slot.
 """
 
 from __future__ import annotations
@@ -58,17 +62,15 @@ from dataclasses import dataclass
 from heapq import heappush
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..obs.jsonl import json_fields, read_jsonl
-from ..sim.events import Event, _NORMAL_KEY
+from ..sim.events import Event
 from ..sim.fastforward import FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
-from ..sim.stats import RunningStats as _RttStats
-from ..sim.tracing import NullTracer
 from .domains import DomainSet
-from .dynamics import StaticDomains
 from .fluid import calendar_drain, session_kernel
-from .sessions import SessionModel
+from .sessions import SessionModel, SessionPopulation
+from .shards import DEFAULT_SHARD_SIZE
 
 __all__ = ["ArrivalSchedule", "TraceDrivenPopulation", "TraceSessionWake"]
 
@@ -335,17 +337,17 @@ class TraceSessionWake(FluidTask, Event):
         return f"<TraceSessionWake slot={self.slot}>"
 
 
-class TraceDrivenPopulation:
+class TraceDrivenPopulation(SessionPopulation):
     """Open, schedule-driven session workload (see module docstring).
 
-    Drop-in attribute surface for the simulation wiring
-    (``dns_control_fraction``, totals, ``network_rtt_stats``,
-    ``snapshot_state``); ``engine`` is ``"fluid"`` when the population
-    registered :class:`TraceSessionWake` as a fast-forward task, else
-    ``"event"``.
-
-    Parameters largely mirror
-    :class:`~repro.workload.clients.ClientPopulation`; the additions:
+    The open :class:`~repro.workload.sessions.SessionPopulation`:
+    ``total_clients`` is only the nominal closed-population scale the
+    schedule stands in for (0 = pure open workload), and sessions are
+    fresh client identities, with nothing to cache client-side (config
+    validation rejects ``client_address_caching``). ``engine`` is
+    ``"fluid"`` when the population registered :class:`TraceSessionWake`
+    as a fast-forward task, else ``"event"``. The parameters added to
+    the shared ones:
 
     schedule:
         The :class:`ArrivalSchedule` to replay.
@@ -358,53 +360,22 @@ class TraceDrivenPopulation:
     """
 
     __slots__ = (
-        "env",
-        "cluster",
-        "resolution_chain",
-        "domains",
-        "session_model",
         "schedule",
-        "total_clients",
-        "tracer",
-        "dynamics",
-        "client_address_caching",
-        "client_cache_hits",
-        "layout",
-        "network_rtt_stats",
-        "_think_rng",
-        "_pages_rng",
-        "_hits_rng",
         "_arrival_rng",
         "_peak_rate",
         "_arrival_lambd",
-        "_think_sample",
-        "_pages_sample",
-        "_hits_sample",
-        "dns_routed_hits",
-        "total_hits",
-        "total_pages",
-        "total_sessions",
         "total_arrivals",
         "active_sessions",
         "peak_active_sessions",
         "shard_count",
         "_shard_started",
         "_shard_arrivals",
-        "_remaining",
-        "_server",
-        "_resolved",
-        "_session_domain",
-        "_page_rtt",
         "_wakes",
         "_free",
-        "_cb",
         "_arrival_cb",
-        "processes",
-        "engine",
-        "_kernel",
-        "_head",
-        "_calendar",
     )
+
+    closed = False
 
     def __init__(
         self,
@@ -421,48 +392,32 @@ class TraceDrivenPopulation:
         layout=None,
         metrics=None,
         shard_count: Optional[int] = None,
-        shard_size: int = 4096,
+        shard_size: int = DEFAULT_SHARD_SIZE,
     ):
         if shard_size < 1:
             raise ConfigurationError(
                 f"shard_size must be >= 1, got {shard_size!r}"
             )
-        self.env = env
-        self.cluster = cluster
-        self.resolution_chain = resolution_chain
-        self.domains = domains
-        self.session_model = session_model
+        super().__init__(
+            env, cluster, resolution_chain, domains, session_model, total_clients,
+            streams, tracer, dynamics, False, layout, metrics,
+        )
         self.schedule = schedule
-        #: Nominal closed-population scale this schedule stands in for
-        #: (0 = pure open workload); informational only.
-        self.total_clients = total_clients
-        self.tracer = tracer if tracer is not None else NullTracer()
-        self.dynamics = dynamics if dynamics is not None else StaticDomains()
-        #: Sessions are fresh client identities; there is nothing to
-        #: cache client-side (config validation rejects the combination).
-        self.client_address_caching = False
-        self.client_cache_hits = 0
-        self.layout = layout
-        self.network_rtt_stats = _RttStats()
-        self._think_rng = streams.stream("workload.think")
-        self._pages_rng = streams.stream("workload.pages")
-        self._hits_rng = streams.stream("workload.hits")
         #: Dedicated stream: arrival thinning + domain draws stay
         #: independent of the per-session think/pages/hits draws.
         self._arrival_rng = streams.stream("workload.arrivals")
-        self._think_sample = session_model.think_time.sampler(self._think_rng)
-        self._pages_sample = session_model.pages_per_session.sampler(
-            self._pages_rng
-        )
-        self._hits_sample = session_model.hits_per_page.sampler(self._hits_rng)
-        self.dns_routed_hits = 0
-        self.total_hits = 0
-        self.total_pages = 0
-        self.total_sessions = 0
         #: Arrivals accepted by the thinning (== sessions started).
         self.total_arrivals = 0
         self.active_sessions = 0
         self.peak_active_sessions = 0
+        if metrics is not None:
+            metrics.register("workload.arrivals", lambda: self.total_arrivals)
+            metrics.register(
+                "workload.active_sessions", lambda: self.active_sessions
+            )
+            metrics.register(
+                "workload.session_slots", lambda: len(self._remaining)
+            )
         if shard_count is None:
             # Expected concurrent sessions at peak rate (Little's law:
             # arrival rate x mean session duration), one shard per
@@ -499,23 +454,6 @@ class TraceDrivenPopulation:
         self._arrival_cb = [self._on_arrival]
         self._kernel = session_kernel(env, self, TraceSessionWake)
         self.engine = "event" if self._kernel is None else "fluid"
-        if metrics is not None:
-            metrics.register("workload.sessions", lambda: self.total_sessions)
-            metrics.register("workload.pages", lambda: self.total_pages)
-            metrics.register("workload.hits", lambda: self.total_hits)
-            metrics.register(
-                "workload.dns_routed_hits", lambda: self.dns_routed_hits
-            )
-            metrics.register(
-                "workload.client_cache_hits", lambda: self.client_cache_hits
-            )
-            metrics.register("workload.arrivals", lambda: self.total_arrivals)
-            metrics.register(
-                "workload.active_sessions", lambda: self.active_sessions
-            )
-            metrics.register(
-                "workload.session_slots", lambda: len(self._remaining)
-            )
         if self._kernel is None:
             # Event mode: one permanent wake per arrival shard. Its
             # urgent entry at the current time takes the eid a process
@@ -545,9 +483,9 @@ class TraceDrivenPopulation:
         calendar.push_head(env, self._head)
 
     @property
-    def dns_control_fraction(self) -> float:
-        """Fraction of hits in sessions the DNS directly routed."""
-        return self.dns_routed_hits / self.total_hits if self.total_hits else 0.0
+    def alive(self) -> int:
+        """Open sessions (the census of the snapshot)."""
+        return self.active_sessions
 
     # -- arrivals ----------------------------------------------------------
 
@@ -561,8 +499,7 @@ class TraceDrivenPopulation:
         process with intensity ``rate_at`` — independent of the shard
         count. A shard's first wake only draws its first candidate gap.
         """
-        env = self.env
-        now = env._now
+        now = self.env._now
         shard_id = -1 - wake.slot
         rng = self._arrival_rng
         if not self._shard_started[shard_id]:
@@ -570,15 +507,9 @@ class TraceDrivenPopulation:
         elif rng.random() * self._peak_rate <= self.schedule.rate_at(now):
             self._shard_arrivals[shard_id] += 1
             self._start_session(now)
-        delay = rng.expovariate(self._arrival_lambd)
-        if not 0.0 <= delay < _INFINITY:
-            raise SimulationError(
-                f"timeout delay must be finite and >= 0, got {delay!r}"
-            )
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (now + delay, _NORMAL_KEY | eid, wake))
-        wake._callbacks = self._arrival_cb
-        wake._processed = False
+        self._rearm(
+            wake, now, rng.expovariate(self._arrival_lambd), self._arrival_cb
+        )
 
     def _claim_slot(self) -> int:
         """A free session slot, growing the arrays at the high-water mark."""
@@ -598,79 +529,33 @@ class TraceDrivenPopulation:
         """Begin one session: resolve, first page burst, schedule rest."""
         session_id = self.total_arrivals
         self.total_arrivals += 1
-        domain_id = self.domains.sample_domain(self._arrival_rng.random())
-        dynamics = self.dynamics
-        if not dynamics.is_static:
-            domain_id = dynamics.current_domain(domain_id, now)
-        chain = self.resolution_chain
-        before = chain.authoritative_answers
-        record = chain.resolve(domain_id, now, session_id)
-        resolved_by_dns = chain.authoritative_answers > before
-        pages = int(self._pages_sample())
-        self.total_sessions += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(
-                now,
-                "session",
-                {
-                    "client": session_id,
-                    "domain": domain_id,
-                    "server": record.server_id,
-                    "pages": pages,
-                    "dns": resolved_by_dns,
-                },
-            )
+        home = self.domains.sample_domain(self._arrival_rng.random())
+        domain_id, server_id, pages, resolved_by_dns = self._session_head(
+            session_id, home, now
+        )
         if pages < 1:
             return  # a zero-page session contributes nothing
         slot = self._claim_slot()
         if slot == len(self._wakes):
             self._wakes.append(TraceSessionWake(self.env, self, slot))
-        self._session_domain[slot] = domain_id
-        self._server[slot] = record.server_id
-        self._resolved[slot] = 1 if resolved_by_dns else 0
-        self._remaining[slot] = pages
-        if self.layout is not None:
-            self._page_rtt[slot] = self.layout.rtt(domain_id, record.server_id)
+        self._store_session(slot, domain_id, server_id, resolved_by_dns, pages)
         self.active_sessions += 1
         if self.active_sessions > self.peak_active_sessions:
             self.peak_active_sessions = self.active_sessions
-        self._run_page(self._wakes[slot], now)
+        self._page(self._wakes[slot], now)
 
-    def _run_page(self, wake: TraceSessionWake, now: float) -> None:
-        """Issue one page burst; schedule the next or end the session."""
-        slot = wake.slot
-        domain_id = self._session_domain[slot]
-        hits = int(self._hits_sample())
-        self.cluster.servers[self._server[slot]].offer(now, hits, domain_id)
-        self.total_pages += 1
-        self.total_hits += hits
-        if self._resolved[slot]:
-            self.dns_routed_hits += hits
-        if self.layout is not None:
-            self.network_rtt_stats.add(self._page_rtt[slot])
-        remaining = self._remaining[slot] - 1
-        self._remaining[slot] = remaining
-        if remaining <= 0:
-            # Session over: release the slot. No heap entry is pending
-            # for this wake, so the next claimant cannot alias it.
-            self.active_sessions -= 1
-            self._free.append(slot)
-            return
-        env = self.env
-        delay = self._think_sample()
-        if not 0.0 <= delay < _INFINITY:
-            raise SimulationError(
-                f"timeout delay must be finite and >= 0, got {delay!r}"
-            )
-        wake._callbacks = self._cb
-        wake._processed = False
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (now + delay, _NORMAL_KEY | eid, wake))
+    def _end_session(self, slot: int) -> None:
+        """Release a finished session's slot.
+
+        No heap entry is pending for the slot's wake (the last page
+        filed none), so the next claimant cannot alias it.
+        """
+        self.active_sessions -= 1
+        self._free.append(slot)
 
     def _on_wake(self, wake: TraceSessionWake) -> None:
         """Dispatch a pending mid-session page burst."""
-        self._run_page(wake, self.env._now)
+        self._page(wake, self.env._now)
 
     # -- reporting ---------------------------------------------------------
 
@@ -689,18 +574,10 @@ class TraceDrivenPopulation:
 
     def snapshot_state(self) -> dict:
         """Workload counters + open-session census (for checkpoints)."""
-        return {
-            "total_clients": self.total_clients,
-            "total_sessions": self.total_sessions,
-            "total_pages": self.total_pages,
-            "total_hits": self.total_hits,
-            "dns_routed_hits": self.dns_routed_hits,
-            "client_cache_hits": self.client_cache_hits,
-            "alive": self.active_sessions,
-            "network_rtt_stats": self.network_rtt_stats.snapshot_state(),
-            "arrivals": self.total_arrivals,
-            "session_slots": len(self._remaining),
-        }
+        state = super().snapshot_state()
+        state["arrivals"] = self.total_arrivals
+        state["session_slots"] = len(self._remaining)
+        return state
 
     def __repr__(self) -> str:
         return (

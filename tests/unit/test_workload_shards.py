@@ -19,15 +19,17 @@ from repro.sim.rng import RandomStreams
 from repro.web.cluster import ServerCluster
 from repro.workload.clients import ClientPopulation
 from repro.workload.domains import DomainSet
-from repro.workload.sessions import SessionModel
+from repro.workload.sessions import SessionModel, SessionPopulation
 from repro.workload.shards import (
     DEFAULT_SHARD_SIZE,
     ShardedClientPopulation,
 )
+from repro.workload.trace import ArrivalSchedule, TraceDrivenPopulation
 
 
 def build_population(
-    env, cls, domain_count=4, clients=8, seed=1, model=None, **kwargs
+    env, cls, domain_count=4, clients=8, seed=1, model=None, streams=None,
+    **kwargs
 ):
     cluster = ServerCluster.from_heterogeneity(20)
     domains = DomainSet.pure_zipf(domain_count)
@@ -44,7 +46,7 @@ def build_population(
         )
     population = cls(
         env, cluster, chain, domains, model, clients,
-        RandomStreams(seed), **kwargs,
+        RandomStreams(seed) if streams is None else streams, **kwargs,
     )
     return population, chain, cluster
 
@@ -97,6 +99,35 @@ class TestSetup:
         for domain_id in population._home_domain:
             got[domain_id] += 1
         assert got == expected
+
+
+def _trace_source(env, cluster, chain, domains, model, clients, streams):
+    return TraceDrivenPopulation(
+        env, cluster, chain, domains, model, ArrivalSchedule.constant(1.0),
+        streams, total_clients=clients,
+    )
+
+
+class TestSessionCore:
+    """What the three populations share (repro.workload.sessions)."""
+
+    @pytest.mark.parametrize(
+        "cls, closed, own_stream",
+        [
+            (ClientPopulation, True, "workload.stagger"),
+            (ShardedClientPopulation, True, "workload.stagger"),
+            (_trace_source, False, "workload.arrivals"),
+        ],
+        ids=["eager", "sharded", "trace"],
+    )
+    def test_shared_streams_plus_own(self, env, cls, closed, own_stream):
+        streams = RandomStreams(1)
+        population, _, _ = build_population(env, cls, streams=streams)
+        assert isinstance(population, SessionPopulation)
+        assert population.closed is closed
+        assert set(streams.state_dict()["streams"]) == {
+            "workload.think", "workload.pages", "workload.hits", own_stream,
+        }
 
 
 class TestEagerParity:
