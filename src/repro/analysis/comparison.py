@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from ..errors import ConfigurationError
 from ..experiments.config import SimulationConfig
 from ..experiments.metrics import OVERLOAD_THRESHOLD, SimulationResult
-from ..experiments.simulation import run_simulation
+from ..experiments.runner import run_cells
 from ..sim.rng import derive_seed
 from ..sim.stats import t_interval
 
@@ -75,22 +75,25 @@ def paired_comparison(
 
     Each replication runs both policies under the same derived seed, so
     the per-seed difference cancels workload noise; the returned interval
-    is over the paired differences.
+    is over the paired differences. All ``2 * replications`` cells run
+    as one serial batch (:func:`~repro.experiments.runner.run_cells`),
+    so each seed's pair shares one workload cohort.
     """
     if replications < 2:
         raise ConfigurationError(
             f"replications must be >= 2, got {replications!r}"
         )
     metric = metric or _default_metric
-    values_a, values_b = [], []
-    for index in range(replications):
-        seed = derive_seed(base.seed, f"paired:{index}")
-        values_a.append(
-            metric(run_simulation(base.replace(policy=policy_a, seed=seed)))
-        )
-        values_b.append(
-            metric(run_simulation(base.replace(policy=policy_b, seed=seed)))
-        )
+    results, _ = run_cells(
+        base,
+        [
+            {"policy": policy, "seed": derive_seed(base.seed, f"paired:{index}")}
+            for index in range(replications)
+            for policy in (policy_a, policy_b)
+        ],
+    )
+    values = [metric(result) for result in results]
+    values_a, values_b = values[0::2], values[1::2]
     mean, half = t_interval([a - b for a, b in zip(values_a, values_b)])
     return PairedComparison(
         policy_a=policy_a,

@@ -113,7 +113,7 @@ from .experiments.reporting import (
     render_result,
 )
 from .experiments.runner import compare_policies
-from .experiments.simulation import Simulation, engine_manifest
+from .experiments.simulation import DEFAULT_ENGINE_MODE, engine_manifest
 from .obs.report import metrics_rows, trace_count_rows
 from .sim.tracing import TRACE_CATEGORIES
 
@@ -315,11 +315,15 @@ def _bundle_fields(config, wall_time: float, dispatch, **extra):
     :func:`~repro.obs.provenance.build_manifest` take them.
 
     The engine fields (see
-    :func:`~repro.experiments.simulation.engine_manifest`) come from a
-    fresh, unrun build of ``config``: the run itself may have executed
-    elsewhere, and the engine in effect is fixed at build time.
+    :func:`~repro.experiments.simulation.engine_manifest`) come from
+    ``config``'s fast-lane fallback reasons: the run itself may have
+    executed elsewhere, and the config alone fixes the engine in effect.
     """
-    engine_mode, engine_extra = engine_manifest(Simulation(config).engine_info)
+    reasons = config.fluid_fallback_reasons()
+    engine_mode, engine_extra = engine_manifest({
+        "effective_mode": "event" if reasons else DEFAULT_ENGINE_MODE,
+        "fallbacks": dict.fromkeys(reasons, 1),
+    })
     return dict(
         extra={**extra, "wall_time": wall_time, **engine_extra},
         workers=1,

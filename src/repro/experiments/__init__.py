@@ -56,7 +56,7 @@ from .reporting import (
     render_figure,
     render_result,
 )
-from .runner import ReplicationSet, compare_policies, run_replications, sweep
+from .runner import ReplicationSet, compare_policies, run_cells, run_replications, sweep
 from .simulation import Simulation, run_simulation
 from .validation import ValidationCheck, ValidationReport, validate_run
 
@@ -108,6 +108,7 @@ __all__ = [
     "render_result",
     "resolve_workers",
     "resume_run",
+    "run_cells",
     "run_checkpointed_cell",
     "run_grid",
     "run_replications",

@@ -377,6 +377,24 @@ class SimulationConfig:
             think_time=Exponential(self.mean_think_time),
         )
 
+    def fluid_fallback_reasons(self) -> List[str]:
+        """The fast-lane fallback reasons a build of this config counts.
+
+        The names and order
+        :func:`~repro.workload.fluid.fluid_fallback_reasons` gives for
+        the population this config wires, read without building it (the
+        session model is always the triple the fast lane inlines, so
+        ``session-model`` never appears). Empty means the fluid lane.
+        """
+        reasons = []
+        if self.hot_rotation_interval > 0:
+            reasons.append("dynamic-domains")
+        if self.client_address_caching:
+            reasons.append("client-address-caching")
+        if self.geography != "none":
+            reasons.append("geography")
+        return reasons
+
     @property
     def offered_utilization(self) -> float:
         """Expected average system utilization under this config."""

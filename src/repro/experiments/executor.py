@@ -230,18 +230,15 @@ def cohort_key(config: SimulationConfig, engine_mode: str) -> Optional[tuple]:
     """The values of :data:`TAPE_FIELDS`, or ``None`` when a cell runs alone.
 
     A cell runs alone when it is traced, uses the trace source, runs on
-    the event engine, has a fast-lane fallback reason (the
-    configurations :func:`~repro.workload.fluid.fluid_fallback_reasons`
-    names: rotating hot domains, client address caching, geography) or
-    would need a tape of more than :data:`MAX_TAPE_WAKES` wakes.
+    the event engine, has a fast-lane fallback reason
+    (:meth:`SimulationConfig.fluid_fallback_reasons`) or would need a
+    tape of more than :data:`MAX_TAPE_WAKES` wakes.
     """
     if (
         engine_mode != "fastforward"
         or config.trace
         or config.workload_source != "synthetic"
-        or config.hot_rotation_interval > 0
-        or config.client_address_caching
-        or config.geography != "none"
+        or config.fluid_fallback_reasons()
         or config.total_clients * config.duration / config.mean_think_time
         > MAX_TAPE_WAKES
     ):

@@ -2,8 +2,10 @@
 
 Each ``figN`` function reruns the experiments behind the corresponding
 figure of the paper and returns a :class:`FigureResult` holding the same
-series the paper plots (labels included). Tables 1 and 2 are exposed as
-data by :func:`table1` and :func:`table2`.
+series the paper plots (labels included). A figure is one row of
+:data:`FIGURE_SPECS`; its cells run as one executor batch, numbered
+policy-major (one checkpoint ledger per figure). Tables 1 and 2 are
+exposed as data by :func:`table1` and :func:`table2`.
 
 Runtime control: the paper simulates 5 hours per point; that is the
 default here, but every function takes ``duration`` so the benchmark
@@ -23,7 +25,7 @@ from ..web.cluster import HETEROGENEITY_LEVELS
 from .config import PAPER_DURATION, SimulationConfig
 from .executor import ParallelExecutor
 from .metrics import OVERLOAD_THRESHOLD
-from .runner import compare_policies, sweep
+from .runner import run_cells
 
 #: Benchmark-friendly default duration (one simulated hour).
 QUICK_DURATION = 3600.0
@@ -132,39 +134,97 @@ class FigureResult:
         return series.y[series.x.index(x)]
 
 
-def _base_config(duration: float, seed: int, **overrides) -> SimulationConfig:
-    return SimulationConfig(duration=duration, seed=seed, **overrides)
+@dataclass(frozen=True)
+class FigureSpec:
+    """One row of :data:`FIGURE_SPECS`: what a paper figure runs and plots."""
+
+    figure_id: str
+    title: str
+    x_label: str
+    policies: Sequence[str]
+    #: Heterogeneity of every cell (fig3 sweeps it, from the default 20).
+    heterogeneity: int
+    #: The swept :class:`SimulationConfig` field, or ``None`` for a
+    #: cumulative-frequency figure (one cell per policy, y over a grid).
+    parameter: Optional[str] = None
 
 
-def _cdf_figure(
+#: The seven paper figures, one row each.
+FIGURE_SPECS = {
+    spec.figure_id: spec
+    for spec in (
+        FigureSpec("fig1", "Deterministic algorithms (Het. 20%)",
+                   "Max Utilization", FIG1_POLICIES, 20),
+        FigureSpec("fig2", "Probabilistic algorithms (Het. 35%)",
+                   "Max Utilization", FIG2_POLICIES, 35),
+        FigureSpec("fig3", "Sensitivity to system heterogeneity",
+                   "Heterogeneity (max difference among server capacities %)",
+                   FIG3_POLICIES, 20, "heterogeneity"),
+        FigureSpec("fig4", "Sensitivity to minimum TTL (Het. 20%)",
+                   "Minimum TTL (sec)", FIG45_POLICIES, 20, "min_accepted_ttl"),
+        FigureSpec("fig5", "Sensitivity to minimum TTL (Het. 50%)",
+                   "Minimum TTL (sec)", FIG45_POLICIES, 50, "min_accepted_ttl"),
+        FigureSpec("fig6", "Sensitivity to estimation error (Het. 20%)",
+                   "Estimation Error %", FIG67_POLICIES, 20, "workload_error"),
+        FigureSpec("fig7", "Sensitivity to estimation error (Het. 50%)",
+                   "Estimation Error %", FIG67_POLICIES, 50, "workload_error"),
+    )
+}
+
+
+def _run_figure(
     figure_id: str,
-    title: str,
-    policies: Sequence[str],
-    heterogeneity: int,
     duration: Optional[float],
     seed: int,
-    grid: Sequence[float],
-    workers: int = 1,
-    executor: Optional[ParallelExecutor] = None,
+    values: Sequence[float],
+    executor: Optional[ParallelExecutor],
 ) -> FigureResult:
+    """Run one figure's cells as one batch and assemble its series.
+
+    ``values`` is the CDF grid of a cumulative-frequency figure, else
+    the swept field's values. A sweep's cells are policy-major: every
+    value of the first policy, then of the next.
+    """
+    spec = FIGURE_SPECS[figure_id]
     duration = duration if duration is not None else default_duration()
-    base = _base_config(duration, seed, heterogeneity=heterogeneity)
-    results = compare_policies(base, policies, workers=workers, executor=executor)
-    series = [
-        Series(
-            label=policy,
-            x=list(grid),
-            y=[results[policy].cdf().probability_below(x) for x in grid],
-        )
-        for policy in policies
-    ]
+    values = list(values)
+    field = spec.parameter
+    cells = [{"policy": policy} for policy in spec.policies]
+    if field is not None:
+        cells = [{**cell, field: value} for cell in cells for value in values]
+    results, _ = run_cells(
+        SimulationConfig(
+            duration=duration, seed=seed, heterogeneity=spec.heterogeneity
+        ),
+        cells,
+        executor=executor,
+    )
+    if field is None:
+        cdfs = [result.cdf() for result in results]
+        series = [
+            Series(policy, list(values), [cdf.probability_below(x) for x in values])
+            for policy, cdf in zip(spec.policies, cdfs)
+        ]
+        y_label = "Cumulative Frequency"
+        notes = f"heterogeneity {spec.heterogeneity}%, "
+    else:
+        width = len(values)
+        series = [
+            Series(
+                policy,
+                [float(value) for value in values],
+                [
+                    result.prob_max_below(OVERLOAD_THRESHOLD)
+                    for result in results[row * width : (row + 1) * width]
+                ],
+            )
+            for row, policy in enumerate(spec.policies)
+        ]
+        y_label = f"Prob(maxUtilization < {OVERLOAD_THRESHOLD:g})"
+        notes = ""
     return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label="Max Utilization",
-        y_label="Cumulative Frequency",
-        series=series,
-        notes=f"heterogeneity {heterogeneity}%, duration {duration:g}s, seed {seed}",
+        figure_id, spec.title, spec.x_label, y_label, series,
+        notes=f"{notes}duration {duration:g}s, seed {seed}",
     )
 
 
@@ -172,199 +232,70 @@ def fig1(
     duration: Optional[float] = None,
     seed: int = 1,
     grid: Sequence[float] = tuple(MAX_UTILIZATION_GRID),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 1 — deterministic algorithms, heterogeneity 20%."""
-    return _cdf_figure(
-        "fig1",
-        "Deterministic algorithms (Het. 20%)",
-        FIG1_POLICIES,
-        heterogeneity=20,
-        duration=duration,
-        seed=seed,
-        grid=grid,
-        workers=workers,
-        executor=executor,
-    )
+    return _run_figure("fig1", duration, seed, grid, executor)
 
 
 def fig2(
     duration: Optional[float] = None,
     seed: int = 1,
     grid: Sequence[float] = tuple(MAX_UTILIZATION_GRID),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 2 — probabilistic algorithms, heterogeneity 35%."""
-    return _cdf_figure(
-        "fig2",
-        "Probabilistic algorithms (Het. 35%)",
-        FIG2_POLICIES,
-        heterogeneity=35,
-        duration=duration,
-        seed=seed,
-        grid=grid,
-        workers=workers,
-        executor=executor,
-    )
-
-
-def _sweep_figure(
-    figure_id: str,
-    title: str,
-    x_label: str,
-    policies: Sequence[str],
-    parameter: str,
-    values: Sequence[float],
-    duration: Optional[float],
-    seed: int,
-    threshold: float = OVERLOAD_THRESHOLD,
-    workers: int = 1,
-    executor: Optional[ParallelExecutor] = None,
-    **base_overrides,
-) -> FigureResult:
-    duration = duration if duration is not None else default_duration()
-    series = []
-    for policy in policies:
-        base = _base_config(duration, seed, policy=policy, **base_overrides)
-        rows = sweep(
-            base,
-            parameter,
-            values,
-            metric=lambda result: result.prob_max_below(threshold),
-            workers=workers,
-            executor=executor,
-        )
-        series.append(
-            Series(
-                label=policy,
-                x=[float(value) for value, _, _ in rows],
-                y=[metric_value for _, metric_value, _ in rows],
-            )
-        )
-    return FigureResult(
-        figure_id=figure_id,
-        title=title,
-        x_label=x_label,
-        y_label=f"Prob(maxUtilization < {threshold:g})",
-        series=series,
-        notes=f"duration {duration:g}s, seed {seed}",
-    )
+    return _run_figure("fig2", duration, seed, grid, executor)
 
 
 def fig3(
     duration: Optional[float] = None,
     seed: int = 1,
     levels: Sequence[int] = tuple(HETEROGENEITY_SWEEP),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 3 — sensitivity to system heterogeneity (20-65%)."""
-    return _sweep_figure(
-        "fig3",
-        "Sensitivity to system heterogeneity",
-        "Heterogeneity (max difference among server capacities %)",
-        FIG3_POLICIES,
-        parameter="heterogeneity",
-        values=list(levels),
-        duration=duration,
-        seed=seed,
-        workers=workers,
-        executor=executor,
-    )
+    return _run_figure("fig3", duration, seed, levels, executor)
 
 
 def fig4(
     duration: Optional[float] = None,
     seed: int = 1,
     thresholds: Sequence[float] = tuple(MIN_TTL_SWEEP),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 4 — sensitivity to the minimum accepted TTL (Het. 20%)."""
-    return _sweep_figure(
-        "fig4",
-        "Sensitivity to minimum TTL (Het. 20%)",
-        "Minimum TTL (sec)",
-        FIG45_POLICIES,
-        parameter="min_accepted_ttl",
-        values=list(thresholds),
-        duration=duration,
-        seed=seed,
-        workers=workers,
-        executor=executor,
-        heterogeneity=20,
-    )
+    return _run_figure("fig4", duration, seed, thresholds, executor)
 
 
 def fig5(
     duration: Optional[float] = None,
     seed: int = 1,
     thresholds: Sequence[float] = tuple(MIN_TTL_SWEEP),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 5 — sensitivity to the minimum accepted TTL (Het. 50%)."""
-    return _sweep_figure(
-        "fig5",
-        "Sensitivity to minimum TTL (Het. 50%)",
-        "Minimum TTL (sec)",
-        FIG45_POLICIES,
-        parameter="min_accepted_ttl",
-        values=list(thresholds),
-        duration=duration,
-        seed=seed,
-        workers=workers,
-        executor=executor,
-        heterogeneity=50,
-    )
+    return _run_figure("fig5", duration, seed, thresholds, executor)
 
 
 def fig6(
     duration: Optional[float] = None,
     seed: int = 1,
     errors: Sequence[float] = tuple(ERROR_SWEEP),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 6 — sensitivity to hidden-load estimation error (Het. 20%)."""
-    return _sweep_figure(
-        "fig6",
-        "Sensitivity to estimation error (Het. 20%)",
-        "Estimation Error %",
-        FIG67_POLICIES,
-        parameter="workload_error",
-        values=list(errors),
-        duration=duration,
-        seed=seed,
-        workers=workers,
-        executor=executor,
-        heterogeneity=20,
-    )
+    return _run_figure("fig6", duration, seed, errors, executor)
 
 
 def fig7(
     duration: Optional[float] = None,
     seed: int = 1,
     errors: Sequence[float] = tuple(ERROR_SWEEP),
-    workers: int = 1,
     executor: Optional[ParallelExecutor] = None,
 ) -> FigureResult:
     """Figure 7 — sensitivity to hidden-load estimation error (Het. 50%)."""
-    return _sweep_figure(
-        "fig7",
-        "Sensitivity to estimation error (Het. 50%)",
-        "Estimation Error %",
-        FIG67_POLICIES,
-        parameter="workload_error",
-        values=list(errors),
-        duration=duration,
-        seed=seed,
-        workers=workers,
-        executor=executor,
-        heterogeneity=50,
-    )
+    return _run_figure("fig7", duration, seed, errors, executor)
 
 
 def table1() -> List[Tuple[str, str]]:

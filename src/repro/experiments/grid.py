@@ -17,6 +17,7 @@ from .config import SimulationConfig
 from .executor import ExecutionStats, ParallelExecutor
 from .metrics import OVERLOAD_THRESHOLD, SimulationResult
 from .reporting import format_table
+from .runner import run_cells
 
 #: One grid cell: parameter assignment -> result.
 Cell = Tuple[Dict[str, object], SimulationResult]
@@ -157,17 +158,7 @@ def run_grid(
     if progress is not None:
         for assignment in assignments:
             progress(assignment)
-    runner = executor if executor is not None else ParallelExecutor(workers=workers)
-    labels = [
-        ",".join(f"{name}={assignment[name]}" for name in names)
-        for assignment in assignments
-    ]
-    results = runner.run_simulations(
-        [base.replace(**assignment) for assignment in assignments],
-        labels=labels,
-    )
+    results, stats = run_cells(base, assignments, workers, executor)
     return GridResult(
-        parameters=names,
-        cells=list(zip(assignments, results)),
-        execution=runner.last_stats,
+        parameters=names, cells=list(zip(assignments, results)), execution=stats
     )

@@ -1,4 +1,13 @@
-"""Replication and sweep drivers on top of single simulations.
+"""The multi-cell experiment driver and its thin wrappers.
+
+:func:`run_cells` is the one driver of several simulations: a base
+config plus an ordered list of field assignments becomes one labelled
+:meth:`~repro.experiments.executor.ParallelExecutor.run_simulations`
+batch. Every multi-cell entry point calls it:
+:func:`~repro.experiments.grid.run_grid`, :func:`sweep`,
+:func:`compare_policies`, :func:`run_replications`,
+:func:`~repro.analysis.comparison.paired_comparison` and the paper
+figures (:mod:`repro.experiments.figures`).
 
 The paper reports five-hour runs with 95% confidence intervals within 4%
 of the mean. :func:`run_replications` reproduces that discipline across
@@ -9,7 +18,7 @@ independently seeded runs; :func:`sweep` drives the sensitivity studies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..sim.rng import derive_seed
@@ -17,16 +26,32 @@ from ..sim.stats import EmpiricalCdf, t_interval
 from .config import SimulationConfig
 from .executor import ExecutionStats, ParallelExecutor
 from .metrics import OVERLOAD_THRESHOLD, SimulationResult
-from .simulation import run_simulation
 
 
-def _executor(
-    workers: int, executor: Optional[ParallelExecutor]
-) -> ParallelExecutor:
-    """The executor to use: the caller's, or a fresh one for ``workers``."""
-    if executor is not None:
-        return executor
-    return ParallelExecutor(workers=workers)
+def run_cells(
+    base: SimulationConfig,
+    assignments: Sequence[Mapping[str, object]],
+    workers: int = 1,
+    executor: Optional[ParallelExecutor] = None,
+) -> Tuple[List[SimulationResult], ExecutionStats]:
+    """Run ``base.replace(**assignment)`` for each assignment as one batch.
+
+    Each cell is labelled ``field=value,...`` in its assignment's order.
+    All cells go to one :meth:`ParallelExecutor.run_simulations` call on
+    ``executor`` (or, without one, on a fresh executor of ``workers``
+    processes), so the batch has one checkpoint ledger, one remote
+    session and one workload cohort per shared workload. Returns the
+    results in assignment order and the batch's :class:`ExecutionStats`.
+    """
+    runner = executor if executor is not None else ParallelExecutor(workers=workers)
+    results = runner.run_simulations(
+        [base.replace(**assignment) for assignment in assignments],
+        labels=[
+            ",".join(f"{name}={value}" for name, value in assignment.items())
+            for assignment in assignments
+        ],
+    )
+    return results, runner.last_stats
 
 
 @dataclass
@@ -82,18 +107,16 @@ def run_replications(
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications!r}")
-    configs = [
-        config.replace(seed=derive_seed(config.seed, f"replication:{index}"))
-        for index in range(replications)
-    ]
-    runner = _executor(workers, executor)
-    results = runner.run_simulations(
-        configs,
-        labels=[f"replication {index}" for index in range(replications)],
+    results, stats = run_cells(
+        config,
+        [
+            {"seed": derive_seed(config.seed, f"replication:{index}")}
+            for index in range(replications)
+        ],
+        workers,
+        executor,
     )
-    return ReplicationSet(
-        config=config, results=results, execution=runner.last_stats
-    )
+    return ReplicationSet(config=config, results=results, execution=stats)
 
 
 def sweep(
@@ -131,9 +154,8 @@ def sweep(
     """
     if metric is None:
         metric = lambda result: result.prob_max_below(OVERLOAD_THRESHOLD)
-    configs = [base.replace(**{parameter: value}) for value in values]
-    results = _executor(workers, executor).run_simulations(
-        configs, labels=[f"{parameter}={value}" for value in values]
+    results, _ = run_cells(
+        base, [{parameter: value} for value in values], workers, executor
     )
     return [
         (value, metric(result), result)
@@ -148,8 +170,7 @@ def compare_policies(
     executor: Optional[ParallelExecutor] = None,
 ) -> Dict[str, SimulationResult]:
     """Run the same scenario under each policy (common random seed)."""
-    configs = [base.replace(policy=policy) for policy in policies]
-    results = _executor(workers, executor).run_simulations(
-        configs, labels=list(policies)
+    results, _ = run_cells(
+        base, [{"policy": policy} for policy in policies], workers, executor
     )
     return dict(zip(policies, results))

@@ -59,6 +59,7 @@ from ..errors import SimulationError
 from ..sim.distributions import DiscreteUniform, Exponential, Geometric
 from ..sim.events import _NORMAL_KEY
 from ..sim.fastforward import FastForwardEnvironment, FluidTask
+from .sessions import trace_session
 
 __all__ = [
     "FluidClient",
@@ -143,7 +144,7 @@ class SessionKernel:
         "resolve",
         "servers",
         "tracing",
-        "trace_record",
+        "tracer",
         "stagger_random",
         "think_mean",
         "think_random",
@@ -161,9 +162,8 @@ class SessionKernel:
         self.chain = chain = population.resolution_chain
         self.resolve = chain.resolve
         self.servers = population.cluster.servers
-        tracer = population.tracer
+        self.tracer = tracer = population.tracer
         self.tracing = tracer.enabled
-        self.trace_record = tracer.record
         model = population.session_model
         # An open population has no stagger stream: its sessions start
         # at arrivals, not after a per-client stagger.
@@ -215,16 +215,9 @@ class SessionKernel:
             if pages < 1:
                 pages = 1
         if self.tracing:
-            self.trace_record(
-                now,
-                "session",
-                {
-                    "client": client,
-                    "domain": domain_id,
-                    "server": server_id,
-                    "pages": pages,
-                    "dns": resolved_by_dns,
-                },
+            trace_session(
+                self.tracer, now, client, domain_id, server_id, pages,
+                resolved_by_dns,
             )
         return server_id, pages, resolved_by_dns
 

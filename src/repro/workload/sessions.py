@@ -111,6 +111,22 @@ class SessionModel:
         )
 
 
+def trace_session(
+    tracer, now: float, client: int, domain_id: int, server_id: int,
+    pages: int, resolved_by_dns: bool,
+) -> None:
+    """Emit the ``session`` trace record of a started session.
+
+    The one schema of that record: the event-mode session head and the
+    fast lane's :meth:`~repro.workload.fluid.SessionKernel.start` both
+    call this, and only while tracing.
+    """
+    tracer.record(now, "session", {
+        "client": client, "domain": domain_id, "server": server_id,
+        "pages": pages, "dns": resolved_by_dns,
+    })
+
+
 class SessionPopulation:
     """The wiring, streams, totals and event-mode cycle of a population.
 
@@ -351,18 +367,10 @@ class SessionPopulation:
         server_id = record.server_id
         pages = int(self._pages_sample())
         self.total_sessions += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record(
-                now,
-                "session",
-                {
-                    "client": client,
-                    "domain": domain_id,
-                    "server": server_id,
-                    "pages": pages,
-                    "dns": resolved_by_dns,
-                },
+        if self.tracer.enabled:
+            trace_session(
+                self.tracer, now, client, domain_id, server_id, pages,
+                resolved_by_dns,
             )
         return domain_id, server_id, pages, resolved_by_dns
 

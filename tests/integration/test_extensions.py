@@ -19,7 +19,9 @@ from repro.analysis import (
     stochastically_dominates,
 )
 from repro.experiments.config import SimulationConfig
+from repro.experiments.metrics import OVERLOAD_THRESHOLD
 from repro.experiments.simulation import Simulation, run_simulation
+from repro.sim.rng import derive_seed
 from repro.sim.stats import t_critical
 
 QUICK = dict(duration=900.0, seed=9)
@@ -179,6 +181,18 @@ class TestComparisons:
         assert comparison.mean_difference > 0
         assert comparison.better == "DRR2-TTL/S_K"
         assert "DRR2-TTL/S_K" in str(comparison)
+        # The one batch (each seed's pair a workload cohort) gives the
+        # values of per-cell runs.
+        seeds = [derive_seed(5, f"paired:{index}") for index in range(3)]
+        for policy, values in (
+            ("DRR2-TTL/S_K", comparison.values_a),
+            ("RR", comparison.values_b),
+        ):
+            assert values == tuple(
+                run_simulation(base.replace(policy=policy, seed=seed))
+                .prob_max_below(OVERLOAD_THRESHOLD)
+                for seed in seeds
+            )
 
     def test_paired_half_width_is_student_t(self):
         values = [0.91, 0.70, 0.83, 0.78, 0.95, 0.71, 0.86, 0.80]

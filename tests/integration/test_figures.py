@@ -10,8 +10,10 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import figures
 from repro.experiments.config import PAPER_DURATION
+from repro.obs.spans import BATCH_BEGIN, load_span_logs
 from repro.experiments.figures import (
     FIG1_POLICIES,
     FIG2_POLICIES,
@@ -79,6 +81,39 @@ class TestSweepFigures:
 
     def test_figure_registry_complete(self):
         assert set(FIGURES) == {f"fig{i}" for i in range(1, 8)}
+
+
+class TestCheckpointedFigure:
+    """A sweep figure is one batch, so one checkpoint ledger: its cells
+    are numbered once, policy-major, and a rerun reloads every one."""
+
+    def test_fig4_reloads_and_equals_the_plain_figure(self, tmp_path):
+        ledger = tmp_path / "ck"
+        plain = ["figure", "fig4", "--duration", "120"]
+        checkpointed = plain + [
+            "--checkpoint-dir", str(ledger), "--checkpoint-every", "60"
+        ]
+        log = tmp_path / "progress.jsonl"
+        assert main(checkpointed + [
+            "--save", str(tmp_path / "a.json"), "--progress-log", str(log)
+        ]) == 0
+        events, _ = load_span_logs([log])
+        assert [e.kind for e in events].count(BATCH_BEGIN) == 1
+        assert len(list(ledger.glob("cell-*/run.json"))) == 25
+
+        def files():
+            return {
+                path: (path.stat().st_mtime_ns, path.stat().st_size)
+                for path in ledger.rglob("*")
+            }
+
+        written = files()
+        assert main(checkpointed + ["--save", str(tmp_path / "a2.json")]) == 0
+        assert files() == written  # every cell reloaded from its run.json
+        assert main(plain + ["--save", str(tmp_path / "b.json")]) == 0
+        expected = (tmp_path / "b.json").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == expected
+        assert (tmp_path / "a2.json").read_bytes() == expected
 
 
 class TestTables:

@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _bundle_fields, build_parser, main
+from repro.experiments.config import SimulationConfig
+from repro.experiments.simulation import Simulation, engine_manifest
 
 
 class TestParser:
@@ -347,3 +351,40 @@ class TestReproErrors:
         assert main(argv(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+TRACE = dict(workload_source="trace", trace_rate=2.0)
+
+
+class TestBundleEngineFields:
+    """A one-run bundle's engine fields come from the config alone and
+    equal those of a build of it, fallback keys in the same order."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            dict(hot_rotation_interval=60.0, hot_rotation_count=2),
+            dict(client_address_caching=True),
+            dict(geography="random"),
+            TRACE,
+            dict(TRACE, geography="clustered"),
+            dict(
+                hot_rotation_interval=60.0,
+                client_address_caching=True,
+                geography="random",
+            ),
+        ],
+        ids=["default", "hot-rotation", "address-caching", "geography",
+             "trace", "trace-geography", "combination"],
+    )
+    def test_match_a_build(self, changes):
+        config = SimulationConfig(duration=300.0, **changes)
+        info = Simulation(config).engine_info
+        assert config.fluid_fallback_reasons() == list(info["fallbacks"])
+        engine_mode, engine_extra = engine_manifest(info)
+        fields = _bundle_fields(config, 1.5, None)
+        extra = dict(fields["extra"])
+        assert extra.pop("wall_time") == 1.5
+        assert fields["engine_mode"] == engine_mode
+        assert json.dumps(extra) == json.dumps(engine_extra)
