@@ -146,7 +146,8 @@ def run_grid(
         cell's config (seed included) is fixed before submission.
     executor:
         A pre-built :class:`ParallelExecutor` to use instead of
-        ``workers``.
+        ``workers``; combining it with ``workers`` other than 1 raises
+        :class:`~repro.errors.ConfigurationError`.
     """
     if not axes:
         raise ConfigurationError("need at least one grid axis")

@@ -42,7 +42,16 @@ def run_cells(
     processes), so the batch has one checkpoint ledger, one remote
     session and one workload cohort per shared workload. Returns the
     results in assignment order and the batch's :class:`ExecutionStats`.
+    Passing both an ``executor`` and ``workers`` other than 1 raises
+    :class:`~repro.errors.ConfigurationError`: the executor fixes its
+    own worker count.
     """
+    if executor is not None and workers != 1:
+        raise ConfigurationError(
+            f"pass either executor= or workers=, not both "
+            f"(workers={workers!r} with an executor of "
+            f"{executor.workers!r} worker(s))"
+        )
     runner = executor if executor is not None else ParallelExecutor(workers=workers)
     results = runner.run_simulations(
         [base.replace(**assignment) for assignment in assignments],
@@ -146,7 +155,9 @@ def sweep(
         Worker processes for the sweep's cells (1 = serial).
     executor:
         A pre-built :class:`ParallelExecutor` to use instead of
-        ``workers`` (its ``last_stats`` then describes this sweep).
+        ``workers`` (its ``last_stats`` then describes this sweep);
+        combining it with ``workers`` other than 1 raises
+        :class:`~repro.errors.ConfigurationError`.
 
     Returns
     -------

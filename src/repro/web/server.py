@@ -15,14 +15,42 @@ runs with hundreds of thousands of pages — while preserving exactly the
 quantity the paper measures. The server also keeps per-domain hit
 counters that feed the hidden-load estimator, mirroring the paper's
 "servers keep track of the number of incoming requests from each domain".
+
+Pending runs. A server's floats depend only on its own sequence of
+bursts, so bursts offered to different servers commute. The fast-lane
+drains exploit that: instead of calling :meth:`WebServer.offer` per
+page, they append ``(time, hits, domain_id)`` to the target server's
+:attr:`~WebServer.pending` run, and :meth:`WebServer.offer_run` applies
+the run in one loop with :meth:`~WebServer.offer`'s arithmetic in the
+same operation order. Every public reader of the server's state —
+:attr:`~WebServer.backlog_seconds`, :meth:`~WebServer.utilization`,
+:meth:`~WebServer.offered_load`, :meth:`~WebServer.end_window`,
+:meth:`~WebServer.drain_domain_hits` and
+:meth:`~WebServer.snapshot_state` — applies the pending run first, and
+every drain applies all runs on exit and every :data:`RUN_WAKES` wakes
+(:func:`apply_runs`). An observer therefore sees exactly the state the
+per-page calls would have left.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..sim.stats import RunningStats as _ResponseStats
+
+#: Wakes a fast-lane drain may buffer in pending runs before it applies
+#: them (:func:`apply_runs`): long enough that a run amortizes its
+#: method call, short enough that a segment of 10^5 clients does not
+#: buffer hundreds of thousands of bursts.
+RUN_WAKES = 2048
+
+
+def apply_runs(servers) -> None:
+    """Apply every pending run of ``servers`` (see the module docstring)."""
+    for server in servers:
+        if server.pending:
+            server.offer_run()
 
 
 class WebServer:
@@ -48,6 +76,7 @@ class WebServer:
         "total_hits",
         "total_pages",
         "response_times",
+        "pending",
     )
 
     def __init__(self, server_id: int, capacity: float):
@@ -69,6 +98,11 @@ class WebServer:
         #: the fluid sojourn time of each page burst, i.e. the backlog
         #: found on arrival plus the burst's own service demand.
         self.response_times = _ResponseStats()
+        #: Page bursts ``(time, hits, domain_id)`` appended by a
+        #: fast-lane drain and not yet applied (see the module
+        #: docstring). The list object is never replaced: drains keep
+        #: its bound ``append`` across calls.
+        self.pending: List[Tuple[float, int, int]] = []
 
     # -- fluid dynamics --------------------------------------------------
 
@@ -87,10 +121,14 @@ class WebServer:
     def offer(self, now: float, hits: int, domain_id: int) -> None:
         """Accept a page burst of ``hits`` hits from ``domain_id``.
 
-        Called once per page burst — the busiest method outside the
-        engine — so :meth:`_advance` is inlined here (same arithmetic,
-        same operation order) and the backlog is threaded through one
-        local instead of repeated slot reads.
+        The per-page entry point of event mode and of the fallback
+        configurations: :meth:`_advance` is inlined here (same
+        arithmetic, same operation order) and the backlog is threaded
+        through one local instead of repeated slot reads. It must not be
+        called while a run is pending; the fast-lane drains, which
+        buffer runs, apply them before they return.
+        :meth:`offer_run` is the batched copy of this body, pinned to it
+        by ``tests/property/test_prop_offer_run.py``.
         """
         if hits <= 0:
             raise SimulationError(f"a page burst must have >= 1 hit, got {hits!r}")
@@ -125,15 +163,90 @@ class WebServer:
         domain_hits = self.domain_hits
         domain_hits[domain_id] = domain_hits.get(domain_id, 0) + hits
 
+    def offer_run(self) -> None:
+        """Apply the :attr:`pending` run, in order, and empty it.
+
+        Equivalent to one :meth:`offer` per burst — the same checks and
+        the same float operations in the same order, so every field ends
+        bit-identical — but the state lives in locals for the whole run
+        and the integer counters are summed once. A burst that fails a
+        check raises :class:`SimulationError` as :meth:`offer` would,
+        with the bursts before it applied; the rest of the run is
+        dropped.
+        """
+        run = self.pending
+        capacity = self.capacity
+        last = self._last_update
+        backlog = self._backlog
+        busy_total = self._busy_in_window
+        stats = self.response_times
+        count = stats.count
+        mean = stats._mean
+        m2 = stats._m2
+        minimum = stats.minimum
+        maximum = stats.maximum
+        domain_hits = self.domain_hits
+        hits_total = 0
+        try:
+            for now, hits, domain_id in run:
+                if hits <= 0 or now < last:
+                    if hits <= 0:
+                        raise SimulationError(
+                            f"a page burst must have >= 1 hit, got {hits!r}"
+                        )
+                    raise SimulationError(
+                        f"time went backwards: {now!r} < {last!r}"
+                    )
+                elapsed = now - last
+                busy = backlog if backlog <= elapsed else elapsed
+                backlog -= busy
+                busy_total += busy
+                last = now
+                service = hits / capacity
+                # offer's sojourn and new backlog are one sum, computed once.
+                backlog = sojourn = backlog + service
+                count += 1
+                delta = sojourn - mean
+                mean = mean + delta / count
+                m2 += delta * (sojourn - mean)
+                if sojourn < minimum:
+                    minimum = sojourn
+                if sojourn > maximum:
+                    maximum = sojourn
+                hits_total += hits
+                # Integer-only bookkeeping: try/except inserts the keys in
+                # the order .get would, without a call per burst.
+                try:
+                    domain_hits[domain_id] += hits
+                except KeyError:
+                    domain_hits[domain_id] = hits
+        finally:
+            run.clear()
+            self.total_pages += count - stats.count
+            self._last_update = last
+            self._backlog = backlog
+            self._busy_in_window = busy_total
+            stats.count = count
+            stats._mean = mean
+            stats._m2 = m2
+            stats.minimum = minimum
+            stats.maximum = maximum
+            self._hits_in_window += hits_total
+            self.total_hits += hits_total
+
     # -- measurement -----------------------------------------------------
 
     @property
     def backlog_seconds(self) -> float:
         """Outstanding work, in seconds at full rate (as of last update)."""
+        if self.pending:
+            self.offer_run()
         return self._backlog
 
     def utilization(self, now: float) -> float:
         """Busy fraction of the current window ``[window_start, now]``."""
+        if self.pending:
+            self.offer_run()
         self._advance(now)
         width = now - self._window_start
         if width <= 0:
@@ -142,6 +255,8 @@ class WebServer:
 
     def offered_load(self, now: float) -> float:
         """Arrived work / capacity over the current window (may exceed 1)."""
+        if self.pending:
+            self.offer_run()
         width = now - self._window_start
         if width <= 0:
             return 0.0
@@ -160,11 +275,15 @@ class WebServer:
 
     def drain_domain_hits(self) -> Dict[int, int]:
         """Per-domain hit counts since last drain; resets the counters."""
+        if self.pending:
+            self.offer_run()
         drained, self.domain_hits = self.domain_hits, {}
         return drained
 
     def snapshot_state(self) -> Dict:
         """Every mutable fluid/accounting field (for checkpoints)."""
+        if self.pending:
+            self.offer_run()
         return {
             "server_id": self.server_id,
             "backlog": self._backlog,

@@ -22,9 +22,11 @@ streams, the same float operations in the same order — so a fast-forward
 run is bit-identical to the reference engine (trajectory, checkpoint
 digests, results). The golden-trajectory fixture and the Hypothesis
 equivalence suites enforce that claim; any drift between a drain, the
-kernel and the event-mode handlers (or :meth:`WebServer.offer
-<repro.web.server.WebServer.offer>`, inlined in :meth:`FluidClient.drain`
-and called by :func:`calendar_drain`) fails them as a trajectory diff.
+kernel and the event-mode handlers fails them as a trajectory diff. No
+drain calls :meth:`WebServer.offer <repro.web.server.WebServer.offer>`
+per page: each appends the burst to the target server's pending run,
+which :meth:`WebServer.offer_run <repro.web.server.WebServer.offer_run>`
+applies with ``offer``'s arithmetic (see :mod:`repro.web.server`).
 
 Where the speed comes from: per page cycle, the reference path pays a
 generator resume (or a callback dispatch), a
@@ -59,6 +61,7 @@ from ..errors import SimulationError
 from ..sim.distributions import DiscreteUniform, Exponential, Geometric
 from ..sim.events import _NORMAL_KEY
 from ..sim.fastforward import FastForwardEnvironment, FluidTask
+from ..web.server import RUN_WAKES, apply_runs
 from .sessions import trace_session
 
 __all__ = [
@@ -122,9 +125,10 @@ class SessionKernel:
     ``log(1 - p)`` or the degenerate ``p == 1`` flag.
 
     :meth:`start` is the fast lane's one session start, called once per
-    session; the per-page body (hits draw, offer, think draw, filing)
+    session; the per-page body (hits draw, burst, think draw, filing)
     is written once per drain: in :meth:`FluidClient.drain` and in
-    :func:`calendar_drain`.
+    :func:`calendar_drain`. :attr:`runs` holds each server's bound
+    pending-run ``append``, by server id.
 
     Drain contract (quiescence and deferred counters): a drain runs only
     while the heap top is its own task class and due by the target, so
@@ -136,13 +140,19 @@ class SessionKernel:
     integers and flushes them on exit; every observer sees the values
     per-wake increments would have given. The counters are integers
     that no RNG draw or float operation reads, so deferring them is
-    parity-exact.
+    parity-exact. Page bursts are deferred the same way: a drain
+    appends each to its server's pending run and applies the runs on
+    exit and every :data:`~repro.web.server.RUN_WAKES` pages. Inside a
+    drain only a resolution can read server state (the LEAST-LOADED
+    baseline reads ``backlog_seconds``), and every such reader applies
+    the server's run first, so deferring the bursts is parity-exact too.
     """
 
     __slots__ = (
         "chain",
         "resolve",
         "servers",
+        "runs",
         "tracing",
         "tracer",
         "stagger_random",
@@ -161,7 +171,8 @@ class SessionKernel:
     def __init__(self, population):
         self.chain = chain = population.resolution_chain
         self.resolve = chain.resolve
-        self.servers = population.cluster.servers
+        self.servers = servers = population.cluster.servers
+        self.runs = [server.pending.append for server in servers]
         self.tracer = tracer = population.tracer
         self.tracing = tracer.enabled
         model = population.session_model
@@ -261,10 +272,11 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
     Per wake it mirrors the population's event-mode handlers draw for
     draw, with session state in the population's flat slot arrays
     (``_remaining``, ``_server``, ``_resolved``, ``_session_domain``):
-    the kernel's session start, the inlined hits draw, a
-    :meth:`WebServer.offer <repro.web.server.WebServer.offer>` call, the
-    inlined think draw and the filing of the next entry under the
-    timeout factory's eid/heap-key arithmetic. The population's
+    the kernel's session start, the inlined hits draw, the burst
+    appended to the server's pending run (applied on exit and every
+    :data:`~repro.web.server.RUN_WAKES` pages), the inlined think draw
+    and the filing of the next entry under the timeout factory's
+    eid/heap-key arithmetic. The population's
     :attr:`~repro.workload.sessions.SessionPopulation.closed` covers the
     three ways the two populations differ:
 
@@ -356,6 +368,8 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
                     return
         start = kernel.start
         servers = kernel.servers
+        runs = kernel.runs
+        apply_at = RUN_WAKES
         think_random = kernel.think_random
         think_lambd = kernel.think_lambd
         hits_getrandbits = kernel.hits_getrandbits
@@ -426,8 +440,11 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
                 while r >= hits_width:
                     r = hits_getrandbits(hits_bits)
                 hits = hits_low + r
-                servers[server_id].offer(now, hits, domain_id)
+                runs[server_id]((now, hits, domain_id))
                 pages_acc += 1
+                if pages_acc == apply_at:
+                    apply_runs(servers)
+                    apply_at += RUN_WAKES
                 hits_acc += hits
                 if resolved_by_dns:
                     routed_acc += hits
@@ -487,6 +504,7 @@ def calendar_drain(cls, env, queue, target: float, budget: int = -1) -> None:
             if budget == 0:
                 return
     finally:
+        apply_runs(kernel.servers)
         p._add_totals(pages_acc, hits_acc, sessions_acc, routed_acc)
         if not closed:
             p.total_arrivals = arrivals
@@ -518,7 +536,7 @@ class FluidClient(FluidTask):
         "client_id",
         "domain_id",
         "_remaining",
-        "_server",
+        "_run",
         "_resolved_by_dns",
     )
 
@@ -528,7 +546,8 @@ class FluidClient(FluidTask):
         self.domain_id = home_domain
         # -1 = the init dispatch is still pending; 0 = session start due.
         self._remaining = -1
-        self._server = None
+        # The bound append of the session's server's pending run.
+        self._run = None
         self._resolved_by_dns = False
         # Mirror _Initialize: one urgent entry at the current time,
         # consuming the eid a generator client's spawn would consume
@@ -541,10 +560,12 @@ class FluidClient(FluidTask):
         """Dispatch consecutive client wakes natively (the fluid lane).
 
         Per wake: init, session start and/or one page cycle — every
-        line shadows a line of the reference client generator (or of
-        ``WebServer.offer``, inlined for the per-page fast path) — same
+        line shadows a line of the reference client generator — same
         call order, same operand order. Change them together or the
-        equivalence suites fail. The loop keeps going while the heap
+        equivalence suites fail. The page burst joins the server's
+        pending run, applied on exit and every
+        :data:`~repro.web.server.RUN_WAKES` pages (see
+        :class:`SessionKernel`). The loop keeps going while the heap
         top is a :class:`FluidClient` entry due by ``target`` (and
         ``budget`` wakes remain; see :meth:`FluidTask.drain` for the
         heapreplace parity argument).
@@ -569,6 +590,7 @@ class FluidClient(FluidTask):
                     if population is not None:  # pragma: no cover
                         # A second population mid-drain: flush the first
                         # one's counters before re-hoisting.
+                        apply_runs(servers)
                         population._add_totals(
                             pages_acc, hits_acc, sessions_acc, routed_acc
                         )
@@ -577,6 +599,8 @@ class FluidClient(FluidTask):
                     kernel = p._kernel
                     start = kernel.start
                     servers = kernel.servers
+                    runs = kernel.runs
+                    apply_at = pages_acc + RUN_WAKES
                     think_random = kernel.think_random
                     think_lambd = kernel.think_lambd
                     hits_getrandbits = kernel.hits_getrandbits
@@ -585,15 +609,15 @@ class FluidClient(FluidTask):
                     hits_bits = kernel.hits_bits
                 remaining = task._remaining
                 if remaining > 0:
-                    server = task._server
+                    run = task._run
                     resolved_by_dns = task._resolved_by_dns
                 elif remaining == 0:
                     server_id, remaining, resolved_by_dns = start(
                         now, task.domain_id, task.client_id
                     )
-                    server = servers[server_id]
+                    run = runs[server_id]
                     sessions_acc += 1
-                    task._server = server
+                    task._run = run
                     task._resolved_by_dns = resolved_by_dns
                 else:
                     # First dispatch (the _Initialize mirror).
@@ -612,50 +636,13 @@ class FluidClient(FluidTask):
                 while r >= hits_width:
                     r = hits_getrandbits(hits_bits)
                 hits = hits_low + r
-                # WebServer.offer, inlined (same checks, same op order).
-                if hits <= 0:
-                    raise SimulationError(
-                        f"a page burst must have >= 1 hit, got {hits!r}"
-                    )
-                last = server._last_update
-                if now < last:
-                    raise SimulationError(
-                        f"time went backwards: {now!r} < {last!r}"
-                    )
-                backlog = server._backlog
-                elapsed = now - last
-                busy = backlog if backlog <= elapsed else elapsed
-                backlog -= busy
-                server._busy_in_window += busy
-                server._last_update = now
-                service = hits / server.capacity
-                stats = server.response_times
-                sojourn = backlog + service
-                stats.count = count = stats.count + 1
-                delta = sojourn - stats._mean
-                stats._mean = mean = stats._mean + delta / count
-                stats._m2 += delta * (sojourn - mean)
-                if sojourn < stats.minimum:
-                    stats.minimum = sojourn
-                if sojourn > stats.maximum:
-                    stats.maximum = sojourn
-                server._backlog = backlog + service
-                server._hits_in_window += hits
-                server.total_hits += hits
-                server.total_pages += 1
-                domain_hits = server.domain_hits
-                domain_id = task.domain_id
-                # try/except beats dict.get on the hot path: the KeyError
-                # fires once per (server, domain) pair, then never again.
-                # Integer-only bookkeeping, so reordering vs the reference
-                # `.get` is parity-safe (no RNG, no float arithmetic).
-                try:
-                    domain_hits[domain_id] += hits
-                except KeyError:
-                    domain_hits[domain_id] = hits
+                run((now, hits, task.domain_id))
                 # Population totals (the generator's per-page counter
                 # block) — accumulated, flushed on exit.
                 pages_acc += 1
+                if pages_acc == apply_at:
+                    apply_runs(servers)
+                    apply_at += RUN_WAKES
                 hits_acc += hits
                 if resolved_by_dns:
                     routed_acc += hits
@@ -670,6 +657,7 @@ class FluidClient(FluidTask):
                     return
         finally:
             if population is not None:
+                apply_runs(servers)
                 population._add_totals(
                     pages_acc, hits_acc, sessions_acc, routed_acc
                 )

@@ -47,9 +47,9 @@ Engine modes
     drain, :func:`~repro.workload.fluid.calendar_drain` (the trace
     source's drain too), batch-steps quiescent windows: session starts
     through the population's :class:`~repro.workload.fluid.SessionKernel`,
-    page bursts through :meth:`WebServer.offer
-    <repro.web.server.WebServer.offer>`, client state read from the flat
-    shards. The client wakes are not on the engine heap: they are
+    page bursts into the servers' pending runs (:meth:`WebServer.offer_run
+    <repro.web.server.WebServer.offer_run>`), client state read from the
+    flat shards. The client wakes are not on the engine heap: they are
     ``(time, key, slot)`` entries on the population's
     :class:`~repro.sim.fastforward.WakeCalendar`, and the engine heap
     holds one head :class:`ShardClientWake` (slot ``-1``) keyed as the
@@ -169,7 +169,7 @@ class ShardedClientPopulation(SessionPopulation):
         "_entry",
         "_entries",
         "_eids",
-        "_offers",
+        "_runs",
     )
 
     closed = True
@@ -291,7 +291,7 @@ class ShardedClientPopulation(SessionPopulation):
         self.processes = []
         total_clients = self.total_clients
         self._eids = array("q", bytes(8 * total_clients))
-        self._offers = [None] * total_clients
+        self._runs = [None] * total_clients
         self._entries = entries = tape.entries()
         self._entry = next(entries)
         self._first_eid = env._eid + 1

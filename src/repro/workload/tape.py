@@ -15,7 +15,7 @@ Workload pass (:meth:`WorkloadTape.record`)
     :func:`~repro.workload.fluid.calendar_drain`, unchanged, on a bare
     :class:`~repro.sim.fastforward.FastForwardEnvironment` against stub
     servers, a stub resolution chain and a stub domain set that gives
-    every client a domain of its own, so the domain each ``offer``
+    every client a domain of its own, so the domain each page burst
     names is the waking client's slot. The tape keeps one entry per
     wake — time, slot and hits, the hits negated when the wake starts a
     session — in three ``array`` columns, plus a *tail*: the first wake
@@ -25,10 +25,11 @@ Replay (:class:`TapeWake`, :func:`replay_drain`)
     A member is a real :class:`~repro.experiments.simulation.Simulation`
     whose :class:`~repro.workload.shards.ShardedClientPopulation` reads
     the tape instead of drawing: per wake, a session start calls the
-    member's own resolution chain, every page calls the member's own
-    :meth:`WebServer.offer <repro.web.server.WebServer.offer>`, and the
-    member allocates the eid its per-cell run would. The drain draws no
-    RNG and touches no heap or calendar per wake.
+    member's own resolution chain, every page joins the target server's
+    pending run (:meth:`WebServer.offer_run
+    <repro.web.server.WebServer.offer_run>`), and the member allocates
+    the eid its per-cell run would. The drain draws no RNG and touches
+    no heap or calendar per wake.
 
 Why the replay is exact
 -----------------------
@@ -60,6 +61,7 @@ from ..errors import SimulationError
 from ..sim.events import _NORMAL_KEY
 from ..sim.fastforward import FastForwardEnvironment, FluidTask, WakeCalendar
 from ..sim.rng import RandomStreams
+from ..web.server import RUN_WAKES, apply_runs
 
 __all__ = ["TapeWake", "WorkloadTape", "replay_drain"]
 
@@ -91,10 +93,14 @@ class _SlotDomains:
 class _Recorder:
     """The pass's cluster, server and resolution chain in one stub.
 
-    Every session resolves to server 0, this recorder, whose ``offer``
-    appends one tape entry per wake: the domain it is given is the
-    client's slot (see :class:`_SlotDomains`), and the hits are negated
-    when a resolution, hence a session start, came just before.
+    Every session resolves to server 0, this recorder. The drain appends
+    each wake's ``(time, hits, slot)`` to its :attr:`pending` run, as to
+    a :class:`~repro.web.server.WebServer`, and :meth:`offer_run` moves
+    the run onto the tape: the domain a burst names is the client's slot
+    (see :class:`_SlotDomains`), and the hits are negated when a
+    resolution, hence a session start, came just before. :meth:`resolve`
+    applies the pending run before it marks the start, so the mark lands
+    on the start's own burst.
     """
 
     __slots__ = (
@@ -102,8 +108,9 @@ class _Recorder:
         "server_id",
         "authoritative_answers",
         "starting",
-        "_time",
-        "_slot",
+        "pending",
+        "_times",
+        "_slots",
         "_hits",
     )
 
@@ -112,21 +119,28 @@ class _Recorder:
         self.server_id = 0
         self.authoritative_answers = 0
         self.starting = False
-        self._time = tape.times.append
-        self._slot = tape.slots.append
-        self._hits = tape.hits.append
+        self.pending = []
+        self._times = tape.times.extend
+        self._slots = tape.slots.extend
+        self._hits = tape.hits.extend
 
     def resolve(self, domain_id: int, now: float, client: int) -> "_Recorder":
+        if self.pending:
+            self.offer_run()
         self.starting = True
         return self
 
-    def offer(self, now: float, hits: int, slot: int) -> None:
-        self._time(now)
-        self._slot(slot)
+    def offer_run(self) -> None:
+        run = self.pending
         if self.starting:
             self.starting = False
-            hits = -hits
+            now, hits, slot = run[0]
+            run[0] = (now, -hits, slot)
+        times, hits, slots = zip(*run)
+        self._times(times)
+        self._slots(slots)
         self._hits(hits)
+        run.clear()
 
 
 class WorkloadTape:
@@ -268,12 +282,16 @@ def replay_drain(cls, env, queue, target: float, budget: int = -1) -> None:
 
     Per wake: at a session start, the member's resolution (counted as
     DNS-routed when ``authoritative_answers`` grew) picks the server
-    whose bound ``offer`` the slot keeps; then one ``offer`` and the
-    eid the per-cell run's think-sleep allocates. The eid counter and
-    the population totals live in locals and are flushed on exit:
-    nothing that runs inside a drain reads them (the quiescence
-    argument of :class:`~repro.workload.fluid.SessionKernel`). Every
-    wake takes one eid, so the pages dispatched are the eids taken.
+    whose pending run's bound ``append`` the slot keeps; then the wake's
+    burst joins that run, and the wake takes the eid the per-cell run's
+    think-sleep allocates. The eid counter and the population totals
+    live in locals and are flushed on exit: nothing that runs inside a
+    drain reads them (the quiescence argument of
+    :class:`~repro.workload.fluid.SessionKernel`). Every wake takes one
+    eid, so the pages dispatched are the eids taken. The runs are
+    applied on exit and every :data:`~repro.web.server.RUN_WAKES`
+    wakes; a resolution that reads a server's state applies its run
+    first (see :mod:`repro.web.server`).
     """
     head = queue[0][2]
     p = head.population
@@ -311,7 +329,8 @@ def replay_drain(cls, env, queue, target: float, budget: int = -1) -> None:
         chain_ = p.resolution_chain
         resolve = chain_.resolve
         servers = p.cluster.servers
-        offers = p._offers
+        runs = p._runs
+        apply_at = eid + RUN_WAKES
         domain_arr = p._session_domain
         server_arr = p._server
         resolved_arr = p._resolved
@@ -330,22 +349,26 @@ def replay_drain(cls, env, queue, target: float, budget: int = -1) -> None:
                 before = chain_.authoritative_answers
                 server_id = resolve(domain_arr[slot], now, slot).server_id
                 server_arr[slot] = server_id
-                offers[slot] = servers[server_id].offer
+                runs[slot] = servers[server_id].pending.append
                 resolved_arr[slot] = (
                     1 if chain_.authoritative_answers > before else 0
                 )
                 sessions_acc += 1
                 shard_sessions[slot // shard_size] += 1
-            offers[slot](now, hits, domain_arr[slot])
+            runs[slot]((now, hits, domain_arr[slot]))
             hits_acc += hits
             if resolved_arr[slot]:
                 routed_acc += hits
             eid += 1
             eids[slot] = eid
+            if eid == apply_at:
+                apply_runs(servers)
+                apply_at += RUN_WAKES
         else:
             # The budget ran out: the next wake is the pending one.
             entry = next(entries)
     finally:
+        apply_runs(p.cluster.servers)
         env._eid = eid
         p._entry = entry
         p._add_totals(eid - first, hits_acc, sessions_acc, routed_acc)

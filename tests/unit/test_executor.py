@@ -9,6 +9,8 @@ from repro.experiments.executor import (
     ParallelExecutor,
     resolve_workers,
 )
+from repro.experiments.grid import run_grid
+from repro.experiments.runner import run_cells
 
 QUICK = SimulationConfig(policy="RR", duration=300.0, seed=9)
 
@@ -212,3 +214,31 @@ class TestFromCompletions:
         stats = ExecutionStats.from_completions(1, 0.5, [])
         assert stats.cell_count == 0
         assert stats.speedup == 0.0
+
+
+class TestWorkersWithExecutor:
+    """run_cells and its wrappers refuse an executor beside a worker count."""
+
+    @pytest.mark.parametrize("workers", [2, 4, None])
+    def test_run_cells_rejects_both(self, workers):
+        executor = ParallelExecutor(workers=1)
+        with pytest.raises(ConfigurationError, match="not both"):
+            run_cells(QUICK, [{"seed": 1}], workers=workers, executor=executor)
+        assert executor.last_stats is None
+
+    def test_wrapper_rejects_both(self):
+        with pytest.raises(ConfigurationError, match="not both"):
+            run_grid(
+                QUICK,
+                {"policy": ["RR", "DAL"]},
+                workers=4,
+                executor=ParallelExecutor(workers=1),
+            )
+
+    def test_executor_with_default_workers_runs(self):
+        executor = ParallelExecutor(workers=1)
+        results, stats = run_cells(
+            QUICK.replace(duration=60.0), [{"seed": 1}], executor=executor
+        )
+        assert len(results) == 1
+        assert stats is executor.last_stats

@@ -119,3 +119,51 @@ class TestDomainAccounting:
         server.offer(0.0, hits=6, domain_id=0)
         assert server.total_hits == 11
         assert server.total_pages == 2
+
+
+class TestOfferRun:
+    def test_run_applies_and_empties_pending(self):
+        per_page = WebServer(0, 40.0)
+        batched = WebServer(0, 40.0)
+        bursts = [(0.0, 10, 1), (0.1, 5, 2), (0.1, 7, 1), (3.0, 9, 0)]
+        for burst in bursts:
+            per_page.offer(*burst)
+            batched.pending.append(burst)
+        batched.offer_run()
+        assert batched.pending == []
+        assert batched.snapshot_state() == per_page.snapshot_state()
+
+    def test_zero_hits_rejected(self):
+        server = WebServer(0, 100.0)
+        server.pending.extend([(0.0, 5, 1), (1.0, 0, 1), (2.0, 5, 1)])
+        with pytest.raises(SimulationError):
+            server.offer_run()
+        reference = WebServer(0, 100.0)
+        reference.offer(0.0, 5, 1)
+        assert server.pending == []
+        assert server.snapshot_state() == reference.snapshot_state()
+
+    def test_time_backwards_rejected(self):
+        server = WebServer(0, 100.0)
+        server.pending.extend([(5.0, 10, 0), (4.0, 10, 0)])
+        with pytest.raises(SimulationError):
+            server.offer_run()
+        reference = WebServer(0, 100.0)
+        reference.offer(5.0, 10, 0)
+        assert server.snapshot_state() == reference.snapshot_state()
+
+    def test_readers_apply_the_pending_run(self):
+        server = WebServer(0, 10.0)
+        server.pending.append((0.0, 20, 3))
+        assert server.backlog_seconds == pytest.approx(2.0)
+        server.pending.append((1.0, 10, 3))
+        assert server.drain_domain_hits() == {3: 30}
+        server.pending.append((1.0, 10, 4))
+        assert server.offered_load(2.0) == pytest.approx(40 / 20)
+        server.pending.append((2.0, 10, 4))
+        assert server.end_window(4.0) == pytest.approx(1.0)
+        server.pending.append((4.0, 10, 4))
+        assert server.utilization(5.0) == pytest.approx(1.0)
+        server.pending.append((5.0, 10, 4))
+        assert server.snapshot_state()["total_pages"] == 6
+        assert server.pending == []
