@@ -15,11 +15,14 @@ not domains configured.  This script proves it two ways:
     contract future PRs are measured against.
 
 ``--check``
-    CI smoke: a *truncated* 10^6-domain config (short duration, small
+    CI smoke: *truncated* 10^6-domain configs (short duration, small
     client count) under a hard tracemalloc budget.  An eager-spawn
     regression — any path that materializes a per-domain or per-client
     Python list at construction — blows the budget by an order of
-    magnitude, so it can never come back unnoticed.
+    magnitude, so it can never come back unnoticed.  One case runs the
+    adaptive ``DRR2-TTL/S_K`` policy in fast-forward mode, whose
+    per-domain classification and TTL calibration must stay flat
+    arrays: as Python lists they alone push the peak past the budget.
 
 Usage::
 
@@ -118,11 +121,18 @@ def check(budget_mib: float) -> int:
     """Truncated 10^6-domain smoke under a hard tracemalloc budget."""
     failures = []
     cases = [
-        ("synthetic", synthetic_config(1_000_000, 2_000, 60.0)),
-        ("trace", trace_config(1_000_000, 2.0, 60.0)),
+        ("synthetic", synthetic_config(1_000_000, 2_000, 60.0), "event"),
+        ("trace", trace_config(1_000_000, 2.0, 60.0), "event"),
+        (
+            "adaptive-ttl",
+            synthetic_config(1_000_000, 2_000, 60.0).replace(
+                policy="DRR2-TTL/S_K"
+            ),
+            "fastforward",
+        ),
     ]
-    for label, config in cases:
-        numbers = run_config(config, trace_memory=True)
+    for label, config, engine_mode in cases:
+        numbers = run_config(config, engine_mode, trace_memory=True)
         peak = numbers["tracemalloc_peak_mib"]
         verdict = "ok" if peak <= budget_mib else "OVER BUDGET"
         print(
@@ -135,7 +145,8 @@ def check(budget_mib: float) -> int:
         if peak > budget_mib:
             failures.append(
                 f"{label}: tracemalloc peak {peak} MiB exceeds the "
-                f"{budget_mib} MiB budget — an eager-spawn path is back"
+                f"{budget_mib} MiB budget — an eager-spawn path or a "
+                "per-domain Python list is back"
             )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

@@ -54,9 +54,7 @@ class PowerOfTwoChoicesScheduler(Scheduler):
             return self._assigned_weight[server_id] / alphas[server_id]
 
         chosen = first if cost(first) <= cost(second) else second
-        self._assigned_weight[chosen] += self.state.estimator.shares()[
-            domain_id
-        ]
+        self._assigned_weight[chosen] += self.state.estimator.share(domain_id)
         return chosen
 
 

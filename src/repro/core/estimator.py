@@ -25,6 +25,14 @@ Two estimators are provided:
     ``window_intervals`` collection intervals, forgetting older traffic
     sharply instead of geometrically — better for non-stationary
     workloads, at the cost of more variance.
+
+Every per-domain structure an estimator keeps is a flat
+:class:`array.array` — estimates and priors in ``array('d')``, window
+totals and observations in ``array('q')``, 8 bytes per domain instead
+of a list's 32–36 — and :meth:`HiddenLoadEstimator.shares` returns a
+fresh ``array('d')`` copy. The arrays are built by
+:func:`~repro.core.flat.flat_map` with the list code's expressions, in
+domain order, so every estimate is bit-identical to the list version.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from typing import Deque, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError, EstimationError
 from ..web.server import WebServer
+from .flat import flat_map
 
 
 class HiddenLoadEstimator:
@@ -50,15 +59,18 @@ class HiddenLoadEstimator:
 
     version: int = 0
 
-    def shares(self) -> List[float]:
-        """Estimated fraction of total request rate per domain (sums to 1)."""
+    def shares(self) -> array:
+        """Estimated fraction of total request rate per domain (sums to 1).
+
+        A fresh ``array('d')`` copy the caller may keep or modify.
+        """
         raise NotImplementedError
 
     def share(self, domain_id: int) -> float:
         """One domain's estimated share.
 
         Bit-equal to ``shares()[domain_id]`` by contract. The base
-        implementation materializes the full list; subclasses override
+        implementation materializes the full array; subclasses override
         with O(1) lookups — per-decision call sites (schedulers, TTL
         policies, trace payloads) must use this instead of indexing
         ``shares()``, which copies K floats per call and dominates the
@@ -89,7 +101,7 @@ class HiddenLoadEstimator:
         return {
             "kind": type(self).__name__,
             "version": self.version,
-            "shares": self.shares(),
+            "shares": list(self.shares()),
         }
 
 
@@ -116,8 +128,8 @@ class OracleEstimator(HiddenLoadEstimator):
         self._shares = values
         self.version = 0
 
-    def shares(self) -> List[float]:
-        return list(self._shares)
+    def shares(self) -> array:
+        return self._shares[:]
 
     def share(self, domain_id: int) -> float:
         return self._shares[domain_id]
@@ -174,45 +186,38 @@ class MeasuredEstimator(HiddenLoadEstimator):
         self.servers = list(servers)
         self.interval = float(interval)
         self.smoothing = float(smoothing)
-        if prior is None:
-            self._estimate = [1.0 / domain_count] * domain_count
-        else:
-            if len(prior) != domain_count:
-                raise ConfigurationError(
-                    f"prior has {len(prior)} entries for {domain_count} domains"
-                )
-            total = float(sum(prior))
-            if total <= 0:
-                raise ConfigurationError("prior shares must have positive sum")
-            self._estimate = [float(p) / total for p in prior]
+        self._estimate = _normalized_prior(prior, domain_count)
         self.version = 0
         self.collections = 0
         self.process = env.process(self._run())
 
-    def shares(self) -> List[float]:
-        return list(self._estimate)
+    def shares(self) -> array:
+        return self._estimate[:]
 
     def share(self, domain_id: int) -> float:
         return self._estimate[domain_id]
 
     def _collect_once(self) -> None:
         """Drain all server counters and fold into the EWMA estimate."""
-        observed = [0] * len(self._estimate)
-        for server in self.servers:
-            for domain_id, hits in server.drain_domain_hits().items():
-                observed[domain_id] += hits
+        observed = _drain_observed(self.servers, len(self._estimate))
         total = sum(observed)
         self.collections += 1
         if total == 0:
             return  # quiet interval: keep the previous estimate
         alpha = self.smoothing
         floor = 1e-9  # keep every share positive so weights stay defined
-        self._estimate = [
-            max(floor, (1.0 - alpha) * old + alpha * (obs / total))
-            for old, obs in zip(self._estimate, observed)
-        ]
-        norm = sum(self._estimate)
-        self._estimate = [share / norm for share in self._estimate]
+
+        def smoothed(olds, counts):
+            return [
+                max(floor, (1.0 - alpha) * old + alpha * (obs / total))
+                for old, obs in zip(olds, counts)
+            ]
+
+        estimate = flat_map("d", smoothed, self._estimate, observed)
+        norm = sum(estimate)
+        self._estimate = flat_map(
+            "d", lambda chunk: [share / norm for share in chunk], estimate
+        )
         self.version += 1
 
     def _run(self):
@@ -278,32 +283,27 @@ class SlidingWindowEstimator(HiddenLoadEstimator):
         self.servers = list(servers)
         self.interval = float(interval)
         self.window_intervals = int(window_intervals)
-        self._window: Deque[List[int]] = deque(maxlen=self.window_intervals)
-        self._totals = [0] * domain_count  # running sum over the window
-        if prior is None:
-            self._prior = [1.0 / domain_count] * domain_count
-        else:
-            if len(prior) != domain_count:
-                raise ConfigurationError(
-                    f"prior has {len(prior)} entries for {domain_count} domains"
-                )
-            total = float(sum(prior))
-            if total <= 0:
-                raise ConfigurationError("prior shares must have positive sum")
-            self._prior = [float(p) / total for p in prior]
+        self._window: Deque[array] = deque(maxlen=self.window_intervals)
+        # running sum over the window
+        self._totals = array("q", [0]) * domain_count
+        self._prior = _normalized_prior(prior, domain_count)
         self.version = 0
         self.collections = 0
         self._norm_cache = None
         self.process = env.process(self._run())
 
-    def shares(self) -> List[float]:
+    def shares(self) -> array:
         window_total = sum(self._totals)
         if window_total == 0:
-            return list(self._prior)
+            return self._prior[:]
         floor = 1e-9
-        raw = [max(floor, count / window_total) for count in self._totals]
+
+        def floored(counts):
+            return [max(floor, count / window_total) for count in counts]
+
+        raw = flat_map("d", floored, self._totals)
         norm = sum(raw)
-        return [value / norm for value in raw]
+        return flat_map("d", lambda chunk: [value / norm for value in chunk], raw)
 
     def share(self, domain_id: int) -> float:
         window_total, norm = self._normalizers()
@@ -334,10 +334,7 @@ class SlidingWindowEstimator(HiddenLoadEstimator):
         return window_total, norm
 
     def _collect_once(self) -> None:
-        observed = [0] * len(self._totals)
-        for server in self.servers:
-            for domain_id, hits in server.drain_domain_hits().items():
-                observed[domain_id] += hits
+        observed = array("q", _drain_observed(self.servers, len(self._totals)))
         self.collections += 1
         if len(self._window) == self._window.maxlen:
             oldest = self._window[0]
@@ -366,3 +363,35 @@ class SlidingWindowEstimator(HiddenLoadEstimator):
             f"window={self.window_intervals}x{self.interval}s "
             f"collections={self.collections}>"
         )
+
+
+def _normalized_prior(
+    prior: Optional[Sequence[float]], domain_count: int
+) -> array:
+    """The initial estimate: ``prior`` normalized to sum 1, else uniform."""
+    if prior is None:
+        return array("d", [1.0 / domain_count]) * domain_count
+    if len(prior) != domain_count:
+        raise ConfigurationError(
+            f"prior has {len(prior)} entries for {domain_count} domains"
+        )
+    total = float(sum(prior))
+    if total <= 0:
+        raise ConfigurationError("prior shares must have positive sum")
+    return flat_map("d", lambda chunk: [float(p) / total for p in chunk], prior)
+
+
+def _drain_observed(
+    servers: Sequence[WebServer], domain_count: int
+) -> List[int]:
+    """Drain every server's per-domain hit counters into one list.
+
+    A transient list: its untouched slots all point at the shared ``0``,
+    so it costs the 8 bytes per domain of an ``array('q')``, and adding
+    into a list item is about twice as fast as into an array item.
+    """
+    observed = [0] * domain_count
+    for server in servers:
+        for domain_id, hits in server.drain_domain_hits().items():
+            observed[domain_id] += hits
+    return observed

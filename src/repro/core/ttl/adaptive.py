@@ -25,10 +25,12 @@ TTL — the paper's fairness condition.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from ...errors import ConfigurationError
 from ..classes import DomainClassifier
+from ..flat import flat_map
 from ..state import SchedulerState
 from .base import TtlPolicy
 from .calibration import calibrated_scale, reference_request_rate
@@ -86,18 +88,24 @@ class AdaptiveTtlPolicy(TtlPolicy):
             else [1.0] * state.server_count
         )
         self._cached_version: Optional[int] = None
-        self._cached: Optional[Tuple[List[int], List[float], float]] = None
+        self._cached: Optional[Tuple[Sequence[int], array, float]] = None
         tiers = "S_" if self.scale_by_capacity else ""
         self.name = f"TTL/{tiers}i"
 
     # -- calibration -------------------------------------------------------
 
-    def _current(self) -> Tuple[List[int], List[float], float]:
+    def _current(self) -> Tuple[Sequence[int], array, float]:
         """(class_of, class_weights, scale) for the current estimates."""
         version = self.state.estimator.version
         if self._cached is None or self._cached_version != version:
             class_of, class_weights = self.classifier.classification()
-            domain_weights = [class_weights[c] for c in class_of]
+            if isinstance(class_of, range):
+                # One class per domain: W_{class(j)} is class_weights[j].
+                domain_weights = class_weights
+            else:
+                domain_weights = flat_map(
+                    "d", lambda chunk: [class_weights[c] for c in chunk], class_of
+                )
             reference = reference_request_rate(len(class_of), self.constant_ttl)
             scale = calibrated_scale(
                 domain_weights,

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.classes (domain classification)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.classes import (
@@ -21,8 +23,8 @@ class TestSingleClass:
     def test_everything_in_class_zero(self):
         classifier = SingleClassClassifier(zipf_estimator())
         class_of, weights = classifier.classification()
-        assert class_of == [0] * 20
-        assert weights == [1.0]
+        assert list(class_of) == [0] * 20
+        assert list(weights) == [1.0]
 
     def test_class_weight_pinned_to_one(self):
         # TTL/1 and TTL/S_1 must not adapt to domains at all.
@@ -37,8 +39,8 @@ class TestTwoClass:
         class_of, _ = classifier.classification()
         # Pure Zipf over 20 domains: shares 1/(j*H20); share > 1/20 for
         # j <= 5 (H20 ~ 3.5977).
-        assert class_of[:5] == [0] * 5
-        assert class_of[5:] == [1] * 15
+        assert list(class_of[:5]) == [0] * 5
+        assert list(class_of[5:]) == [1] * 15
 
     def test_hot_class_heavier_than_normal(self):
         classifier = TwoClassClassifier(zipf_estimator())
@@ -93,7 +95,7 @@ class TestLoadQuantile:
     def test_single_tier_degenerates(self):
         classifier = LoadQuantileClassifier(zipf_estimator(5), tier_count=1)
         class_of, _ = classifier.classification()
-        assert class_of == [0] * 5
+        assert list(class_of) == [0] * 5
 
     def test_invalid_tier_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -104,7 +106,7 @@ class TestPerDomain:
     def test_one_class_per_domain(self):
         classifier = PerDomainClassifier(zipf_estimator(20))
         class_of, weights = classifier.classification()
-        assert class_of == list(range(20))
+        assert list(class_of) == list(range(20))
         assert len(weights) == 20
 
     def test_weights_are_relative_hidden_loads(self):
@@ -127,3 +129,19 @@ class TestCaching:
         first = classifier.classification()
         estimator.version += 1
         assert classifier.classification() is not first
+
+
+class TestFlatMemory:
+    def test_per_domain_classification_stays_flat(self):
+        # At K = 10^5 the shares copy and the weights are two 8-byte
+        # arrays (16 bytes per domain); lists of boxed floats and ints
+        # cost about 100 bytes per domain and blow the bound.
+        domains = 100_000
+        classifier = PerDomainClassifier(zipf_estimator(domains))
+        tracemalloc.start()
+        try:
+            classifier.classification()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * domains

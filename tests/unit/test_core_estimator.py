@@ -12,7 +12,7 @@ from repro.web.server import WebServer
 class TestOracleEstimator:
     def test_returns_configured_shares(self):
         estimator = OracleEstimator([0.6, 0.3, 0.1])
-        assert estimator.shares() == [0.6, 0.3, 0.1]
+        assert list(estimator.shares()) == [0.6, 0.3, 0.1]
 
     def test_relative_weights_normalized_by_peak(self):
         estimator = OracleEstimator([0.6, 0.3, 0.1])
@@ -49,7 +49,7 @@ class TestOracleEstimator:
     def test_returns_copy(self):
         estimator = OracleEstimator([0.5, 0.5])
         estimator.shares()[0] = 99.0
-        assert estimator.shares() == [0.5, 0.5]
+        assert list(estimator.shares()) == [0.5, 0.5]
 
 
 class TestMeasuredEstimator:

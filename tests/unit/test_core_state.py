@@ -69,4 +69,4 @@ class TestEstimatorAccess:
         estimator = OracleEstimator([0.5, 0.5])
         state = SchedulerState(ServerCluster.from_heterogeneity(20), estimator)
         assert state.estimator is estimator
-        assert state.estimator.shares() == [0.5, 0.5]
+        assert list(state.estimator.shares()) == [0.5, 0.5]
