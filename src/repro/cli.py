@@ -268,12 +268,13 @@ def _checkpoint_options(
 ) -> Tuple[Optional[str], float]:
     """Validated ``(--checkpoint-dir, --checkpoint-every)`` pair."""
     directory, every = args.checkpoint_dir, args.checkpoint_every
-    if directory is not None and every <= 0:
+    # Written so that NaN fails too: no comparison with NaN holds.
+    if directory is not None and not 0.0 < every < float("inf"):
         raise ConfigurationError(
-            "--checkpoint-dir requires --checkpoint-every T (> 0 "
+            "--checkpoint-dir requires --checkpoint-every T (finite, > 0 "
             "simulated seconds)"
         )
-    if directory is None and every > 0:
+    if directory is None and every != 0.0:
         raise ConfigurationError(
             "--checkpoint-every requires --checkpoint-dir DIR"
         )

@@ -124,7 +124,7 @@ class TwoClassClassifier(DomainClassifier):
         if 0 not in class_of:
             # Degenerate uniform workload: hottest domain forms the hot class
             # so the two-tier machinery stays well-defined.
-            class_of[max(range(len(shares)), key=lambda j: shares[j])] = 0
+            class_of[max(range(len(shares)), key=shares.__getitem__)] = 0
         return class_of, _relative_class_weights(shares, class_of, 2)
 
 
@@ -146,7 +146,7 @@ class LoadQuantileClassifier(DomainClassifier):
     def classify_shares(self, shares: Sequence[float]) -> Classification:
         count = len(shares)
         tiers = min(self.tier_count, count)
-        order = sorted(range(count), key=lambda j: shares[j], reverse=True)
+        order = sorted(range(count), key=shares.__getitem__, reverse=True)
         class_of = array("B" if tiers <= 0x100 else "I", [0]) * count
         target = 1.0 / tiers
         tier, accumulated = 0, 0.0

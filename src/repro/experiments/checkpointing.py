@@ -59,6 +59,8 @@ PathLike = Union[str, pathlib.Path]
 #: Artifact stem used for checkpointed bundles (matches ``repro run``).
 DEFAULT_STEM = "run"
 
+_INFINITY = float("inf")
+
 
 def _engine_version() -> str:
     """``repro.__version__`` (imported lazily: this module is pulled in
@@ -117,6 +119,14 @@ def verify_checkpoint(sim: Simulation, checkpoint: Checkpoint) -> None:
                 f"state.{section}", expected, actual
             )
     raise CheckpointMismatchError("digest", checkpoint.digest, digest)
+
+
+def _check_halt_at(halt_at: Optional[float]) -> None:
+    """Reject a non-finite ``halt_at``: a NaN one would never halt."""
+    if halt_at is not None and not -_INFINITY < halt_at < _INFINITY:
+        raise CheckpointError(
+            f"halt_at must be a finite simulated time, got {halt_at!r}"
+        )
 
 
 def _drive(
@@ -207,10 +217,11 @@ def run_with_checkpoints(
     either way (the fast-forward equivalence guarantee); each
     checkpoint records the mode as provenance.
     """
-    if every <= 0:
+    if not 0.0 < every < _INFINITY:
         raise CheckpointError(
-            f"checkpoint cadence must be > 0 seconds, got {every!r}"
+            f"checkpoint cadence must be finite and > 0 seconds, got {every!r}"
         )
+    _check_halt_at(halt_at)
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     sim = Simulation(config, engine_mode=engine_mode)
@@ -248,6 +259,7 @@ def resume_run(
     equivalence is only guaranteed within one engine build, and a silent
     cross-version resume could verify vacuously or fail confusingly.
     """
+    _check_halt_at(halt_at)
     directory = pathlib.Path(directory)
     checkpoint = latest_checkpoint(directory)
     if checkpoint is None:

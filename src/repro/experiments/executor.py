@@ -403,10 +403,10 @@ class ParallelExecutor:
             )
         self.chunk_size = chunk_size
         self.progress = progress
-        if checkpoint_dir is not None and checkpoint_every <= 0:
+        if checkpoint_dir is not None and not 0.0 < checkpoint_every < float("inf"):
             raise ConfigurationError(
-                f"checkpoint_every must be > 0 when checkpoint_dir is set, "
-                f"got {checkpoint_every!r}"
+                f"checkpoint_every must be finite and > 0 when "
+                f"checkpoint_dir is set, got {checkpoint_every!r}"
             )
         self.checkpoint_dir = (
             pathlib.Path(checkpoint_dir) if checkpoint_dir is not None else None

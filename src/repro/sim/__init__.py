@@ -3,7 +3,8 @@
 The paper's simulators were written on top of the proprietary CSIM
 package; this subpackage provides an equivalent process-oriented engine:
 
-* :class:`Environment` — clock, event queue, ``run(until)``.
+* :class:`Environment` — clock, event queue, ``run(until)``: the one
+  dispatch loop of both engine modes.
 * :class:`Event`, :class:`Timeout` — waitable occurrences.
 * :class:`Process` — generator-based concurrency.
 * :class:`Store` — a blocking FIFO object buffer.
@@ -17,7 +18,9 @@ package; this subpackage provides an equivalent process-oriented engine:
   for the model-aware driver).
 * :class:`FastForwardEnvironment`, :class:`FluidTask` — the hybrid
   fluid/event fast-forward engine mode, bit-identical to the reference
-  engine (see :mod:`repro.sim.fastforward`).
+  engine (see :mod:`repro.sim.fastforward`). It registers a fluid-task
+  class whose entries :meth:`Environment.run` hands to the class's
+  ``drain``; it has no dispatch loop of its own.
 """
 
 from .checkpoint import (

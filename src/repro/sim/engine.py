@@ -17,13 +17,19 @@ across engine rewrites.
 
 Performance
 -----------
-:meth:`Environment.run` is an inlined pop-and-dispatch loop over local
-bindings of the heap and clock, with the dominant event shape — a
-process sleeping on a :class:`~repro.sim.events.Timeout` nothing else
-waits on — resumed inline without allocating a callbacks list or paying
-a :meth:`~repro.sim.process.Process._resume` call. :meth:`step` remains
-the single-stepping entry point for tests and interactive use and
-performs the exact same dispatch in the exact same order. See
+:meth:`Environment.run` is the engine's one dispatch loop, serving both
+engine modes. It peeks the heap top, stops past the target, hands an
+entry of the registered fast-lane task class to that class's ``drain``
+(see :mod:`repro.sim.fastforward`), and otherwise pops the entry and
+dispatches it inline over local bindings of the heap and clock. The
+dominant event shape — a process sleeping on a
+:class:`~repro.sim.events.Timeout` nothing else waits on — is resumed
+inline without allocating a callbacks list or paying a
+:meth:`~repro.sim.process.Process._resume` call. With no task class
+registered (the event engine) the task check is one pointer comparison
+against :class:`_NoTask` per event. :meth:`step` remains the
+single-stepping entry point for tests and checkpoint cuts and performs
+the exact same dispatch in the exact same order. See
 ``docs/PERFORMANCE.md``, *Engine internals*.
 """
 
@@ -49,6 +55,22 @@ class EmptySchedule(SimulationError):
     """Raised by :meth:`Environment.step` when no events remain."""
 
 
+class _NoTask:
+    """Placeholder task class: matches no heap entry.
+
+    ``type(event) is self._task_class`` must be a single pointer
+    comparison on the hot path, so "no tasks registered" is expressed as
+    a class no event can be an instance of rather than ``None``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def drain(cls, env, queue, target, budget=-1):  # pragma: no cover
+        """Never called: no heap entry can match the placeholder class."""
+        raise AssertionError("placeholder task class is never dispatched")
+
+
 class Environment:
     """A discrete-event simulation environment.
 
@@ -68,7 +90,7 @@ class Environment:
         run.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "timeout")
+    __slots__ = ("_now", "_queue", "_eid", "timeout", "_task_class", "_off_heap")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -82,6 +104,15 @@ class Environment:
         # One sleep per client think time makes `timeout` the
         # most-called factory in a run; see timeout_factory.
         self.timeout = timeout_factory(self)
+        #: The fast-lane task class :meth:`run` and :meth:`step` hand
+        #: heap entries to (pointer-compared on dispatch); only
+        #: :class:`~repro.sim.fastforward.FastForwardEnvironment`
+        #: registers one.
+        self._task_class = _NoTask
+        #: Scheduled entries fast-lane tasks hold off the heap (see
+        #: :meth:`~repro.sim.fastforward.FluidTask.drain`);
+        #: :attr:`dispatched` subtracts them.
+        self._off_heap = 0
 
     # -- clock and queue -------------------------------------------------
 
@@ -120,21 +151,33 @@ class Environment:
 
         Derived as *scheduled minus still-queued*: events only ever
         leave the heap by being dispatched (there is no cancellation
-        path), so this needs no counter on the hot dispatch loop.
+        path), so this needs no counter on the hot dispatch loop. The
+        entries fast-lane tasks hold off the heap (``_off_heap``, which
+        each calendar drain updates on exit) count as still queued.
         Checkpoints record it as the exact replay position of a cut.
         """
-        return self._eid - len(self._queue)
+        return self._eid - len(self._queue) - self._off_heap
 
     def step(self) -> None:
         """Process the next scheduled event.
+
+        A registered fast-lane task entry is stepped natively (a
+        budget-1 :meth:`~repro.sim.fastforward.FluidTask.drain`), which
+        by the task contract is the same work the reference generator
+        dispatch would have performed.
 
         Raises
         ------
         EmptySchedule
             If no events remain.
         """
+        queue = self._queue
+        if queue and type(queue[0][2]) is self._task_class:
+            self._now = queue[0][0]
+            self._task_class.drain(self, queue, self._now, 1)
+            return
         try:
-            self._now, _, event = heapq.heappop(self._queue)
+            self._now, _, event = heapq.heappop(queue)
         except IndexError:
             raise EmptySchedule("no scheduled events left") from None
         event._processed = True
@@ -181,28 +224,52 @@ class Environment:
         until:
             Stop once the clock would pass this time (the clock is then
             set exactly to ``until``). ``None`` runs until the event
-            queue drains.
+            queue drains. A target before the clock, or NaN, raises
+            :class:`~repro.errors.SimulationError`.
 
         This is the engine's hot loop: it performs the same dispatch as
-        :meth:`step` in the same order, but inline over local bindings,
-        and resumes a sole-waiting process directly — for the dominant
-        sleep-on-a-Timeout shape that means one generator ``send`` with
-        no intermediate Python frame and no allocation beyond the
-        Timeout and its heap entry. :meth:`Process._resume` remains the
-        reference implementation; every branch here mirrors it exactly.
+        :meth:`step` in the same order, but inline over local bindings.
+        An entry of the registered task class hands the heap to
+        ``task_class.drain`` until the top entry is foreign or late: the
+        whole quiescent window drains inside one call, with no Timeout,
+        generator frame or waiter bookkeeping per wake. Every other
+        entry takes the reference dispatch, which resumes a sole-waiting
+        process directly — for the dominant sleep-on-a-Timeout shape
+        that means one generator ``send`` with no intermediate Python
+        frame and no allocation beyond the Timeout and its heap entry.
+        :meth:`Process._resume` remains the reference implementation;
+        every branch here mirrors it exactly.
         """
         if until is None:
             target = _INFINITY
         else:
             target = float(until)
-            if target < self._now:
+            # Written so that NaN fails too: no comparison with NaN holds.
+            if not target >= self._now:
                 raise SimulationError(
                     f"cannot run until {target!r}: already at {self._now!r}"
                 )
         queue = self._queue
         pop = heapq.heappop
-        while queue and queue[0][0] <= target:
-            now, _, event = pop(queue)
+        task_class = self._task_class
+        task_drain = task_class.drain
+        while queue:
+            item = queue[0]
+            now = item[0]
+            if now > target:
+                break
+            event = item[2]
+            if type(event) is task_class:
+                # The drain heapreplaces each task's next wake against
+                # its just-dispatched top entry (see FluidTask.drain for
+                # the parity argument). self._now is NOT updated per
+                # wake — provably nothing inside a fast-lane wake reads
+                # the clock (every callee takes `now` as a parameter),
+                # every reference dispatch below still sets it, and the
+                # loop exit sets it to `target`.
+                task_drain(self, queue, target)
+                continue
+            pop(queue)
             self._now = now
             event._processed = True
             waiter = event._waiter

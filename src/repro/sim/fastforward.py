@@ -9,6 +9,13 @@ think-sleep/page-burst cycle is a pure function of the heap time, the
 workload RNG streams and the per-server fluid state — none of which any
 *pending* event can change out from under it.
 
+The environment adds no dispatch code of its own:
+:meth:`~repro.sim.engine.Environment.run` and
+:meth:`~repro.sim.engine.Environment.step` are the one dispatch loop of
+both engine modes, and hand every entry of the registered task class to
+that class's :meth:`FluidTask.drain`. :class:`FastForwardEnvironment`
+only registers the task class and counts fallbacks.
+
 Quiescence criterion
 --------------------
 A heap entry is quiescent exactly when it is a registered *fluid task*
@@ -20,8 +27,8 @@ in this codebase happens *inside* some dispatch, never between them.
 Model code opts a client shape in only when its whole per-wake body can
 be mirrored exactly (see :mod:`repro.workload.fluid` for the eligibility
 gate); everything else — monitor and estimator processes, shared
-events, failed events — takes the reference dispatch path of
-:meth:`~repro.sim.engine.Environment.run`, verbatim.
+events, failed events — takes the reference dispatch branch of the same
+:meth:`~repro.sim.engine.Environment.run` loop.
 
 Equivalence guarantee
 ---------------------
@@ -53,9 +60,7 @@ import heapq
 from bisect import insort
 from typing import Dict, Optional, Type
 
-from ..errors import SimulationError
-from .engine import Environment
-from .events import Timeout
+from .engine import Environment, _NoTask
 
 _INFINITY = float("inf")
 
@@ -111,7 +116,7 @@ class FluidTask:
         calendar holds but the one the head stands for. The count is
         constant when each dispatched entry files one successor, and
         moves when a wake files none or two.
-        :attr:`FastForwardEnvironment.dispatched` subtracts it, so
+        :attr:`~repro.sim.engine.Environment.dispatched` subtracts it, so
         dispatch counts and checkpoint positions stay those of the
         reference engine.
         """
@@ -229,42 +234,23 @@ class WakeCalendar:
         heapq.heapreplace(queue, (top[0], top[1], head))
 
 
-class _NoTask:
-    """Placeholder task class: matches no heap entry.
-
-    ``type(event) is self._task_class`` must be a single pointer
-    comparison on the hot path, so "no tasks registered" is expressed as
-    a class no event can be an instance of rather than ``None``.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def drain(cls, env, queue, target, budget=-1):  # pragma: no cover
-        """Never called: no heap entry can match the placeholder class."""
-        raise AssertionError("placeholder task class is never dispatched")
-
-
 class FastForwardEnvironment(Environment):
     """An :class:`~repro.sim.engine.Environment` with a fast-forward lane.
 
     Determinism contract: identical to the base environment, bit for
-    bit. :meth:`step` remains the reference single-event semantics
-    (tests and checkpoint cuts use it); :meth:`run` performs the same
-    dispatch inline. Registered fluid-task entries are stepped natively;
-    every other entry takes the reference path unchanged, so an
-    environment with no registered tasks *is* the reference engine.
+    bit. The dispatch is the base class's: :meth:`step` is the
+    reference single-event semantics (tests and checkpoint cuts use it)
+    and :meth:`run` performs the same dispatch inline. Registering a
+    fluid-task class is what makes this the fast-lane mode: its entries
+    are stepped natively, and every other entry takes the reference
+    path unchanged, so an environment with no registered tasks *is* the
+    reference engine.
     """
 
-    __slots__ = ("_task_class", "fallback_reasons", "_off_heap")
+    __slots__ = ("fallback_reasons",)
 
     def __init__(self, initial_time: float = 0.0):
         super().__init__(initial_time)
-        #: The registered fluid-task class (pointer-compared on dispatch).
-        self._task_class: Type = _NoTask
-        #: Scheduled entries fluid tasks hold off the heap (see
-        #: :meth:`FluidTask.drain`); :attr:`dispatched` subtracts them.
-        self._off_heap = 0
         #: Counted reasons why model components declined the fast lane
         #: (``reason -> count``). Surfaced via the provenance manifest,
         #: never via the digested metrics registry — digests must be
@@ -299,113 +285,11 @@ class FastForwardEnvironment(Environment):
         """``True`` once a fluid task class has been registered."""
         return self._task_class is not _NoTask
 
-    @property
-    def dispatched(self) -> int:
-        """Number of events dispatched so far.
-
-        As :attr:`Environment.dispatched`, counting the entries fluid
-        tasks hold off the heap (``_off_heap``, which each calendar
-        drain updates on exit as its held count rises and falls) as
-        still scheduled.
-        """
-        return self._eid - len(self._queue) - self._off_heap
-
-    # -- dispatch ----------------------------------------------------------
-
-    def step(self) -> None:
-        """Process the next scheduled entry (reference semantics).
-
-        Identical to :meth:`Environment.step` except that a registered
-        fluid-task entry is stepped natively (a budget-1
-        :meth:`FluidTask.drain`) — which is, by the :class:`FluidTask`
-        contract, the same work the reference generator dispatch would
-        have performed.
-        """
-        queue = self._queue
-        if queue and type(queue[0][2]) is self._task_class:
-            self._now = queue[0][0]
-            self._task_class.drain(self, queue, self._now, 1)
-            return
-        Environment.step(self)
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Run the simulation (see :meth:`Environment.run`).
-
-        The quiescent-window drain: successive fluid-task entries are
-        stepped natively with one type check each — no Timeout
-        allocation, no generator frame, no waiter bookkeeping — until a
-        non-task entry (a scheduler decision point) surfaces, which is
-        dispatched through the reference branches below, verbatim from
-        :meth:`Environment.run`. Dispatch order, eid allocation and all
-        float arithmetic are bit-identical to the reference engine.
-        With no task class registered (a configuration that fell back)
-        the run is :meth:`Environment.run` itself, without the per-entry
-        task check.
-        """
-        if self._task_class is _NoTask:
-            return super().run(until)
-        if until is None:
-            target = float("inf")
-        else:
-            target = float(until)
-            if target < self._now:
-                raise SimulationError(
-                    f"cannot run until {target!r}: already at {self._now!r}"
-                )
-        queue = self._queue
-        pop = heapq.heappop
-        task_class = self._task_class
-        task_drain = task_class.drain
-        while queue:
-            item = queue[0]
-            now = item[0]
-            if now > target:
-                break
-            event = item[2]
-            if type(event) is task_class:
-                # Hand the heap to the task class until the top entry
-                # is foreign or late: the whole quiescent window drains
-                # inside one call, with no per-wake function call. The
-                # drain loop heapreplaces each task's next wake against
-                # its just-dispatched top entry (see FluidTask.drain
-                # for the parity argument). env._now is NOT updated per
-                # wake — provably nothing inside a fluid wake reads the
-                # clock (every callee takes `now` as a parameter), every
-                # reference dispatch below still sets it, and the loop
-                # exit sets it to `target`.
-                task_drain(self, queue, target)
-                continue
-            now, _, event = pop(queue)
-            self._now = now
-            # -- reference dispatch (verbatim from Environment.run) -------
-            event._processed = True
-            waiter = event._waiter
-            if waiter is not None:
-                event._waiter = None
-                if event._ok:
-                    try:
-                        next_event = waiter._generator.send(event._value)
-                    except BaseException as error:  # incl. StopIteration
-                        waiter._terminate(error)
-                    else:
-                        if (
-                            type(next_event) is Timeout
-                            and next_event._waiter is None
-                            and next_event._callbacks is None
-                            and not next_event._processed
-                        ):
-                            next_event._waiter = waiter
-                        else:
-                            waiter._after_yield(next_event)
-                else:
-                    waiter._resume(event)
-            callbacks = event._callbacks
-            if callbacks is not None:
-                event._callbacks = None
-                for callback in callbacks:
-                    callback(event)
-        if until is not None:
-            self._now = target
+    #: The one dispatch loop is :meth:`Environment.run`. This alias is
+    #: the same function object; only the benchmark's span table needs
+    #: it, because it wraps ``run`` through this class's ``__dict__``.
+    #: ROADMAP item 1 retires it.
+    run = Environment.run
 
     def __repr__(self) -> str:
         task = (

@@ -254,6 +254,16 @@ def test_resume_requires_checkpoints(tmp_path):
         resume_run(tmp_path / "empty")
 
 
+@pytest.mark.parametrize(
+    "every", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"]
+)
+def test_non_finite_or_zero_cadence_rejected(tmp_path, every):
+    """A NaN cadence used to pass the check and hang the first advance."""
+    with pytest.raises(CheckpointError, match="cadence"):
+        run_with_checkpoints(small_config(), every=every, directory=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 def test_checkpoint_file_roundtrip(tmp_path):
     """write -> read reproduces the Checkpoint dataclass exactly."""
     sim = Simulation(small_config())

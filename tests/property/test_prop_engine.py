@@ -113,10 +113,10 @@ class TestStepRunEquivalence:
     ``run()`` and driving an identical twin with ``step()`` until
     :class:`EmptySchedule` produces bit-identical trajectories (same
     wakeups, same clock values, same caught failures, in the same
-    order). Both copies of the inlined dispatch are held to it: the one
-    in :meth:`Environment.run` and the reference branch of
-    :meth:`FastForwardEnvironment.run`, driven with no task class
-    registered.
+    order). The one inlined dispatch loop, :meth:`Environment.run`, is
+    held to it on both environment classes: a plain
+    :class:`Environment` and a :class:`FastForwardEnvironment` driven
+    with no task class registered.
     """
 
     @staticmethod

@@ -343,9 +343,14 @@ class TestReproErrors:
             lambda tmp: ["trace", "--inspect", _figure_json(tmp)],
             lambda tmp: ["run", "RR", "--checkpoint-every", "5"],
             lambda tmp: ["grid", "--rows", "nonsense", "--cols", "heterogeneity=20"],
+            lambda tmp: ["run", "RR", "--duration", "60", "--checkpoint-dir",
+                         str(tmp / "ck"), "--checkpoint-every", "nan"],
+            lambda tmp: ["run", "RR", "--duration", "60", "--checkpoint-dir",
+                         str(tmp / "ck"), "--checkpoint-every", "10", "--halt-at", "nan"],
         ],
         ids=["bad-flag-value", "unknown-policy", "missing-bundle", "inspect-a-figure",
-             "checkpoint-every-without-dir", "grid-bad-axis"],
+             "checkpoint-every-without-dir", "grid-bad-axis", "checkpoint-every-nan",
+             "halt-at-nan"],
     )
     def test_exits_2_with_an_error_line(self, argv, tmp_path, capsys):
         assert main(argv(tmp_path)) == 2

@@ -170,11 +170,21 @@ class TestDispatch:
         with pytest.raises(EmptySchedule):
             env.step()
 
-    def test_run_until_before_now_raises(self):
-        env = FastForwardEnvironment()
+    @pytest.mark.parametrize("until", [1.0, float("nan")], ids=["before-now", "nan"])
+    @pytest.mark.parametrize("env_class", [Environment, FastForwardEnvironment])
+    def test_run_until_before_now_raises(self, env_class, until):
+        env = env_class()
         env.run(until=5.0)
         with pytest.raises(SimulationError):
-            env.run(until=1.0)
+            env.run(until=until)
+        assert env.now == 5.0
+
+    @pytest.mark.parametrize("engine_mode", ["event", "fastforward"])
+    def test_advance_to_nan_raises(self, engine_mode):
+        """A NaN target fails in both modes; the fast lane used to hang."""
+        sim = Simulation(SimulationConfig(duration=60.0), engine_mode=engine_mode)
+        with pytest.raises(SimulationError):
+            sim.advance(float("nan"))
 
 
 class _Stub:
@@ -271,6 +281,11 @@ class TestRunControlPlumbing:
     def test_unknown_engine_mode_rejected_by_executor(self):
         with pytest.raises(ConfigurationError, match="engine mode"):
             ParallelExecutor(workers=1, engine_mode="warp")
+
+    @pytest.mark.parametrize("every", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_checkpoint_cadence_rejected_by_executor(self, tmp_path, every):
+        with pytest.raises(ConfigurationError, match="checkpoint_every"):
+            ParallelExecutor(workers=1, checkpoint_dir=tmp_path, checkpoint_every=every)
 
     def test_manifest_records_engine_mode(self):
         config = SimulationConfig(policy="RR", duration=60.0)
